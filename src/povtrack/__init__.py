@@ -31,7 +31,6 @@ from .model import (
     ValidationError,
     VerbFeatures,
     registry_lookup,
-    situations_for_level,
     situations_up_to_level,
 )
 from .situations import (
@@ -61,7 +60,6 @@ from .corpus import (
 from .evaluation import (
     EvalReport,
     PovOperation,
-    actual_contexts,
     classify_operation,
     evaluate,
     is_simple_quoted_speech,
@@ -77,12 +75,12 @@ __all__ = [
     "ParseError", "PovOperation", "PovTrackError", "Pse", "PseCategory",
     "RegistryError", "SceneBreak", "Sentence", "SignificancePolicy",
     "SoaType", "StateOfAffairs", "SubjectiveHistory", "TextSituation",
-    "TrackStep", "ValidationError", "VerbFeatures", "actual_contexts",
+    "TrackStep", "ValidationError", "VerbFeatures",
     "classify_operation", "document_from_dict", "document_to_dict",
     "dumps_document", "evaluate", "interpretation_line",
     "is_simple_quoted_speech", "last_active_character_expected",
     "last_subjective_character_expected", "load_document", "load_registry",
     "new_context", "new_context_after_break", "parse_document",
     "parse_registry", "registry_lookup", "render_step", "render_trace",
-    "situations_for_level", "situations_up_to_level", "validate_gold",
+    "situations_up_to_level", "validate_gold",
 ]

@@ -93,7 +93,7 @@ def _load_registry(flag_value):
 
 def _cmd_track(args, registry) -> int:
     document = load_document(args.document, registry)
-    policy = SignificancePolicy.from_name(args.policy)
+    policy = SignificancePolicy(args.policy)
     engine = Engine(registry, policy)
     steps = engine.track_document(document)
     lines = _track_lines(steps, args.trace, policy)
@@ -123,7 +123,7 @@ def _track_lines(steps: list[TrackStep], trace: bool,
 
 def _cmd_eval(args, registry) -> int:
     document = load_document(args.document, registry)
-    policy = SignificancePolicy.from_name(args.policy)
+    policy = SignificancePolicy(args.policy)
     report = evaluate(document, Engine(registry, policy))
     if args.json:
         json.dump(report.to_dict(), sys.stdout, indent=2, sort_keys=True)

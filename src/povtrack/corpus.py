@@ -142,8 +142,8 @@ def parse_document(text: str | bytes,
                    registry: dict[str, PseCategory] | None = None) -> Document:
     """Parse and fully validate one document.
 
-    When a registry is supplied, every potential-subjective-element
-    category in the document must resolve in it.
+    Every potential-subjective-element category in the document must
+    resolve in the registry, the built-in one when none is given.
     """
     try:
         data = json.loads(text)
@@ -162,6 +162,7 @@ def load_document(path,
 def document_from_dict(data,
                        registry: dict[str, PseCategory] | None = None
                        ) -> Document:
+    registry = DEFAULT_REGISTRY if registry is None else registry
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
     unknown = set(data) - {"title", "roster", "preamble", "items"}
@@ -194,8 +195,9 @@ def _parse_preamble(raw, roster: Characters) -> Context:
                           "lastActiveCharacter"}
     if unknown:
         raise ValidationError(f"preamble: unknown field(s) {sorted(unknown)}")
-    situation = TextSituation.from_name(raw.get(
-        "situation", TextSituation.PRESUBJECTIVE_NONACTIVE.value))
+    situation = _member(TextSituation, raw.get(
+        "situation", TextSituation.PRESUBJECTIVE_NONACTIVE.value),
+        "text situation")
     last_sc = _character_list(raw.get("lastSC", []), "preamble.lastSC")
     previous = _character_list(raw.get("previousSCs", []),
                                "preamble.previousSCs")
@@ -306,7 +308,7 @@ def _parse_features(raw, sid, roster, registry) -> FeatureSet:
             raise ValidationError(
                 f"sentence {sid}: element {pse.id!r} subordinated to unknown "
                 f"clause(s) {sorted(missing)}")
-        if registry is not None and pse.category not in registry:
+        if pse.category not in registry:
             raise ValidationError(
                 f"sentence {sid}: element {pse.id!r} has unknown category "
                 f"{pse.category!r}")
@@ -364,7 +366,8 @@ def _parse_soa(entry, where, sid, roster, seen) -> StateOfAffairs:
         raise ValidationError(f"sentence {sid}: duplicate state-of-affairs "
                               f"id {soa_id!r}")
     seen.add(soa_id)
-    soa_type = SoaType.from_name(entry.get("type", ""))
+    soa_type = _member(SoaType, entry.get("type", ""),
+                       "state-of-affairs type")
     who = _character_list(entry.get("who", []), f"{where}.who")
     off = who - roster
     if off:
@@ -447,6 +450,13 @@ def _check_acyclic(clauses, sid) -> None:
 
     for clause_id in under:
         visit(clause_id, [])
+
+
+def _member(enum, value, what):
+    try:
+        return enum(value)
+    except ValueError:
+        raise ValidationError(f"unknown {what} {value!r}") from None
 
 
 def _character_list(raw, where) -> Characters:

@@ -25,14 +25,13 @@ from .model import (
     InputItem,
     Interpretation,
     NOBODY,
-    ParagraphBreak,
     Pse,
     PseCategory,
-    SceneBreak,
     Sentence,
     SoaType,
     StateOfAffairs,
     TextSituation,
+    ValidationError,
     registry_lookup,
     DEFAULT_REGISTRY,
     INITIAL_CONTEXT,
@@ -54,13 +53,6 @@ class SignificancePolicy(Enum):
     CONTAINS_SUBJECTIVE_ELEMENT = "contains-subjective-element"
     MIN_LENGTH_2 = "min-length-2"
 
-    @classmethod
-    def from_name(cls, name: str) -> "SignificancePolicy":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(f"unknown significance policy {name!r}")
-
 
 @dataclass
 class CharacterRecord:
@@ -69,20 +61,21 @@ class CharacterRecord:
     ever_subjective: bool = False
     represented_thought: bool = False
     subjective_element: bool = False
-    run: int = 0
     longest_run: int = 0
 
 
 class SubjectiveHistory:
     """Running record of each character's subjective contexts.
 
-    ``run`` counts the current streak of consecutive subjective
-    sentences attributed to the character; any objective sentence,
-    break, or subjective sentence of someone else resets it.
+    A run is a streak of consecutive subjective sentences attributed to
+    a character; any objective sentence, break, or subjective sentence
+    of someone else ends it.  Only the characters of the last subjective
+    sentence have a live run, so only their run lengths are kept.
     """
 
     def __init__(self, previously_subjective: Characters = NOBODY):
         self._records: dict[str, CharacterRecord] = {}
+        self._runs: dict[str, int] = {}
         for name in previously_subjective:
             self.record(name).ever_subjective = True
 
@@ -94,20 +87,18 @@ class SubjectiveHistory:
     def note_subjective(self, characters: Characters,
                         represented_thought: bool,
                         subjective_element: bool) -> None:
+        runs = {}
         for name in characters:
             rec = self.record(name)
             rec.ever_subjective = True
             rec.represented_thought |= represented_thought
             rec.subjective_element |= subjective_element
-            rec.run += 1
-            rec.longest_run = max(rec.longest_run, rec.run)
-        for name, rec in self._records.items():
-            if name not in characters:
-                rec.run = 0
+            runs[name] = self._runs.get(name, 0) + 1
+            rec.longest_run = max(rec.longest_run, runs[name])
+        self._runs = runs
 
     def note_nonsubjective(self) -> None:
-        for rec in self._records.values():
-            rec.run = 0
+        self._runs = {}
 
     def satisfies(self, name: str, policy: SignificancePolicy) -> bool:
         rec = self._records.get(name)
@@ -124,7 +115,8 @@ class SubjectiveHistory:
 
 @dataclass(frozen=True)
 class InterpretationDetail:
-    """Why the engine decided what it decided, for traces and history."""
+    """Everything the engine decided about one sentence, each part once;
+    the trace and the history update read it."""
 
     chosen: StateOfAffairs
     treated_as_private_state: bool | None  # None unless chosen is a psa
@@ -156,11 +148,16 @@ class Engine:
     def treat_as_private_state(self, soa: StateOfAffairs, fs: FeatureSet,
                                context: Context,
                                history: SubjectiveHistory | None = None) -> bool:
-        """Whether a private-state action reads as a private state here."""
-        history = self._history(history, context)
+        """Whether a private-state action reads as a private state here.
+
+        Without a history, only having been a subjective character (as
+        ``context.previous_scs`` records) counts as a subjective past.
+        """
         who = soa.who
         if not who or not who <= context.previous_scs:
             return False
+        if history is None:
+            history = SubjectiveHistory(context.previous_scs)
         return all(history.satisfies(name, self.policy) for name in who)
 
     def choose_state_of_affairs(self, fs: FeatureSet, context: Context,
@@ -173,44 +170,32 @@ class Engine:
         first subordinated clause about a private state that is not
         itself under such a clause, then the main clause regardless.
         """
-        history = self._history(history, context)
-        main = fs.soa_by_id(fs.main_clause().soa)
-        if main.type is SoaType.PRIVATE_STATE:
-            return main
-        if (main.type is SoaType.PRIVATE_STATE_ACTION
-                and self.treat_as_private_state(main, fs, context, history)):
+        main_clause = fs.main_clause()
+        main = fs.soa_by_id(main_clause.soa)
+        if self._reads_private(main, fs, context, history):
             return main
         head = fs.head_noun_soa()
         if head is not None:
             return head
-        candidates = self._candidate_subordinated_clauses(fs, context, history)
-        if candidates:
-            return fs.soa_by_id(candidates[0].soa)
-        return main
-
-    def _candidate_subordinated_clauses(self, fs, context, history):
-        main_id = fs.main_clause().id
         private_clauses = {
             c.id for c in fs.clauses
             if fs.soa_by_id(c.soa).type in (SoaType.PRIVATE_STATE,
                                             SoaType.PRIVATE_STATE_ACTION)}
-        out = []
+        # ties broken by annotation order, so runs are reproducible
         for clause in fs.clauses:
-            if clause.id == main_id:
+            if clause.id == main_clause.id or clause.under & private_clauses:
                 continue
             soa = fs.soa_by_id(clause.soa)
-            qualifies = soa.type is SoaType.PRIVATE_STATE or (
-                soa.type is SoaType.PRIVATE_STATE_ACTION
-                and self.treat_as_private_state(soa, fs, context, history))
-            if qualifies and not (clause.under & private_clauses):
-                out.append(clause)
-        # ties broken by annotation order, so runs are reproducible
-        return out
+            if self._reads_private(soa, fs, context, history):
+                return soa
+        return main
+
+    def _reads_private(self, soa, fs, context, history) -> bool:
+        return soa.type is SoaType.PRIVATE_STATE or (
+            soa.type is SoaType.PRIVATE_STATE_ACTION
+            and self.treat_as_private_state(soa, fs, context, history))
 
     # -- subjective elements -------------------------------------------
-
-    def category(self, name: str) -> PseCategory:
-        return registry_lookup(name, self.registry)
 
     def subjective_elements(self, fs: FeatureSet, context: Context
                             ) -> tuple[Pse, ...]:
@@ -218,100 +203,77 @@ class Engine:
         whose category is associated with the current situation."""
         return tuple(
             pse for pse in fs.pses
-            if context.situation in self.category(pse.category).situations)
+            if context.situation in registry_lookup(
+                pse.category, self.registry).situations)
 
-    def elements_for_identification(self, soa: StateOfAffairs, fs: FeatureSet,
-                                    context: Context) -> tuple[Pse, ...]:
-        """Subjective elements usable as evidence that the experiencer of
-        ``soa`` is not the subjective character: non-subordinated ones of
-        non-excluded categories."""
-        return tuple(
-            pse for pse in self.subjective_elements(fs, context)
-            if not fs.pse_subordinated_to(pse, soa)
-            and not self.category(pse.category).excluded)
+    # -- the decision --------------------------------------------------
 
-    # -- the subjectivity decision -------------------------------------
+    def interpret(self, fs: FeatureSet, context: Context,
+                  history: SubjectiveHistory | None = None
+                  ) -> tuple[Interpretation, InterpretationDetail]:
+        """Interpret one sentence, keeping the reasoning for the trace.
 
-    def sentence_is_subjective(self, fs: FeatureSet, context: Context,
-                               history: SubjectiveHistory | None = None) -> bool:
-        history = self._history(history, context)
+        Elements are *considerable* when they may serve as evidence that
+        the experiencer of the chosen state of affairs is not the
+        subjective character: fired, not subordinated to it, and of a
+        non-excluded category.
+        """
         chosen = self.choose_state_of_affairs(fs, context, history)
-        return self._is_subjective(fs, context, history, chosen)
+        fired = self.subjective_elements(fs, context)
+        considerable = tuple(
+            pse for pse in fired
+            if not fs.pse_subordinated_to(pse, chosen)
+            and not self.registry[pse.category].excluded)
+        treated = None
+        if chosen.type is SoaType.PRIVATE_STATE_ACTION:
+            treated = self.treat_as_private_state(chosen, fs, context, history)
+        private = chosen.type is SoaType.PRIVATE_STATE or bool(treated)
 
-    def _is_subjective(self, fs, context, history, chosen) -> bool:
         if fs.parenthetical is not None:
-            return True
-        if self.subjective_elements(fs, context):
-            return True
-        if chosen.type is SoaType.PRIVATE_STATE:
-            return True
-        if (chosen.type is SoaType.PRIVATE_STATE_ACTION
-                and self.treat_as_private_state(chosen, fs, context, history)):
-            return True
-        return (chosen.type is SoaType.NONPRIVATE_STATE
-                and context.situation is TextSituation.CONTINUING_SUBJECTIVE)
+            trigger = "parenthetical"
+        elif considerable:
+            trigger = "elements"
+        elif chosen.type is SoaType.PRIVATE_STATE:
+            trigger = "private-state"
+        elif treated:
+            trigger = "private-state-action"
+        elif fired:
+            trigger = "elements"
+        elif (chosen.type is SoaType.NONPRIVATE_STATE
+              and context.situation is TextSituation.CONTINUING_SUBJECTIVE):
+            trigger = "continuing-nonprivate"
+        else:
+            active = self._active_character(fs, context, chosen)
+            return (Interpretation.objective_of(active),
+                    InterpretationDetail(chosen, treated, fired, considerable,
+                                         None, None))
+        who, source = self._identify(fs, context, chosen, private,
+                                     considerable)
+        return (Interpretation.subjective_of(who),
+                InterpretationDetail(chosen, treated, fired, considerable,
+                                     trigger, source))
 
-    # -- identifying the subjective character ---------------------------
-
-    def subjective_character_from_sentence(self, fs: FeatureSet, context: Context,
-                                           history: SubjectiveHistory | None = None
-                                           ) -> Characters:
-        """The parenthetical subject, or a qualifying experiencer; empty
-        when the sentence alone cannot say whose it is."""
-        history = self._history(history, context)
-        chosen = self.choose_state_of_affairs(fs, context, history)
-        return self._from_sentence(fs, context, history, chosen)
-
-    def _from_sentence(self, fs, context, history, chosen) -> Characters:
-        if fs.parenthetical is not None:
-            return fs.parenthetical
+    @staticmethod
+    def _identify(fs, context, chosen, private, considerable):
+        """The subjective character and where it came from: the
+        parenthetical subject, or a qualifying experiencer, or else one
+        of the expected characters the context supplies."""
+        if fs.parenthetical:
+            return fs.parenthetical, "parenthetical"
         who = chosen.who
-        if not who:
-            return NOBODY
-        if self.elements_for_identification(chosen, fs, context):
-            return NOBODY
-        private = chosen.type is SoaType.PRIVATE_STATE or (
-            chosen.type is SoaType.PRIVATE_STATE_ACTION
-            and self.treat_as_private_state(chosen, fs, context, history))
-        if not private:
-            return NOBODY
-        if context.situation is not TextSituation.CONTINUING_SUBJECTIVE:
-            return who
-        # mid-context, only a strict narrowing or broadening of the
-        # current point of view may come from the experiencer
-        if who < context.last_sc or who > context.last_sc:
-            return who
-        return NOBODY
-
-    def choose_expected_character(self, fs: FeatureSet, context: Context,
-                                  history: SubjectiveHistory | None = None
-                                  ) -> Characters:
-        """Resolve competition between the two expected characters: the
-        last subjective character wins only when the sentence is about
-        the last active character."""
-        history = self._history(history, context)
-        chosen = self.choose_state_of_affairs(fs, context, history)
-        if chosen.who == context.last_active_character:
-            return context.last_sc
-        return context.last_active_character
-
-    def identify_subjective_character(self, fs: FeatureSet, context: Context,
-                                      history: SubjectiveHistory | None = None
-                                      ) -> Characters:
-        history = self._history(history, context)
-        chosen = self.choose_state_of_affairs(fs, context, history)
-        who, _source = self._identify(fs, context, history, chosen)
-        return who
-
-    def _identify(self, fs, context, history, chosen):
-        from_sentence = self._from_sentence(fs, context, history, chosen)
-        if from_sentence:
-            source = ("parenthetical" if fs.parenthetical is not None
-                      else "experiencer")
-            return from_sentence, source
+        # an empty parenthetical, which only a hand-built feature set can
+        # carry, names nobody but still rules out the experiencer
+        if fs.parenthetical is None and who and private and not considerable:
+            # mid-context, only a strict narrowing or broadening of the
+            # current point of view may come from the experiencer
+            if (context.situation is not TextSituation.CONTINUING_SUBJECTIVE
+                    or who < context.last_sc or who > context.last_sc):
+                return who, "experiencer"
         sc_expected = last_subjective_character_expected(context)
         active_expected = last_active_character_expected(context)
         if sc_expected and active_expected:
+            # the last subjective character wins only when the sentence
+            # is about the last active character
             if chosen.who == context.last_active_character:
                 return context.last_sc, "competition-last-sc"
             return context.last_active_character, "competition-last-active"
@@ -321,23 +283,14 @@ class Engine:
             return context.last_active_character, "last-active"
         return NOBODY, "failed"
 
-    # -- active characters ----------------------------------------------
-
-    def active_character(self, fs: FeatureSet, context: Context,
-                         history: SubjectiveHistory | None = None) -> Characters:
+    @staticmethod
+    def _active_character(fs, context, chosen) -> Characters:
         """The actor of an objective sentence about an actual current
-        action, provided the actor has been a subjective character."""
-        history = self._history(history, context)
-        chosen = self.choose_state_of_affairs(fs, context, history)
-        if chosen.type is SoaType.ACTION:
-            pass
-        elif (chosen.type is SoaType.PRIVATE_STATE_ACTION
-              and not self.treat_as_private_state(chosen, fs, context, history)):
-            pass  # reads as an ordinary action here
-        else:
-            return NOBODY
+        action, provided the actor has been a subjective character.  A
+        private-state action chosen here reads as an ordinary action."""
         who = chosen.who
-        if not who or not who <= context.previous_scs:
+        if (chosen.type not in (SoaType.ACTION, SoaType.PRIVATE_STATE_ACTION)
+                or not who or not who <= context.previous_scs):
             return NOBODY
         clause = fs.clause_about(chosen.id)
         if clause is None:
@@ -347,51 +300,7 @@ class Engine:
             return who
         return NOBODY
 
-    # -- top level --------------------------------------------------------
-
-    def pov(self, fs: FeatureSet, context: Context,
-            history: SubjectiveHistory | None = None) -> Interpretation:
-        interpretation, _detail = self.interpret(fs, context, history)
-        return interpretation
-
-    def interpret(self, fs: FeatureSet, context: Context,
-                  history: SubjectiveHistory | None = None
-                  ) -> tuple[Interpretation, InterpretationDetail]:
-        """Interpret one sentence, keeping the reasoning for the trace."""
-        history = self._history(history, context)
-        chosen = self.choose_state_of_affairs(fs, context, history)
-        fired = self.subjective_elements(fs, context)
-        considerable = self.elements_for_identification(chosen, fs, context)
-        treated = None
-        if chosen.type is SoaType.PRIVATE_STATE_ACTION:
-            treated = self.treat_as_private_state(chosen, fs, context, history)
-
-        if self._is_subjective(fs, context, history, chosen):
-            who, source = self._identify(fs, context, history, chosen)
-            interpretation = Interpretation.subjective_of(who)
-            trigger = self._trigger(fs, chosen, treated, fired, considerable)
-            detail = InterpretationDetail(chosen, treated, fired, considerable,
-                                          trigger, source)
-        else:
-            active = self.active_character(fs, context, history)
-            interpretation = Interpretation.objective_of(active)
-            detail = InterpretationDetail(chosen, treated, fired, considerable,
-                                          None, None)
-        return interpretation, detail
-
-    @staticmethod
-    def _trigger(fs, chosen, treated, fired, considerable) -> str:
-        if fs.parenthetical is not None:
-            return "parenthetical"
-        if considerable:
-            return "elements"
-        if chosen.type is SoaType.PRIVATE_STATE:
-            return "private-state"
-        if treated:
-            return "private-state-action"
-        if fired:
-            return "elements"
-        return "continuing-nonprivate"
+    # -- the fold --------------------------------------------------------
 
     def track(self, items, initial_context: Context = INITIAL_CONTEXT
               ) -> list[TrackStep]:
@@ -401,56 +310,42 @@ class Engine:
         with an empty character set; downstream consumers surface it as
         a warning.
         """
-        history = SubjectiveHistory(initial_context.previous_scs)
-        context = initial_context
-        steps: list[TrackStep] = []
-        for item in items:
-            if isinstance(item, Sentence):
-                interpretation, detail = self.interpret(
-                    item.features, context, history)
-                after = new_context(interpretation, context)
-                self.advance_history(history, item.features, interpretation,
-                                     context)
-                steps.append(TrackStep(item, context, after, interpretation,
-                                       detail))
-            elif isinstance(item, (ParagraphBreak, SceneBreak)):
-                after = new_context_after_break(item, context)
-                history.note_nonsubjective()
-                steps.append(TrackStep(item, context, after, None, None))
-            else:
-                raise TypeError(f"not an input item: {item!r}")
-            context = after
-        return steps
+        return list(self._fold(items, initial_context, gold=False))
 
     def track_document(self, document) -> list[TrackStep]:
         return self.track(document.items, document.initial_context)
 
-    def advance_history(self, history: SubjectiveHistory, fs: FeatureSet,
-                        interpretation: Interpretation,
-                        context_before: Context) -> None:
-        """Update the history with one interpreted sentence.
+    def _fold(self, items, context: Context, gold: bool):
+        """Yield one step per item, carrying the engine's verdict.
 
-        A subjective sentence counts as a represented thought when
-        nothing in it states the private state outright: no narrative
-        parenthetical, and the chosen state of affairs is not read as a
-        private state.
+        The context and history advance from that verdict, or from each
+        sentence's gold label when ``gold`` is set.  A subjective label
+        counts as a represented thought when nothing in the sentence
+        states the private state outright: no narrative parenthetical,
+        and the chosen state of affairs is not read as a private state.
         """
-        if not interpretation.subjective:
-            history.note_nonsubjective()
-            return
-        chosen = self.choose_state_of_affairs(fs, context_before, history)
-        stated = chosen.type is SoaType.PRIVATE_STATE or (
-            chosen.type is SoaType.PRIVATE_STATE_ACTION
-            and self.treat_as_private_state(chosen, fs, context_before, history))
-        represented = fs.parenthetical is None and not stated
-        element = bool(self.subjective_elements(fs, context_before))
-        history.note_subjective(interpretation.characters, represented, element)
-
-    @staticmethod
-    def _history(history: SubjectiveHistory | None,
-                 context: Context) -> SubjectiveHistory:
-        # a fresh history seeded from the context reproduces the default
-        # policy; callers that care about other policies pass their own
-        if history is not None:
-            return history
-        return SubjectiveHistory(context.previous_scs)
+        history = SubjectiveHistory(context.previous_scs)
+        for item in items:
+            interpretation = detail = None
+            if isinstance(item, Sentence):
+                fs = item.features
+                interpretation, detail = self.interpret(fs, context, history)
+                label = item.gold if gold else interpretation
+                if label is None:
+                    raise ValidationError(
+                        f"sentence {item.id} has no gold label")
+                if label.subjective:
+                    stated = (detail.chosen.type is SoaType.PRIVATE_STATE
+                              or detail.treated_as_private_state)
+                    history.note_subjective(
+                        label.characters,
+                        fs.parenthetical is None and not stated,
+                        bool(detail.fired))
+                else:
+                    history.note_nonsubjective()
+                after = new_context(label, context)
+            else:
+                after = new_context_after_break(item, context)
+                history.note_nonsubjective()
+            yield TrackStep(item, context, after, interpretation, detail)
+            context = after

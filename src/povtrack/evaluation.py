@@ -1,6 +1,7 @@
 """Scoring the tracker against gold labels.
 
-Two folds run side by side over a fully gold-labelled document:
+The engine's fold runs twice, side by side, over a fully gold-labelled
+document:
 
 * the *actual* fold advances context and history from the gold labels,
   so every sentence is judged in the context a perfect reader would
@@ -20,17 +21,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .engine import Engine, SubjectiveHistory
+from .engine import Engine
 from .corpus import Document
 from .model import (
-    Context,
     Interpretation,
     SceneBreak,
     Sentence,
     SoaType,
     ValidationError,
 )
-from .situations import new_context, new_context_after_break
 
 
 class PovOperation(Enum):
@@ -101,25 +100,6 @@ def is_simple_quoted_speech(sentence: Sentence) -> bool:
                                              SoaType.PRIVATE_STATE_ACTION):
             return False
     return True
-
-
-def actual_contexts(document: Document, engine: Engine) -> list[Context]:
-    """The context before each input item, advanced from gold labels."""
-    contexts = []
-    context = document.initial_context
-    history = SubjectiveHistory(context.previous_scs)
-    for item in document.items:
-        contexts.append(context)
-        if isinstance(item, Sentence):
-            if item.gold is None:
-                raise ValidationError(f"sentence {item.id} has no gold label")
-            after = new_context(item.gold, context)
-            engine.advance_history(history, item.features, item.gold, context)
-        else:
-            after = new_context_after_break(item, context)
-            history.note_nonsubjective()
-        context = after
-    return contexts
 
 
 @dataclass
@@ -208,10 +188,6 @@ def evaluate(document: Document, engine: Engine | None = None) -> EvalReport:
     Every sentence must carry a gold label.
     """
     engine = engine or Engine()
-    for sentence in document.sentences():
-        if sentence.gold is None:
-            raise ValidationError(f"sentence {sentence.id} has no gold label")
-
     interp_rows = {
         "subjective": BreakdownRow("subjective"),
         "objective": BreakdownRow("objective"),
@@ -232,22 +208,19 @@ def evaluate(document: Document, engine: Engine | None = None) -> EvalReport:
     simple_quoted = 0
     sentence_count = 0
 
-    actual_ctx = computed_ctx = document.initial_context
-    actual_hist = SubjectiveHistory(actual_ctx.previous_scs)
-    computed_hist = SubjectiveHistory(computed_ctx.previous_scs)
-
-    for index, item in enumerate(document.items):
-        if not isinstance(item, Sentence):
-            actual_ctx = new_context_after_break(item, actual_ctx)
-            computed_ctx = new_context_after_break(item, computed_ctx)
-            actual_hist.note_nonsubjective()
-            computed_hist.note_nonsubjective()
+    actual_fold = engine._fold(document.items, document.initial_context,
+                               gold=True)
+    computed_fold = engine._fold(document.items, document.initial_context,
+                                 gold=False)
+    for index, (actual, computed) in enumerate(zip(actual_fold,
+                                                   computed_fold)):
+        item = actual.item
+        if actual.interpretation is None:
             continue
-
         sentence_count += 1
         gold = item.gold
-        got_actual = engine.pov(item.features, actual_ctx, actual_hist)
-        got_computed = engine.pov(item.features, computed_ctx, computed_hist)
+        got_actual = actual.interpretation
+        got_computed = computed.interpretation
         is_primary = got_actual != gold
         is_secondary = not is_primary and got_computed != gold
 
@@ -274,13 +247,6 @@ def evaluate(document: Document, engine: Engine | None = None) -> EvalReport:
                 row.wrong[wrong_op] += 1
         if is_secondary:
             secondary.append(ErrorCase(item.id, gold, got_computed))
-
-        actual_after = new_context(gold, actual_ctx)
-        engine.advance_history(actual_hist, item.features, gold, actual_ctx)
-        computed_after = new_context(got_computed, computed_ctx)
-        engine.advance_history(computed_hist, item.features, got_computed,
-                               computed_ctx)
-        actual_ctx, computed_ctx = actual_after, computed_after
 
     return EvalReport(
         sentences=sentence_count,

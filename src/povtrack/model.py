@@ -56,42 +56,27 @@ class TextSituation(Enum):
     POSTSUBJECTIVE_NONACTIVE = "postsubjective-nonactive"
     POSTSUBJECTIVE_ACTIVE = "postsubjective-active"
 
-    @classmethod
-    def from_name(cls, name: str) -> "TextSituation":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValidationError(f"unknown text situation {name!r}")
-
 
 # The four association levels, weakest context requirement last.  A
 # category at level k is subjective in every situation of levels 1..k.
-_LEVEL_SITUATIONS: dict[int, frozenset[TextSituation]] = {
-    1: frozenset({TextSituation.CONTINUING_SUBJECTIVE}),
-    2: frozenset({TextSituation.BROKEN_SUBJECTIVE,
-                  TextSituation.INTERRUPTED_SUBJECTIVE}),
-    3: frozenset({TextSituation.PRESUBJECTIVE_ACTIVE,
-                  TextSituation.POSTSUBJECTIVE_NONACTIVE,
-                  TextSituation.POSTSUBJECTIVE_ACTIVE}),
-    4: frozenset({TextSituation.PRESUBJECTIVE_NONACTIVE}),
-}
-
-
-def situations_for_level(level: int) -> frozenset[TextSituation]:
-    """The text situations introduced at exactly this strength level."""
-    if level not in _LEVEL_SITUATIONS:
-        raise ValueError(f"level must be in 1..4, got {level!r}")
-    return _LEVEL_SITUATIONS[level]
+_LEVEL_SITUATIONS = (
+    {TextSituation.CONTINUING_SUBJECTIVE},
+    {TextSituation.BROKEN_SUBJECTIVE, TextSituation.INTERRUPTED_SUBJECTIVE},
+    {TextSituation.PRESUBJECTIVE_ACTIVE,
+     TextSituation.POSTSUBJECTIVE_NONACTIVE,
+     TextSituation.POSTSUBJECTIVE_ACTIVE},
+    {TextSituation.PRESUBJECTIVE_NONACTIVE},
+)
+_UP_TO_LEVEL: dict[int, frozenset[TextSituation]] = {
+    level: frozenset().union(*_LEVEL_SITUATIONS[:level])
+    for level in range(1, len(_LEVEL_SITUATIONS) + 1)}
 
 
 def situations_up_to_level(level: int) -> frozenset[TextSituation]:
     """All situations in which a level-``level`` category is subjective."""
-    if level not in _LEVEL_SITUATIONS:
+    if level not in _UP_TO_LEVEL:
         raise ValueError(f"level must be in 1..4, got {level!r}")
-    out: frozenset[TextSituation] = frozenset()
-    for k in range(1, level + 1):
-        out |= _LEVEL_SITUATIONS[k]
-    return out
+    return _UP_TO_LEVEL[level]
 
 
 @dataclass(frozen=True)
@@ -117,7 +102,7 @@ class PseCategory:
 
     @property
     def situations(self) -> frozenset[TextSituation]:
-        return situations_up_to_level(self.level)
+        return _UP_TO_LEVEL[self.level]
 
 
 def _default_categories() -> tuple[PseCategory, ...]:
@@ -175,13 +160,6 @@ class SoaType(Enum):
     ACTION = "action"
     PRIVATE_STATE = "private-state"
     NONPRIVATE_STATE = "nonprivate-state"
-
-    @classmethod
-    def from_name(cls, name: str) -> "SoaType":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValidationError(f"unknown state-of-affairs type {name!r}")
 
 
 @dataclass(frozen=True)

@@ -20,67 +20,57 @@ from .model import (
 
 _TS = TextSituation
 
+# Situation after an objective sentence, keyed by the situation before
+# and whether the sentence has an active character.  A subjective
+# sentence always leads to continuing-subjective.
+_AFTER_OBJECTIVE = {
+    (_TS.PRESUBJECTIVE_NONACTIVE, True): _TS.PRESUBJECTIVE_ACTIVE,
+    (_TS.CONTINUING_SUBJECTIVE, True): _TS.INTERRUPTED_SUBJECTIVE,
+    (_TS.CONTINUING_SUBJECTIVE, False): _TS.INTERRUPTED_SUBJECTIVE,
+    (_TS.BROKEN_SUBJECTIVE, True): _TS.POSTSUBJECTIVE_ACTIVE,
+    (_TS.BROKEN_SUBJECTIVE, False): _TS.POSTSUBJECTIVE_NONACTIVE,
+    (_TS.POSTSUBJECTIVE_NONACTIVE, True): _TS.POSTSUBJECTIVE_ACTIVE,
+}
+
+# Situation after a paragraph break.  A scene break always leads to
+# presubjective-nonactive, cancelling every expectation.
+_AFTER_PARAGRAPH_BREAK = {
+    _TS.PRESUBJECTIVE_ACTIVE: _TS.PRESUBJECTIVE_NONACTIVE,
+    _TS.CONTINUING_SUBJECTIVE: _TS.BROKEN_SUBJECTIVE,
+    _TS.INTERRUPTED_SUBJECTIVE: _TS.POSTSUBJECTIVE_NONACTIVE,
+    _TS.POSTSUBJECTIVE_ACTIVE: _TS.POSTSUBJECTIVE_NONACTIVE,
+}
+
 
 def new_context(interpretation: Interpretation, context: Context) -> Context:
-    """Context after a sentence with the given interpretation."""
-    if interpretation.subjective:
-        return Context(
-            last_sc=interpretation.characters,
-            last_active_character=context.last_active_character,
-            previous_scs=context.previous_scs | interpretation.characters,
-            situation=_TS.CONTINUING_SUBJECTIVE,
-        )
+    """Context after a sentence with the given interpretation.
 
-    active = interpretation.characters
-    situation = context.situation
-    if active and situation is _TS.PRESUBJECTIVE_NONACTIVE:
-        new_situation = _TS.PRESUBJECTIVE_ACTIVE
-    elif active and situation in (_TS.POSTSUBJECTIVE_NONACTIVE,
-                                  _TS.BROKEN_SUBJECTIVE):
-        new_situation = _TS.POSTSUBJECTIVE_ACTIVE
-    elif not active and situation is _TS.BROKEN_SUBJECTIVE:
-        new_situation = _TS.POSTSUBJECTIVE_NONACTIVE
-    elif situation is _TS.CONTINUING_SUBJECTIVE:
-        new_situation = _TS.INTERRUPTED_SUBJECTIVE
-    else:
-        new_situation = situation
-    return Context(
-        last_sc=context.last_sc,
-        last_active_character=active if active else context.last_active_character,
-        previous_scs=context.previous_scs,
-        situation=new_situation,
-    )
+    Situations missing from the tables above stay as they are.
+    """
+    who = interpretation.characters
+    if interpretation.subjective:
+        return Context(who, context.last_active_character,
+                       context.previous_scs | who, _TS.CONTINUING_SUBJECTIVE)
+    situation = _AFTER_OBJECTIVE.get((context.situation, bool(who)),
+                                     context.situation)
+    return Context(context.last_sc, who or context.last_active_character,
+                   context.previous_scs, situation)
 
 
 def new_context_after_break(item: InputItem, context: Context) -> Context:
     """Context after a paragraph or scene break.
 
     Only the situation changes; the remembered character sets survive.
-    A scene break cancels every expectation by forcing the situation
-    back to presubjective-nonactive.
     """
     if isinstance(item, SceneBreak):
-        new_situation = _TS.PRESUBJECTIVE_NONACTIVE
+        situation = _TS.PRESUBJECTIVE_NONACTIVE
     elif isinstance(item, ParagraphBreak):
-        situation = context.situation
-        if situation is _TS.PRESUBJECTIVE_ACTIVE:
-            new_situation = _TS.PRESUBJECTIVE_NONACTIVE
-        elif situation is _TS.CONTINUING_SUBJECTIVE:
-            new_situation = _TS.BROKEN_SUBJECTIVE
-        elif situation is _TS.INTERRUPTED_SUBJECTIVE:
-            new_situation = _TS.POSTSUBJECTIVE_NONACTIVE
-        elif situation is _TS.POSTSUBJECTIVE_ACTIVE:
-            new_situation = _TS.POSTSUBJECTIVE_NONACTIVE
-        else:
-            new_situation = situation
+        situation = _AFTER_PARAGRAPH_BREAK.get(context.situation,
+                                               context.situation)
     else:
         raise TypeError(f"not a break item: {item!r}")
-    return Context(
-        last_sc=context.last_sc,
-        last_active_character=context.last_active_character,
-        previous_scs=context.previous_scs,
-        situation=new_situation,
-    )
+    return Context(context.last_sc, context.last_active_character,
+                   context.previous_scs, situation)
 
 
 def last_subjective_character_expected(context: Context) -> bool:

@@ -144,6 +144,21 @@ def test_validate_reports_errors(tmp_path, capsys):
     assert code == 1 and "title" in err
 
 
+def test_validate_and_track_agree_on_unknown_category(tmp_path, capsys):
+    doc = tmp_path / "wobbly.json"
+    doc.write_text(json.dumps({
+        "title": "x", "roster": ["Zoe"],
+        "items": [{"kind": "sentence", "id": "s1", "features": {
+            "quotedSpeech": False,
+            "soas": [{"id": "a1", "type": "action", "who": ["Zoe"]}],
+            "clauses": [{"id": "c1", "soa": "a1", "under": [], "vp": {}}],
+            "pses": [{"id": "p1", "category": "wobbly", "under": []}]}}]}))
+    for command in ("validate", "track"):
+        code, out, err = run(capsys, command, doc)
+        assert (code, out) == (1, ""), command
+        assert "wobbly" in err, command
+
+
 def test_validate_warns_on_off_roster_gold(tmp_path, capsys):
     doc = tmp_path / "warn.json"
     doc.write_text(json.dumps({

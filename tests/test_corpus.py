@@ -148,8 +148,9 @@ def test_unknown_pse_category_named_with_sentence():
                                 "under": []}])
     with pytest.raises(ValidationError, match=r"s1.*p1.*wobbly"):
         document_from_dict(doc, DEFAULT_REGISTRY)
-    # without a registry, category checking is deferred to the engine
-    document_from_dict(doc)
+    # without a registry, the built-in one is checked
+    with pytest.raises(ValidationError, match=r"s1.*p1.*wobbly"):
+        document_from_dict(doc)
 
 
 def test_duplicate_sentence_ids_rejected():
@@ -188,7 +189,15 @@ def test_preamble_last_sc_must_be_subset_of_previous():
 
 def test_preamble_unknown_situation():
     doc = minimal(preamble={"situation": "confused"})
-    with pytest.raises(ValidationError, match="confused"):
+    with pytest.raises(ValidationError,
+                       match="unknown text situation 'confused'"):
+        document_from_dict(doc)
+
+
+def test_unknown_soa_type():
+    doc = patch_features(soas=[{"id": "a1", "type": "feeling", "who": []}])
+    with pytest.raises(ValidationError,
+                       match="unknown state-of-affairs type 'feeling'"):
         document_from_dict(doc)
 
 

@@ -53,6 +53,32 @@ def engine():
     return Engine()
 
 
+def verdict(engine, features, context):
+    interpretation, _detail = engine.interpret(features, context)
+    return interpretation
+
+
+def subjective_character(engine, features, context):
+    interpretation = verdict(engine, features, context)
+    assert interpretation.subjective
+    return interpretation.characters
+
+
+def considerable(engine, features, context):
+    """Elements usable as evidence against the chosen experiencer."""
+    _interpretation, detail = engine.interpret(features, context)
+    return detail.considerable
+
+
+def source(engine, features, context):
+    _interpretation, detail = engine.interpret(features, context)
+    return detail.sc_source
+
+
+# where the subjective character comes from when the sentence names it
+FROM_SENTENCE = ("parenthetical", "experiencer")
+
+
 # -- choosing the state of affairs -----------------------------------------
 
 
@@ -141,7 +167,7 @@ def test_psa_treated_when_actor_was_subjective(engine):
     features = psa_features("Zoe")
     chosen = engine.choose_state_of_affairs(features, context)
     assert engine.treat_as_private_state(chosen, features, context)
-    assert engine.sentence_is_subjective(features, context)
+    assert verdict(engine, features, context).subjective
 
 
 def test_psa_not_treated_for_new_actor(engine):
@@ -150,9 +176,9 @@ def test_psa_not_treated_for_new_actor(engine):
     features = psa_features("Japheth")
     chosen = engine.choose_state_of_affairs(features, context)
     assert not engine.treat_as_private_state(chosen, features, context)
-    assert not engine.sentence_is_subjective(features, context)
+    assert not verdict(engine, features, context).subjective
     # the actor has never been subjective, so no active character either
-    assert engine.active_character(features, context) == frozenset()
+    assert verdict(engine, features, context).characters == frozenset()
 
 
 def test_psa_with_unspecified_actor_not_treated(engine):
@@ -195,6 +221,37 @@ def test_psa_policy_flags(engine):
     assert not se.treat_as_private_state(chosen, features, context, history)
 
 
+def test_history_runs_end_at_breaks_and_other_characters():
+    strict = SignificancePolicy.MIN_LENGTH_2
+    zoe, joe = frozenset({"Zoe"}), frozenset({"Joe"})
+    history = SubjectiveHistory()
+    history.note_subjective(zoe, False, False)
+    history.note_nonsubjective()
+    history.note_subjective(zoe, False, False)
+    history.note_subjective(joe, False, False)
+    history.note_subjective(zoe, False, False)
+    assert not history.satisfies("Zoe", strict)
+    # a shared sentence continues Zoe's run; Joe's ended with hers
+    history.note_subjective(zoe | joe, False, False)
+    assert history.satisfies("Zoe", strict)
+    assert not history.satisfies("Joe", strict)
+
+
+def test_parenthetical_sentence_is_not_a_represented_thought():
+    items = [
+        Sentence("s1", fs([soa("a1", "action", {"Zoe"})], [clause("c1", "a1")],
+                          parenthetical=frozenset({"Zoe"}))),
+        Sentence("s2", psa_features("Zoe")),
+    ]
+    steps = Engine().track(items)
+    assert steps[1].interpretation == Interpretation.subjective_of({"Zoe"})
+    strict = Engine(policy=SignificancePolicy.CONTAINS_REPRESENTED_THOUGHT)
+    steps = strict.track(items)
+    assert steps[0].detail.trigger == "parenthetical"
+    assert not steps[1].detail.treated_as_private_state
+    assert not steps[1].interpretation.subjective
+
+
 # -- subjective elements ------------------------------------------------------
 
 
@@ -224,8 +281,8 @@ def test_strong_elements_silent_without_expectations(engine):
                    pse("p2", "sentence-fragment"), pse("p3", "conjunct")])
     assert not engine.subjective_elements(
         features, ctx(TS.PRESUBJECTIVE_NONACTIVE))
-    assert not engine.sentence_is_subjective(
-        features, ctx(TS.PRESUBJECTIVE_NONACTIVE))
+    assert not verdict(engine, features,
+                       ctx(TS.PRESUBJECTIVE_NONACTIVE)).subjective
 
 
 def test_unknown_category_raises(engine):
@@ -243,10 +300,9 @@ def test_subordinated_element_blocked_for_identification(engine):
                   [pse("p1", "attitude-noun", under={"c1"})])
     context = ctx(TS.BROKEN_SUBJECTIVE, last_sc={"the girl"},
                   previous={"the girl"})
-    chosen = engine.choose_state_of_affairs(features, context)
     assert engine.subjective_elements(features, context)
-    assert not engine.elements_for_identification(chosen, features, context)
-    assert engine.identify_subjective_character(features, context) == {
+    assert not considerable(engine, features, context)
+    assert subjective_character(engine, features, context) == {
         "Johnnie Martin"}
 
 
@@ -262,8 +318,8 @@ def test_nonsubordinated_element_blocks_experiencer(engine):
                   previous={"Dennys", "Sandy"})
     chosen = engine.choose_state_of_affairs(features, context)
     assert chosen.id == "a2"
-    assert engine.elements_for_identification(chosen, features, context)
-    assert engine.identify_subjective_character(features, context) == {
+    assert considerable(engine, features, context)
+    assert subjective_character(engine, features, context) == {
         "Dennys", "Sandy"}
 
 
@@ -275,9 +331,8 @@ def test_excluded_category_never_blocks_experiencer(engine):
                   [pse("p1", "degree-intensifier")])
     context = ctx(TS.BROKEN_SUBJECTIVE, last_sc={"Dennys"},
                   previous={"Dennys", "Sandy"})
-    chosen = engine.choose_state_of_affairs(features, context)
-    assert not engine.elements_for_identification(chosen, features, context)
-    assert engine.identify_subjective_character(features, context) == {"Sandy"}
+    assert not considerable(engine, features, context)
+    assert subjective_character(engine, features, context) == {"Sandy"}
 
 
 def test_comparative_like_excluded_too(engine):
@@ -286,7 +341,7 @@ def test_comparative_like_excluded_too(engine):
                   [pse("p1", "comparative-like")])
     context = ctx(TS.POSTSUBJECTIVE_NONACTIVE, last_sc={"Dennys"},
                   previous={"Dennys", "Sandy"})
-    assert engine.identify_subjective_character(features, context) == {"Sandy"}
+    assert subjective_character(engine, features, context) == {"Sandy"}
 
 
 def test_head_noun_soa_never_subordinates_elements(engine):
@@ -300,7 +355,7 @@ def test_head_noun_soa_never_subordinates_elements(engine):
     assert chosen.id == "a2"
     # subordinated to c1, but the chosen soa is the head noun's, so the
     # element still blocks the (unspecified) experiencer path
-    assert engine.elements_for_identification(chosen, features, context)
+    assert considerable(engine, features, context)
 
 
 # -- the subjectivity decision ------------------------------------------------
@@ -311,19 +366,19 @@ def test_nonprivate_state_subjective_only_while_continuing(engine):
                   [clause("c1", "a1")])
     continuing = ctx(TS.CONTINUING_SUBJECTIVE, last_sc={"Lorena"},
                      previous={"Lorena"})
-    assert engine.sentence_is_subjective(features, continuing)
-    assert engine.pov(features, continuing) == Interpretation.subjective_of(
-        {"Lorena"})
+    assert verdict(engine, features, continuing).subjective
+    assert verdict(engine, features, continuing) == \
+        Interpretation.subjective_of({"Lorena"})
     for situation in (TS.BROKEN_SUBJECTIVE, TS.POSTSUBJECTIVE_NONACTIVE,
                       TS.PRESUBJECTIVE_NONACTIVE):
-        assert not engine.sentence_is_subjective(
-            features, ctx(situation, last_sc={"Lorena"}, previous={"Lorena"}))
+        assert not verdict(engine, features, ctx(
+            situation, last_sc={"Lorena"}, previous={"Lorena"})).subjective
 
 
 def test_parenthetical_forces_subjective(engine):
     features = fs([soa("a1", "private-state", {"Dennys"})],
                   [clause("c1", "a1")], parenthetical=frozenset({"Dennys"}))
-    interp = engine.pov(features, ctx(TS.PRESUBJECTIVE_NONACTIVE))
+    interp = verdict(engine, features, ctx(TS.PRESUBJECTIVE_NONACTIVE))
     assert interp == Interpretation.subjective_of({"Dennys"})
 
 
@@ -334,7 +389,7 @@ def test_quoted_question_is_objective(engine):
                   quoted_speech=True)
     context = ctx(TS.CONTINUING_SUBJECTIVE, last_sc={"Augustus"},
                   previous={"Augustus"})
-    interp = engine.pov(features, context)
+    interp = verdict(engine, features, context)
     assert not interp.subjective
 
 
@@ -344,8 +399,8 @@ def test_kinship_term_in_discourse_parenthetical(engine):
                   [pse("p1", "kinship-term")], quoted_speech=True)
     context = ctx(TS.POSTSUBJECTIVE_NONACTIVE, last_sc={"Laura"},
                   previous={"Laura"})
-    assert engine.pov(features, context) == Interpretation.subjective_of(
-        {"Laura"})
+    assert verdict(engine, features, context) == \
+        Interpretation.subjective_of({"Laura"})
 
 
 # -- identifying the subjective character -------------------------------------
@@ -356,11 +411,11 @@ def test_experiencer_identified_outside_continuing(engine):
     context = ctx(TS.CONTINUING_SUBJECTIVE, last_sc={"Augustus"},
                   previous={"Augustus"})
     # mid-context, a different experiencer does not take over
-    assert engine.identify_subjective_character(features, context) == {
+    assert subjective_character(engine, features, context) == {
         "Augustus"}
     after_break = ctx(TS.BROKEN_SUBJECTIVE, last_sc={"Augustus"},
                       previous={"Augustus"})
-    assert engine.identify_subjective_character(features, after_break) == {
+    assert subjective_character(engine, features, after_break) == {
         "Call"}
 
 
@@ -369,13 +424,13 @@ def test_narrowing_and_broadening(engine):
                previous={"Augustus", "Call"})
     narrow = fs([soa("a1", "private-state", {"Augustus"})],
                 [clause("c1", "a1")])
-    assert engine.identify_subjective_character(narrow, both) == {"Augustus"}
+    assert subjective_character(engine, narrow, both) == {"Augustus"}
 
     one = ctx(TS.CONTINUING_SUBJECTIVE, last_sc={"Augustus"},
               previous={"Augustus", "Call"})
     widen = fs([soa("a1", "private-state", {"Augustus", "Call"})],
                [clause("c1", "a1")])
-    assert engine.identify_subjective_character(widen, one) == {
+    assert subjective_character(engine, widen, one) == {
         "Augustus", "Call"}
 
 
@@ -384,9 +439,8 @@ def test_equal_experiencer_falls_back_to_last_sc(engine):
                previous={"Augustus"})
     features = fs([soa("a1", "private-state", {"Augustus"})],
                   [clause("c1", "a1")])
-    assert engine.subjective_character_from_sentence(features, same) == \
-        frozenset()
-    assert engine.identify_subjective_character(features, same) == {
+    assert source(engine, features, same) not in FROM_SENTENCE
+    assert subjective_character(engine, features, same) == {
         "Augustus"}
 
 
@@ -395,9 +449,8 @@ def test_unspecified_experiencer_uses_expected_character(engine):
                   [clause("c1", "a1")], head_noun_private_state="a2")
     context = ctx(TS.BROKEN_SUBJECTIVE, last_sc={"Sandy"},
                   previous={"Sandy"})
-    assert engine.subjective_character_from_sentence(features, context) == \
-        frozenset()
-    assert engine.identify_subjective_character(features, context) == {
+    assert source(engine, features, context) not in FROM_SENTENCE
+    assert subjective_character(engine, features, context) == {
         "Sandy"}
 
 
@@ -407,8 +460,8 @@ def test_competition_about_last_active_goes_to_last_sc(engine):
     features = fs([soa("a1", "private-state", {"Lippy"})],
                   [clause("c1", "a1")],
                   [pse("p1", "evidential-evidence")])
-    assert engine.pov(features, context) == Interpretation.subjective_of(
-        {"Lorena"})
+    assert verdict(engine, features, context) == \
+        Interpretation.subjective_of({"Lorena"})
 
 
 def test_competition_otherwise_goes_to_last_active(engine):
@@ -416,14 +469,14 @@ def test_competition_otherwise_goes_to_last_active(engine):
                   last_active={"Augustus"}, previous={"Augustus", "Jake"})
     features = fs([soa("a1", "nonprivate-state", {"Jake"})],
                   [clause("c1", "a1")], [pse("p1", "eval-noun")])
-    assert engine.pov(features, context) == Interpretation.subjective_of(
-        {"Augustus"})
+    assert verdict(engine, features, context) == \
+        Interpretation.subjective_of({"Augustus"})
 
 
 def test_identification_failure_returns_empty(engine):
     features = fs([soa("a1", "nonprivate-state")], [clause("c1", "a1")],
                   [pse("p1", "exclamation")])
-    interp = engine.pov(features, INITIAL_CONTEXT)
+    interp = verdict(engine, features, INITIAL_CONTEXT)
     assert interp.subjective
     assert interp.characters == frozenset()
 
@@ -435,7 +488,9 @@ def active(engine, vp=PAST, actor={"Newt"}, previous={"Jake", "Newt"},
            kind="action", situation=TS.POSTSUBJECTIVE_NONACTIVE):
     features = fs([soa("a1", kind, actor)], [clause("c1", "a1", vp=vp)])
     context = ctx(situation, last_sc={"Jake"}, previous=previous)
-    return engine.active_character(features, context)
+    interpretation = verdict(engine, features, context)
+    assert not interpretation.subjective
+    return interpretation.characters
 
 
 def test_active_character_simple_past_action(engine):
@@ -481,7 +536,8 @@ def test_quoted_speech_tests_parenthetical_clause(engine):
                   quoted_speech=True)
     context = ctx(TS.POSTSUBJECTIVE_NONACTIVE, last_sc={"Newt"},
                   previous={"Newt"})
-    assert engine.active_character(features, context) == frozenset()
+    assert verdict(engine, features, context) == \
+        Interpretation.objective_of(())
 
 
 def test_unspecified_actor_never_active(engine):

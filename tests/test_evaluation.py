@@ -1,6 +1,7 @@
 """Evaluation harness: actual contexts, operations, error accounting."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -13,12 +14,11 @@ from povtrack import (
     SignificancePolicy,
     TextSituation,
     ValidationError,
-    actual_contexts,
     classify_operation,
     evaluate,
     is_simple_quoted_speech,
 )
-from conftest import fixture_doc
+from conftest import DATA, fixture_doc
 
 TS = TextSituation
 
@@ -40,6 +40,13 @@ def with_gold(doc, interps_by_id):
 
 
 # -- actual contexts ------------------------------------------------------------
+
+
+def actual_contexts(doc, engine):
+    """The context before each input item in the fold that evaluate
+    advances from the gold labels."""
+    return [step.before for step in
+            engine._fold(doc.items, doc.initial_context, gold=True)]
 
 
 def test_actual_contexts_follow_gold_demo2():
@@ -277,3 +284,27 @@ def test_report_render_and_json_agree():
         "gold": {"type": "objective", "characters": ["Call"]},
         "got": {"type": "subjective", "characters": ["Call"]},
     }
+
+
+# -- one decision per sentence and fold ---------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.json")))
+def test_each_fold_decides_once_per_sentence(monkeypatch, name):
+    calls = Counter()
+    for method in ("choose_state_of_affairs", "subjective_elements"):
+        original = getattr(Engine, method)
+
+        def counted(self, *args, _original=original, _method=method):
+            calls[_method] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Engine, method, counted)
+    doc = fixture_doc(name)
+    n = len(doc.sentences())
+    Engine().track_document(doc)
+    assert calls == {"choose_state_of_affairs": n, "subjective_elements": n}
+    calls.clear()
+    evaluate(doc, Engine())
+    assert calls == {"choose_state_of_affairs": 2 * n,
+                     "subjective_elements": 2 * n}

@@ -6,25 +6,30 @@ from povtrack import (
     RegistryError,
     TextSituation,
     registry_lookup,
-    situations_for_level,
     situations_up_to_level,
 )
 
 
+def introduced_at(level):
+    """The text situations introduced at exactly this strength level."""
+    below = situations_up_to_level(level - 1) if level > 1 else frozenset()
+    return situations_up_to_level(level) - below
+
+
 def test_level_sets():
-    assert situations_for_level(1) == {TextSituation.CONTINUING_SUBJECTIVE}
-    assert situations_for_level(2) == {TextSituation.BROKEN_SUBJECTIVE,
-                                       TextSituation.INTERRUPTED_SUBJECTIVE}
-    assert situations_for_level(3) == {TextSituation.PRESUBJECTIVE_ACTIVE,
-                                       TextSituation.POSTSUBJECTIVE_NONACTIVE,
-                                       TextSituation.POSTSUBJECTIVE_ACTIVE}
-    assert situations_for_level(4) == {TextSituation.PRESUBJECTIVE_NONACTIVE}
+    assert introduced_at(1) == {TextSituation.CONTINUING_SUBJECTIVE}
+    assert introduced_at(2) == {TextSituation.BROKEN_SUBJECTIVE,
+                                TextSituation.INTERRUPTED_SUBJECTIVE}
+    assert introduced_at(3) == {TextSituation.PRESUBJECTIVE_ACTIVE,
+                                TextSituation.POSTSUBJECTIVE_NONACTIVE,
+                                TextSituation.POSTSUBJECTIVE_ACTIVE}
+    assert introduced_at(4) == {TextSituation.PRESUBJECTIVE_NONACTIVE}
 
 
 def test_level_sets_partition_all_situations():
     union = frozenset()
     for level in range(1, 5):
-        current = situations_for_level(level)
+        current = introduced_at(level)
         assert not union & current
         union |= current
     assert union == frozenset(TextSituation)
@@ -33,7 +38,7 @@ def test_level_sets_partition_all_situations():
 @pytest.mark.parametrize("level", [0, 5, -1])
 def test_level_out_of_range_rejected(level):
     with pytest.raises(ValueError):
-        situations_for_level(level)
+        introduced_at(level)
     with pytest.raises(ValueError):
         situations_up_to_level(level)
 
@@ -79,7 +84,7 @@ def test_category_situations_monotone():
     # subjective at level k implies subjective at every lower level
     for cat in DEFAULT_REGISTRY.values():
         for level in range(1, cat.level + 1):
-            assert situations_for_level(level) <= cat.situations
+            assert introduced_at(level) <= cat.situations
 
 
 def test_registry_lookup_unknown_category():
