@@ -1,8 +1,8 @@
 """Reading, validating, and writing annotation documents and registries.
 
-A document is UTF-8 JSON:
+A document is JSON text, or bytes in UTF-8 (or UTF-16/32):
 
-    {"title": str,
+    {"title": str,                                        # optional
      "roster": [str, ...],
      "preamble": {"situation": str, "lastSC": [str], "previousSCs": [str],
                   "lastActiveCharacter": [str]},          # optional
@@ -22,6 +22,11 @@ A document is UTF-8 JSON:
                                 "habitual": bool, "modal": bool,
                                 "pastPerfective": bool, "progressive": bool}}],
             "pses":    [{"id": str, "category": str, "under": [str]}]}}]}
+
+Absent lists and "vp" are empty, absent flags false; sentence ids are
+unique per document, other ids per list.  Undecodable input, or a
+document that is not an object, raises ParseError; any other fault a
+ValidationError (RegistryError in a registry) that names its place.
 
 A registry file is a JSON object mapping a category name to
 ``{"level": 1..4, "excluded": bool}``; entries override the built-in
@@ -64,6 +69,15 @@ _VP_KEYS = {
     "pastPerfective": "past_perfective",
     "progressive": "progressive",
 }
+_CONTEXT_SETS = ("lastSC", "previousSCs", "lastActiveCharacter")
+_BREAK_KEYS = frozenset({"kind"})
+_SENTENCE_KEYS = frozenset({"kind", "id", "text", "gold", "features"})
+_GOLD_KEYS = frozenset({"type", "characters"})
+_FEATURE_KEYS = frozenset({"quotedSpeech", "parenthetical",
+                           "headNounPrivateState", "soas", "clauses", "pses"})
+_SOA_KEYS = frozenset({"id", "type", "who"})
+_CLAUSE_KEYS = frozenset({"id", "soa", "under", "vp"})
+_PSE_KEYS = frozenset({"id", "category", "under"})
 
 
 @dataclass(frozen=True)
@@ -82,40 +96,27 @@ class Document:
 
 
 def parse_registry(text: str | bytes) -> dict[str, PseCategory]:
-    try:
-        data = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"registry: invalid JSON at line {exc.lineno}, "
-                         f"column {exc.colno}: {exc.msg}") from None
+    data = _decode(text, "registry: ", _reject_duplicate_keys)
     if not isinstance(data, dict):
         raise RegistryError("registry: top level must be a JSON object")
     registry = dict(DEFAULT_REGISTRY)
     for name, entry in data.items():
-        if not isinstance(entry, dict):
-            raise RegistryError(f"registry: category {name!r}: entry must be "
-                                "an object")
-        unknown = set(entry) - {"level", "excluded"}
-        if unknown:
-            raise RegistryError(f"registry: category {name!r}: unknown "
-                                f"field(s) {sorted(unknown)}")
+        where = f"registry: category {name!r}"
         base = registry.get(name)
-        if "level" in entry:
-            level = entry["level"]
-            if not isinstance(level, int) or isinstance(level, bool):
-                raise RegistryError(f"registry: category {name!r}: level must "
-                                    "be an integer")
-        elif base is not None:
-            level = base.level
-        else:
-            raise RegistryError(f"registry: new category {name!r} must "
-                                "specify a level")
-        if "excluded" in entry:
-            excluded = entry["excluded"]
-            if not isinstance(excluded, bool):
-                raise RegistryError(f"registry: category {name!r}: excluded "
-                                    "must be a boolean")
-        else:
-            excluded = base.excluded if base is not None else False
+        try:
+            _object(entry, {"level", "excluded"}, where)
+            if "level" in entry:
+                level = entry["level"]
+                if not isinstance(level, int) or isinstance(level, bool):
+                    raise RegistryError(f"{where}: level must be an integer")
+            elif base is not None:
+                level = base.level
+            else:
+                raise RegistryError(f"{where}: new category needs a level")
+            excluded = _flag(entry, "excluded", where,
+                             base is not None and base.excluded)
+        except ValidationError as exc:
+            raise RegistryError(str(exc)) from None
         registry[name] = PseCategory(name, level, excluded)
     return registry
 
@@ -134,6 +135,18 @@ def _reject_duplicate_keys(pairs):
     return out
 
 
+def _decode(text, where, object_pairs_hook=None):
+    """``json.loads``, raising ParseError for bad syntax and equally for
+    bytes that are not UTF-8, too-long numbers and too-deep nesting."""
+    try:
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}invalid JSON at line {exc.lineno}, "
+                         f"column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{where}cannot decode JSON: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # documents
 
@@ -145,12 +158,7 @@ def parse_document(text: str | bytes,
     Every potential-subjective-element category in the document must
     resolve in the registry, the built-in one when none is given.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, "
-                         f"column {exc.colno}: {exc.msg}") from None
-    return document_from_dict(data, registry)
+    return document_from_dict(_decode(text, ""), registry)
 
 
 def load_document(path,
@@ -165,129 +173,109 @@ def document_from_dict(data,
     registry = DEFAULT_REGISTRY if registry is None else registry
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
-    unknown = set(data) - {"title", "roster", "preamble", "items"}
-    if unknown:
-        raise ValidationError(f"unknown top-level field(s) {sorted(unknown)}")
+    _object(data, {"title", "roster", "preamble", "items"}, "top level")
     title = data.get("title", "")
     if not isinstance(title, str):
         raise ValidationError("title must be a string")
-    roster = _character_list(data.get("roster", []), "roster")
-    raw_items = data.get("items", [])
-    if not isinstance(raw_items, list):
-        raise ValidationError("items must be an array")
-
-    items: list[InputItem] = []
+    roster = _characters(data.get("roster", []), "roster")
+    raw_items = _array(data.get("items", []), "items")
     seen_ids: set[str] = set()
-    for position, raw in enumerate(raw_items):
-        items.append(_parse_item(raw, position, roster, registry, seen_ids))
-
+    items = tuple(_parse_item(raw, f"items[{i}]", roster, registry, seen_ids)
+                  for i, raw in enumerate(raw_items))
     initial = _parse_preamble(data.get("preamble"), roster)
-    return Document(title=title, roster=roster, items=tuple(items),
-                    initial_context=initial)
+    return Document(title, roster, items, initial)
 
 
 def _parse_preamble(raw, roster: Characters) -> Context:
     if raw is None:
         return INITIAL_CONTEXT
-    if not isinstance(raw, dict):
-        raise ValidationError("preamble must be an object")
-    unknown = set(raw) - {"situation", "lastSC", "previousSCs",
-                          "lastActiveCharacter"}
-    if unknown:
-        raise ValidationError(f"preamble: unknown field(s) {sorted(unknown)}")
+    _object(raw, {"situation", *_CONTEXT_SETS}, "preamble")
     situation = _member(TextSituation, raw.get(
         "situation", TextSituation.PRESUBJECTIVE_NONACTIVE.value),
-        "text situation")
-    last_sc = _character_list(raw.get("lastSC", []), "preamble.lastSC")
-    previous = _character_list(raw.get("previousSCs", []),
-                               "preamble.previousSCs")
-    last_active = _character_list(raw.get("lastActiveCharacter", []),
-                                  "preamble.lastActiveCharacter")
-    for field_name, chars in (("lastSC", last_sc), ("previousSCs", previous),
-                              ("lastActiveCharacter", last_active)):
-        off = chars - roster
-        if off:
-            raise ValidationError(f"preamble.{field_name}: character(s) "
-                                  f"{sorted(off)} not in roster")
+        "preamble", "text situation")
+    # every list's shape is checked before any list's roster
+    for key in _CONTEXT_SETS:
+        _characters(raw.get(key, []), f"preamble.{key}")
+    last_sc, previous, last_active = (
+        _characters(raw.get(key, []), f"preamble.{key}", roster)
+        for key in _CONTEXT_SETS)
     if last_sc and not last_sc <= previous:
         raise ValidationError("preamble: lastSC must be a subset of "
                               "previousSCs when non-empty")
     return Context(last_sc, last_active, previous, situation)
 
 
-def _parse_item(raw, position, roster, registry, seen_ids) -> InputItem:
-    where = f"items[{position}]"
+def _parse_item(raw, where, roster, registry, seen_ids) -> InputItem:
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: must be an object")
     kind = raw.get("kind")
-    if kind == "scene-break":
-        _only_keys(raw, {"kind"}, where)
-        return SceneBreak()
-    if kind == "paragraph-break":
-        _only_keys(raw, {"kind"}, where)
-        return ParagraphBreak()
+    if kind in ("scene-break", "paragraph-break"):
+        _object(raw, _BREAK_KEYS, where)
+        return SceneBreak() if kind == "scene-break" else ParagraphBreak()
     if kind != "sentence":
         raise ValidationError(f"{where}: unknown kind {kind!r}")
-    _only_keys(raw, {"kind", "id", "text", "gold", "features"}, where)
-    sid = raw.get("id")
-    if not isinstance(sid, str) or not sid:
-        raise ValidationError(f"{where}: sentence id must be a non-empty "
-                              "string")
-    if sid in seen_ids:
-        raise ValidationError(f"duplicate sentence id {sid!r}")
+    _object(raw, _SENTENCE_KEYS, where)
+    sid = _id(raw, where, seen_ids, "sentence")
     seen_ids.add(sid)
     text = raw.get("text")
     if text is not None and not isinstance(text, str):
         raise ValidationError(f"sentence {sid}: text must be a string")
     features = _parse_features(raw.get("features"), sid, roster, registry)
-    gold = _parse_gold(raw.get("gold"), sid)
-    return Sentence(id=sid, features=features, text=text, gold=gold)
-
-
-def _parse_gold(raw, sid) -> Interpretation | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        raise ValidationError(f"sentence {sid}: gold must be an object")
-    _only_keys(raw, {"type", "characters"}, f"sentence {sid}: gold")
-    kind = raw.get("type")
-    if kind not in ("subjective", "objective"):
-        raise ValidationError(f"sentence {sid}: gold.type must be "
-                              "'subjective' or 'objective'")
-    who = _character_list(raw.get("characters", []),
+    gold = raw.get("gold")
+    if gold is not None:
+        _object(gold, _GOLD_KEYS, f"sentence {sid}: gold")
+        if gold.get("type") not in ("subjective", "objective"):
+            raise ValidationError(f"sentence {sid}: gold.type must be "
+                                  "'subjective' or 'objective'")
+        who = _characters(gold.get("characters", []),
                           f"sentence {sid}: gold.characters")
-    return Interpretation(kind == "subjective", who)
+        gold = Interpretation(gold["type"] == "subjective", who)
+    return Sentence(id=sid, features=features, text=text, gold=gold)
 
 
 def _parse_features(raw, sid, roster, registry) -> FeatureSet:
     where = f"sentence {sid}: features"
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{where}: required and must be an object")
-    _only_keys(raw, {"quotedSpeech", "parenthetical", "headNounPrivateState",
-                     "soas", "clauses", "pses"}, where)
+    _object(raw, _FEATURE_KEYS, where)
 
-    soas = []
-    soa_ids: set[str] = set()
-    for i, entry in enumerate(_array(raw, "soas", where)):
-        soas.append(_parse_soa(entry, f"{where}.soas[{i}]", sid, roster,
-                               soa_ids))
+    soas: dict[str, StateOfAffairs] = {}
+    for i, entry in enumerate(_array(raw.get("soas", []), f"{where}.soas")):
+        place = f"{where}.soas[{i}]"
+        _object(entry, _SOA_KEYS, place)
+        soa_id = _id(entry, place, soas, "state-of-affairs")
+        soa_type = _member(SoaType, entry.get("type", ""), place,
+                           "state-of-affairs type")
+        who = _characters(entry.get("who", []), f"{place}.who", roster)
+        soas[soa_id] = StateOfAffairs(soa_id, soa_type, who)
 
-    clauses = []
-    clause_ids: set[str] = set()
-    for i, entry in enumerate(_array(raw, "clauses", where)):
-        clauses.append(_parse_clause(entry, f"{where}.clauses[{i}]",
-                                     clause_ids))
-    for clause in clauses:
-        if clause.soa not in soa_ids:
+    clauses: dict[str, Clause] = {}
+    for i, entry in enumerate(_array(raw.get("clauses", []),
+                                     f"{where}.clauses")):
+        place = f"{where}.clauses[{i}]"
+        _object(entry, _CLAUSE_KEYS, place)
+        clause_id = _id(entry, place, clauses, "clause")
+        soa = entry.get("soa")
+        if not isinstance(soa, str):
+            raise ValidationError(f"{place}: soa must be a string")
+        under = _under(entry, place)
+        vp = _object(entry.get("vp", {}), _VP_KEYS.keys(), f"{place}.vp")
+        flags = {}
+        for key, attr in _VP_KEYS.items():
+            value = vp.get(key, False)
+            if not isinstance(value, bool):
+                raise ValidationError(f"{place}: vp.{key} must be a boolean")
+            flags[attr] = value
+        clauses[clause_id] = Clause(clause_id, soa, under,
+                                    VerbFeatures(**flags))
+    for clause in clauses.values():
+        if clause.soa not in soas:
             raise ValidationError(
                 f"sentence {sid}: clause {clause.id!r} references unknown "
                 f"state of affairs {clause.soa!r}")
-        missing = clause.under - clause_ids
-        if missing:
+        if not clause.under <= clauses.keys():
             raise ValidationError(
                 f"sentence {sid}: clause {clause.id!r} subordinated to "
-                f"unknown clause(s) {sorted(missing)}")
-    mains = [c for c in clauses if not c.under]
+                f"unknown clause(s) {sorted(clause.under - clauses.keys())}")
+    mains = [c for c in clauses.values() if not c.under]
     if not clauses:
         raise ValidationError(f"sentence {sid}: at least one clause required")
     if len(mains) == 0:
@@ -299,186 +287,138 @@ def _parse_features(raw, sid, roster, registry) -> FeatureSet:
             f"({', '.join(sorted(c.id for c in mains))})")
     _check_acyclic(clauses, sid)
 
-    pses = []
-    pse_ids: set[str] = set()
-    for i, entry in enumerate(_array(raw, "pses", where)):
-        pse = _parse_pse(entry, f"{where}.pses[{i}]", pse_ids)
-        missing = pse.under - clause_ids
-        if missing:
+    pses: dict[str, Pse] = {}
+    for i, entry in enumerate(_array(raw.get("pses", []), f"{where}.pses")):
+        place = f"{where}.pses[{i}]"
+        _object(entry, _PSE_KEYS, place)
+        pse_id = _id(entry, place, pses, "element")
+        category = entry.get("category")
+        if not isinstance(category, str) or not category:
+            raise ValidationError(f"{place}: category must be a non-empty "
+                                  "string")
+        under = _under(entry, place)
+        if not under <= clauses.keys():
             raise ValidationError(
-                f"sentence {sid}: element {pse.id!r} subordinated to unknown "
-                f"clause(s) {sorted(missing)}")
-        if pse.category not in registry:
+                f"sentence {sid}: element {pse_id!r} subordinated to unknown "
+                f"clause(s) {sorted(under - clauses.keys())}")
+        if category not in registry:
             raise ValidationError(
-                f"sentence {sid}: element {pse.id!r} has unknown category "
-                f"{pse.category!r}")
-        pses.append(pse)
+                f"sentence {sid}: element {pse_id!r} has unknown category "
+                f"{category!r}")
+        pses[pse_id] = Pse(pse_id, category, under)
 
-    parenthetical = None
-    if raw.get("parenthetical") is not None:
-        parenthetical = _character_list(raw["parenthetical"],
-                                        f"{where}.parenthetical")
+    parenthetical = raw.get("parenthetical")
+    if parenthetical is not None:
+        parenthetical = _characters(parenthetical, f"{where}.parenthetical",
+                                    roster)
         if not parenthetical:
             raise ValidationError(f"sentence {sid}: parenthetical subject "
                                   "must name at least one character")
-        off = parenthetical - roster
-        if off:
-            raise ValidationError(f"sentence {sid}: parenthetical "
-                                  f"character(s) {sorted(off)} not in roster")
 
     head = raw.get("headNounPrivateState")
     if head is not None:
-        if not isinstance(head, str) or head not in soa_ids:
+        if not isinstance(head, str) or head not in soas:
             raise ValidationError(
                 f"sentence {sid}: headNounPrivateState references unknown "
                 f"state of affairs {head!r}")
-        head_soa = next(s for s in soas if s.id == head)
-        if head_soa.type is not SoaType.PRIVATE_STATE:
+        if soas[head].type is not SoaType.PRIVATE_STATE:
             raise ValidationError(
                 f"sentence {sid}: headNounPrivateState {head!r} must be a "
                 "private-state state of affairs")
 
-    quoted = raw.get("quotedSpeech", False)
-    if not isinstance(quoted, bool):
-        raise ValidationError(f"sentence {sid}: quotedSpeech must be a "
-                              "boolean")
-    fs = FeatureSet(clauses=tuple(clauses), soas=tuple(soas),
-                    pses=tuple(pses), parenthetical=parenthetical,
-                    head_noun_private_state=head, quoted_speech=quoted)
-    if quoted:
-        main_soa = fs.soa_by_id(fs.main_clause().soa)
-        if main_soa.type is not SoaType.ACTION:
-            raise ValidationError(
-                f"sentence {sid}: quoted speech must be about a "
-                "communicative action (main state of affairs of type "
-                "'action')")
-    return fs
+    quoted = _flag(raw, "quotedSpeech", where)
+    if quoted and soas[mains[0].soa].type is not SoaType.ACTION:
+        raise ValidationError(
+            f"sentence {sid}: quoted speech must be about a communicative "
+            "action (main state of affairs of type 'action')")
+    return FeatureSet(tuple(clauses.values()), tuple(soas.values()),
+                      tuple(pses.values()), parenthetical, head, quoted)
 
 
-def _parse_soa(entry, where, sid, roster, seen) -> StateOfAffairs:
-    if not isinstance(entry, dict):
+def _check_acyclic(clauses: dict[str, Clause], sid) -> None:
+    """Depth-first with an explicit stack, so that no chain is too long."""
+    finished: dict[str, bool] = {}  # False while on the stack
+    for start in clauses:
+        if start in finished:
+            continue
+        stack = [(start, iter(sorted(clauses[start].under)))]
+        finished[start] = False
+        while stack:
+            node, parents = stack[-1]
+            parent = next(parents, None)
+            if parent is None:
+                stack.pop()
+                finished[node] = True
+            elif parent not in finished:
+                stack.append((parent, iter(sorted(clauses[parent].under))))
+                finished[parent] = False
+            elif not finished[parent]:
+                cycle = " -> ".join([n for n, _ in stack] + [parent])
+                raise ValidationError(f"sentence {sid}: clause subordination "
+                                      f"cycle: {cycle}")
+
+
+# -- field readers: each checks one shape and names the place that breaks it
+
+
+def _object(value, keys, where) -> dict:
+    if not isinstance(value, dict):
         raise ValidationError(f"{where}: must be an object")
-    _only_keys(entry, {"id", "type", "who"}, where)
-    soa_id = entry.get("id")
-    if not isinstance(soa_id, str) or not soa_id:
-        raise ValidationError(f"{where}: id must be a non-empty string")
-    if soa_id in seen:
-        raise ValidationError(f"sentence {sid}: duplicate state-of-affairs "
-                              f"id {soa_id!r}")
-    seen.add(soa_id)
-    soa_type = _member(SoaType, entry.get("type", ""),
-                       "state-of-affairs type")
-    who = _character_list(entry.get("who", []), f"{where}.who")
-    off = who - roster
-    if off:
-        raise ValidationError(f"sentence {sid}: state of affairs {soa_id!r} "
-                              f"names character(s) {sorted(off)} not in "
-                              "roster")
-    return StateOfAffairs(soa_id, soa_type, who)
-
-
-def _parse_clause(entry, where, seen) -> Clause:
-    if not isinstance(entry, dict):
-        raise ValidationError(f"{where}: must be an object")
-    _only_keys(entry, {"id", "soa", "under", "vp"}, where)
-    clause_id = entry.get("id")
-    if not isinstance(clause_id, str) or not clause_id:
-        raise ValidationError(f"{where}: id must be a non-empty string")
-    if clause_id in seen:
-        raise ValidationError(f"{where}: duplicate clause id {clause_id!r}")
-    seen.add(clause_id)
-    soa = entry.get("soa")
-    if not isinstance(soa, str):
-        raise ValidationError(f"{where}: soa must be a string")
-    under = entry.get("under", [])
-    if (not isinstance(under, list)
-            or not all(isinstance(u, str) for u in under)):
-        raise ValidationError(f"{where}: under must be an array of clause "
-                              "ids")
-    vp_raw = entry.get("vp", {})
-    if not isinstance(vp_raw, dict):
-        raise ValidationError(f"{where}: vp must be an object")
-    unknown = set(vp_raw) - set(_VP_KEYS)
-    if unknown:
-        raise ValidationError(f"{where}: unknown vp flag(s) "
-                              f"{sorted(unknown)}")
-    flags = {}
-    for key, attr in _VP_KEYS.items():
-        value = vp_raw.get(key, False)
-        if not isinstance(value, bool):
-            raise ValidationError(f"{where}: vp.{key} must be a boolean")
-        flags[attr] = value
-    return Clause(clause_id, soa, frozenset(under), VerbFeatures(**flags))
-
-
-def _parse_pse(entry, where, seen) -> Pse:
-    if not isinstance(entry, dict):
-        raise ValidationError(f"{where}: must be an object")
-    _only_keys(entry, {"id", "category", "under"}, where)
-    pse_id = entry.get("id")
-    if not isinstance(pse_id, str) or not pse_id:
-        raise ValidationError(f"{where}: id must be a non-empty string")
-    if pse_id in seen:
-        raise ValidationError(f"{where}: duplicate element id {pse_id!r}")
-    seen.add(pse_id)
-    category = entry.get("category")
-    if not isinstance(category, str) or not category:
-        raise ValidationError(f"{where}: category must be a non-empty string")
-    under = entry.get("under", [])
-    if (not isinstance(under, list)
-            or not all(isinstance(u, str) for u in under)):
-        raise ValidationError(f"{where}: under must be an array of clause "
-                              "ids")
-    return Pse(pse_id, category, frozenset(under))
-
-
-def _check_acyclic(clauses, sid) -> None:
-    under = {c.id: c.under for c in clauses}
-    states: dict[str, int] = {}  # 0 on stack, 1 done
-
-    def visit(node, stack):
-        if states.get(node) == 1:
-            return
-        if states.get(node) == 0:
-            cycle = " -> ".join(stack + [node])
-            raise ValidationError(f"sentence {sid}: clause subordination "
-                                  f"cycle: {cycle}")
-        states[node] = 0
-        for parent in sorted(under[node]):
-            visit(parent, stack + [node])
-        states[node] = 1
-
-    for clause_id in under:
-        visit(clause_id, [])
-
-
-def _member(enum, value, what):
-    try:
-        return enum(value)
-    except ValueError:
-        raise ValidationError(f"unknown {what} {value!r}") from None
-
-
-def _character_list(raw, where) -> Characters:
-    if not isinstance(raw, list):
-        raise ValidationError(f"{where}: must be an array of names")
-    for name in raw:
-        if not isinstance(name, str) or not name:
-            raise ValidationError(f"{where}: names must be non-empty strings")
-    return frozenset(raw)
-
-
-def _array(raw, key, where):
-    value = raw.get(key, [])
-    if not isinstance(value, list):
-        raise ValidationError(f"{where}.{key}: must be an array")
+    if not value.keys() <= keys:
+        raise ValidationError(f"{where}: unknown field(s) "
+                              f"{sorted(value.keys() - keys)}")
     return value
 
 
-def _only_keys(raw, allowed, where) -> None:
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValidationError(f"{where}: unknown field(s) {sorted(unknown)}")
+def _id(raw, where, seen, what) -> str:
+    value = raw.get("id")
+    if not isinstance(value, str) or not value:
+        raise ValidationError(f"{where}: {what} id must be a non-empty string")
+    if value in seen:
+        raise ValidationError(f"{where}: duplicate {what} id {value!r}")
+    return value
+
+
+def _under(raw, where) -> frozenset[str]:
+    value = raw.get("under", [])
+    if (not isinstance(value, list)
+            or not all(isinstance(u, str) for u in value)):
+        raise ValidationError(f"{where}: under must be an array of clause "
+                              "ids")
+    return frozenset(value)
+
+
+def _flag(raw, key, where, default=False) -> bool:
+    value = raw.get(key, default)
+    if not isinstance(value, bool):
+        raise ValidationError(f"{where}: {key} must be a boolean")
+    return value
+
+
+def _characters(value, where, roster=None) -> Characters:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: must be an array of names")
+    for name in value:
+        if not isinstance(name, str) or not name:
+            raise ValidationError(f"{where}: names must be non-empty strings")
+    names = frozenset(value)
+    if roster is not None and not names <= roster:
+        raise ValidationError(f"{where}: character(s) "
+                              f"{sorted(names - roster)} not in roster")
+    return names
+
+
+def _member(enum, value, where, what):
+    try:
+        return enum(value)
+    except ValueError:
+        raise ValidationError(f"{where}: unknown {what} {value!r}") from None
+
+
+def _array(value, where) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: must be an array")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ class InterpretationDetail:
     the trace and the history update read it."""
 
     chosen: StateOfAffairs
-    treated_as_private_state: bool | None  # None unless chosen is a psa
+    reads_private: bool  # a private state, or a psa treated as one
     fired: tuple[Pse, ...]  # elements subjective in this situation
     considerable: tuple[Pse, ...]  # fired, minus subordinated/excluded
     trigger: str | None  # what made the sentence subjective
@@ -145,8 +145,7 @@ class Engine:
 
     # -- state-of-affairs selection ------------------------------------
 
-    def treat_as_private_state(self, soa: StateOfAffairs, fs: FeatureSet,
-                               context: Context,
+    def treat_as_private_state(self, soa: StateOfAffairs, context: Context,
                                history: SubjectiveHistory | None = None) -> bool:
         """Whether a private-state action reads as a private state here.
 
@@ -172,7 +171,7 @@ class Engine:
         """
         main_clause = fs.main_clause()
         main = fs.soa_by_id(main_clause.soa)
-        if self._reads_private(main, fs, context, history):
+        if self._reads_private(main, context, history):
             return main
         head = fs.head_noun_soa()
         if head is not None:
@@ -186,14 +185,14 @@ class Engine:
             if clause.id == main_clause.id or clause.under & private_clauses:
                 continue
             soa = fs.soa_by_id(clause.soa)
-            if self._reads_private(soa, fs, context, history):
+            if self._reads_private(soa, context, history):
                 return soa
         return main
 
-    def _reads_private(self, soa, fs, context, history) -> bool:
+    def _reads_private(self, soa, context, history) -> bool:
         return soa.type is SoaType.PRIVATE_STATE or (
             soa.type is SoaType.PRIVATE_STATE_ACTION
-            and self.treat_as_private_state(soa, fs, context, history))
+            and self.treat_as_private_state(soa, context, history))
 
     # -- subjective elements -------------------------------------------
 
@@ -219,15 +218,12 @@ class Engine:
         non-excluded category.
         """
         chosen = self.choose_state_of_affairs(fs, context, history)
+        private = self._reads_private(chosen, context, history)
         fired = self.subjective_elements(fs, context)
         considerable = tuple(
             pse for pse in fired
             if not fs.pse_subordinated_to(pse, chosen)
             and not self.registry[pse.category].excluded)
-        treated = None
-        if chosen.type is SoaType.PRIVATE_STATE_ACTION:
-            treated = self.treat_as_private_state(chosen, fs, context, history)
-        private = chosen.type is SoaType.PRIVATE_STATE or bool(treated)
 
         if fs.parenthetical is not None:
             trigger = "parenthetical"
@@ -235,7 +231,7 @@ class Engine:
             trigger = "elements"
         elif chosen.type is SoaType.PRIVATE_STATE:
             trigger = "private-state"
-        elif treated:
+        elif private:
             trigger = "private-state-action"
         elif fired:
             trigger = "elements"
@@ -245,12 +241,12 @@ class Engine:
         else:
             active = self._active_character(fs, context, chosen)
             return (Interpretation.objective_of(active),
-                    InterpretationDetail(chosen, treated, fired, considerable,
+                    InterpretationDetail(chosen, private, fired, considerable,
                                          None, None))
         who, source = self._identify(fs, context, chosen, private,
                                      considerable)
         return (Interpretation.subjective_of(who),
-                InterpretationDetail(chosen, treated, fired, considerable,
+                InterpretationDetail(chosen, private, fired, considerable,
                                      trigger, source))
 
     @staticmethod
@@ -335,11 +331,9 @@ class Engine:
                     raise ValidationError(
                         f"sentence {item.id} has no gold label")
                 if label.subjective:
-                    stated = (detail.chosen.type is SoaType.PRIVATE_STATE
-                              or detail.treated_as_private_state)
                     history.note_subjective(
                         label.characters,
-                        fs.parenthetical is None and not stated,
+                        fs.parenthetical is None and not detail.reads_private,
                         bool(detail.fired))
                 else:
                     history.note_nonsubjective()

@@ -16,6 +16,7 @@ from .model import (
     ParagraphBreak,
     SceneBreak,
     Sentence,
+    SoaType,
     TextSituation,
 )
 from .situations import (
@@ -87,9 +88,9 @@ def _render_sentence(step: TrackStep, policy) -> list[str]:
                              "elements:")
                 lines += [f"    {c}" for c in fired]
 
-    if detail.treated_as_private_state is not None:
+    if detail.chosen.type is SoaType.PRIVATE_STATE_ACTION:
         actor = names(detail.chosen.who) or "an unspecified actor"
-        if detail.treated_as_private_state:
+        if detail.reads_private:
             lines.append(f"Private-state action of {actor} treated as a "
                          "private state")
         elif policy is SignificancePolicy.ANY_PREVIOUS_SC:

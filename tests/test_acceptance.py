@@ -87,7 +87,7 @@ def test_criterion_1_demo1_replay():
     ]
     # item 1 is a private-state action read as an action
     assert steps[0].detail.chosen.type.value == "private-state-action"
-    assert steps[0].detail.treated_as_private_state is False
+    assert steps[0].detail.reads_private is False
     # item 4 turns subjective through the sentence fragment
     assert [p.category for p in steps[3].detail.fired] == ["sentence-fragment"]
     # item 7 fires the fragment and the seeming verb; the progressive

@@ -188,3 +188,50 @@ def test_validate_warns_on_off_roster_gold(tmp_path, capsys):
 def test_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "track", "no-such-file.json")
     assert code == 1 and "no-such-file" in err
+
+
+def chain_document(n, cycle):
+    """One sentence of n clauses, each subordinated to the next and the
+    main clause last; with ``cycle`` the last two point at each other."""
+    clauses = [{"id": f"c{i}", "soa": "a1", "under": [f"c{i + 1}"]}
+               for i in range(1, n)]
+    clauses.append({"id": f"c{n}", "soa": "a1",
+                    "under": [f"c{n - 1}"] if cycle else []})
+    if cycle:
+        clauses.append({"id": "main", "soa": "a1"})
+    return json.dumps({"roster": [], "items": [
+        {"kind": "sentence", "id": "s1", "features": {
+            "soas": [{"id": "a1", "type": "action"}],
+            "clauses": clauses}}]}).encode()
+
+
+@pytest.mark.parametrize("data, problem", [
+    (b'{"title": "\xff"}', "can't decode byte 0xff"),
+    (b"[" * 100_000, "recursion"),
+    (b'{"title": ' + b"1" * 5000 + b"}", "integer string conversion"),
+    (chain_document(5000, cycle=True), "cycle: c1 -> c2"),
+])
+@pytest.mark.parametrize("command", ["track", "eval", "validate"])
+def test_hostile_input_exits_1_without_traceback(tmp_path, capsys, command,
+                                                  data, problem):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (1, "")
+    assert err.startswith("povtrack: error: ") and problem in err
+    assert err.count("\n") == 1
+
+
+def test_hostile_registry_exits_1(tmp_path, capsys):
+    registry = tmp_path / "registry.json"
+    registry.write_bytes(b"{" * 100_000)
+    code, _, err = run(capsys, "track", fixture_path("demo1"),
+                       "--registry", registry)
+    assert code == 1 and err.startswith("povtrack: error: registry: ")
+
+
+def test_long_subordination_chain_tracks(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_bytes(chain_document(5000, cycle=False))
+    code, out, err = run(capsys, "track", path)
+    assert (code, out, err) == (0, "s1\tOBJECTIVE\t\n", "")

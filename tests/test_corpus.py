@@ -132,8 +132,10 @@ def test_subordination_cycle_detected():
         clauses=[{"id": "c1", "soa": "a1", "under": [], "vp": {}},
                  {"id": "c2", "soa": "a2", "under": ["c3"], "vp": {}},
                  {"id": "c3", "soa": "a3", "under": ["c2"], "vp": {}}])
-    with pytest.raises(ValidationError, match="cycle"):
+    with pytest.raises(ValidationError) as caught:
         document_from_dict(doc)
+    assert str(caught.value) == \
+        "sentence s1: clause subordination cycle: c2 -> c3 -> c2"
 
 
 def test_character_off_roster_rejected():
@@ -307,3 +309,43 @@ def test_loading_does_not_mutate_defaults():
     before = dict(DEFAULT_REGISTRY)
     parse_registry(b'{"question": {"level": 1}}')
     assert DEFAULT_REGISTRY == before
+
+
+# -- hostile input ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("data, problem", [
+    (b'{"title": "\xff"}', "can't decode byte 0xff"),
+    (b"[" * 100_000, "recursion"),
+    (b'{"title": ' + b"1" * 5000 + b"}", "integer string conversion"),
+])
+@pytest.mark.parametrize("parse", [parse_document, parse_registry])
+def test_undecodable_input_is_a_parse_error(parse, data, problem):
+    with pytest.raises(ParseError, match=problem):
+        parse(data)
+
+
+def chain(n):
+    """n clauses, each subordinated to the next, the main clause last."""
+    return patch_features(
+        soas=[{"id": "a1", "type": "action", "who": []}],
+        clauses=[{"id": f"c{i}", "soa": "a1",
+                  "under": [f"c{i + 1}"] if i < n else []}
+                 for i in range(1, n + 1)])
+
+
+def test_long_subordination_chain_parses():
+    doc = document_from_dict(chain(5000))
+    clauses = doc.items[0].features.clauses
+    assert len(clauses) == 5000
+    assert clauses[-1].under == frozenset()
+
+
+def test_long_subordination_chain_cycle_detected():
+    doc = chain(5000)
+    doc["items"][0]["features"]["clauses"][-1]["under"] = ["c4999"]
+    doc["items"][0]["features"]["clauses"].append(
+        {"id": "main", "soa": "a1"})
+    with pytest.raises(ValidationError,
+                       match=r"cycle: c1 -> c2 -> .* -> c5000 -> c4999$"):
+        document_from_dict(doc)

@@ -166,7 +166,7 @@ def test_psa_treated_when_actor_was_subjective(engine):
                   previous={"Zoe"})
     features = psa_features("Zoe")
     chosen = engine.choose_state_of_affairs(features, context)
-    assert engine.treat_as_private_state(chosen, features, context)
+    assert engine.treat_as_private_state(chosen, context)
     assert verdict(engine, features, context).subjective
 
 
@@ -175,7 +175,7 @@ def test_psa_not_treated_for_new_actor(engine):
                   previous={"Zoe"})
     features = psa_features("Japheth")
     chosen = engine.choose_state_of_affairs(features, context)
-    assert not engine.treat_as_private_state(chosen, features, context)
+    assert not engine.treat_as_private_state(chosen, context)
     assert not verdict(engine, features, context).subjective
     # the actor has never been subjective, so no active character either
     assert verdict(engine, features, context).characters == frozenset()
@@ -186,7 +186,7 @@ def test_psa_with_unspecified_actor_not_treated(engine):
                   previous={"Zoe"})
     features = fs([soa("a1", "private-state-action")], [clause("c1", "a1")])
     chosen = engine.choose_state_of_affairs(features, context)
-    assert not engine.treat_as_private_state(chosen, features, context)
+    assert not engine.treat_as_private_state(chosen, context)
 
 
 def test_psa_policy_min_length(engine):
@@ -199,12 +199,11 @@ def test_psa_policy_min_length(engine):
     history.note_nonsubjective()
     strict = Engine(policy=SignificancePolicy.MIN_LENGTH_2)
     chosen = strict.choose_state_of_affairs(features, context, history)
-    assert not strict.treat_as_private_state(chosen, features, context,
-                                             history)
+    assert not strict.treat_as_private_state(chosen, context, history)
     # two consecutive subjective sentences qualify
     history.note_subjective(frozenset({"Zoe"}), False, False)
     history.note_subjective(frozenset({"Zoe"}), False, False)
-    assert strict.treat_as_private_state(chosen, features, context, history)
+    assert strict.treat_as_private_state(chosen, context, history)
 
 
 def test_psa_policy_flags(engine):
@@ -217,8 +216,8 @@ def test_psa_policy_flags(engine):
     rt = Engine(policy=SignificancePolicy.CONTAINS_REPRESENTED_THOUGHT)
     se = Engine(policy=SignificancePolicy.CONTAINS_SUBJECTIVE_ELEMENT)
     chosen = rt.choose_state_of_affairs(features, context, history)
-    assert rt.treat_as_private_state(chosen, features, context, history)
-    assert not se.treat_as_private_state(chosen, features, context, history)
+    assert rt.treat_as_private_state(chosen, context, history)
+    assert not se.treat_as_private_state(chosen, context, history)
 
 
 def test_history_runs_end_at_breaks_and_other_characters():
@@ -248,7 +247,7 @@ def test_parenthetical_sentence_is_not_a_represented_thought():
     strict = Engine(policy=SignificancePolicy.CONTAINS_REPRESENTED_THOUGHT)
     steps = strict.track(items)
     assert steps[0].detail.trigger == "parenthetical"
-    assert not steps[1].detail.treated_as_private_state
+    assert not steps[1].detail.reads_private
     assert not steps[1].interpretation.subjective
 
 
