@@ -24,9 +24,10 @@ A document is JSON text, or bytes in UTF-8 (or UTF-16/32):
             "pses":    [{"id": str, "category": str, "under": [str]}]}}]}
 
 Absent lists and "vp" are empty, absent flags false; sentence ids are
-unique per document, other ids per list.  Undecodable input, or a
-document that is not an object, raises ParseError; any other fault a
-ValidationError (RegistryError in a registry) that names its place.
+unique per document, other ids per list.  Undecodable input (a
+string holding a lone surrogate included), or a document that is not
+an object, raises ParseError; any other fault a ValidationError
+(RegistryError in a registry) that names its place.
 
 A registry file is a JSON object mapping a category name to
 ``{"level": 1..4, "excluded": bool}``; entries override the built-in
@@ -36,6 +37,7 @@ defaults, and categories the file does not mention keep them.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .model import (
@@ -78,6 +80,9 @@ _FEATURE_KEYS = frozenset({"quotedSpeech", "parenthetical",
 _SOA_KEYS = frozenset({"id", "type", "who"})
 _CLAUSE_KEYS = frozenset({"id", "soa", "under", "vp"})
 _PSE_KEYS = frozenset({"id", "category", "under"})
+# half of a UTF-16 pair, and the JSON escape that can spell one
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 @dataclass(frozen=True)
@@ -135,16 +140,53 @@ def _reject_duplicate_keys(pairs):
     return out
 
 
-def _decode(text, where, object_pairs_hook=None):
+def _decode(raw, where, object_pairs_hook=None):
     """``json.loads``, raising ParseError for bad syntax and equally for
-    bytes that are not UTF-8, too-long numbers and too-deep nesting."""
+    bytes that are not UTF-8, too-long numbers, too-deep nesting and
+    strings holding a lone surrogate, which no output could encode."""
+    text = raw
     try:
-        return json.loads(text, object_pairs_hook=object_pairs_hook)
+        if isinstance(raw, (bytes, bytearray)):
+            # strictly, unlike json.loads: UTF-8 has no encoded surrogates
+            text = raw.decode(json.detect_encoding(raw))
+        data = json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where}invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{where}cannot decode JSON: {exc}") from None
+    # one scan for an escape that could spell a lone surrogate, and only
+    # a hit walks the decoded value; the code point itself can only be
+    # in a str the caller passed, since decoding bytes strictly refuses it
+    if _SURROGATE_ESCAPE.search(text) or (
+            text is raw and not text.isascii() and _SURROGATE.search(text)):
+        _reject_lone_surrogates(data, where)
+    return data
+
+
+def _reject_lone_surrogates(data, where) -> None:
+    """Raise ParseError naming a string, or a field name, that holds a
+    lone surrogate.  Escapes that pair up decode to one character and
+    pass."""
+    stack = [("", data)]
+    while stack:
+        place, value = stack.pop()
+        if isinstance(value, dict):
+            for key, child in value.items():
+                found = _SURROGATE.search(key)
+                if found:
+                    raise ParseError(f"{where}{place or 'top level'}: field "
+                                     "name has a lone surrogate "
+                                     f"{ascii(found.group())}")
+                stack.append((f"{place}.{key}" if place else key, child))
+        elif isinstance(value, list):
+            stack.extend((f"{place}[{i}]", child)
+                         for i, child in enumerate(value))
+        elif isinstance(value, str):
+            found = _SURROGATE.search(value)
+            if found:
+                raise ParseError(f"{where}{place or 'top level'}: lone "
+                                 f"surrogate {ascii(found.group())}")
 
 
 # ---------------------------------------------------------------------------

@@ -176,15 +176,16 @@ class Engine:
         head = fs.head_noun_soa()
         if head is not None:
             return head
+        soas = {soa.id: soa for soa in fs.soas}
         private_clauses = {
             c.id for c in fs.clauses
-            if fs.soa_by_id(c.soa).type in (SoaType.PRIVATE_STATE,
-                                            SoaType.PRIVATE_STATE_ACTION)}
+            if soas[c.soa].type in (SoaType.PRIVATE_STATE,
+                                    SoaType.PRIVATE_STATE_ACTION)}
         # ties broken by annotation order, so runs are reproducible
         for clause in fs.clauses:
             if clause.id == main_clause.id or clause.under & private_clauses:
                 continue
-            soa = fs.soa_by_id(clause.soa)
+            soa = soas[clause.soa]
             if self._reads_private(soa, context, history):
                 return soa
         return main

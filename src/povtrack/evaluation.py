@@ -24,6 +24,7 @@ from enum import Enum
 from .engine import Engine
 from .corpus import Document
 from .model import (
+    Characters,
     Interpretation,
     SceneBreak,
     Sentence,
@@ -47,7 +48,9 @@ def classify_operation(document: Document, index: int,
     Judged against the gold labels of the preceding sentences in the
     current scene.  With no interpretation given, the sentence's own
     gold label is classified.  Paragraph breaks are invisible here; a
-    scene break starts classification afresh.
+    scene break starts classification afresh.  Each call scans back
+    through the scene; ``evaluate`` carries the same state forward
+    instead.
     """
     item = document.items[index]
     if not isinstance(item, Sentence):
@@ -56,33 +59,42 @@ def classify_operation(document: Document, index: int,
         interpretation = item.gold
         if interpretation is None:
             raise ValidationError(f"sentence {item.id} has no gold label")
+
+    previous: Interpretation | None = None
+    last_subjective: Characters | None = None
+    if interpretation.subjective:  # an objective reading needs no look back
+        for j in range(index - 1, -1, -1):
+            earlier = document.items[j]
+            if isinstance(earlier, SceneBreak):
+                break
+            if not isinstance(earlier, Sentence):
+                continue
+            if earlier.gold is None:
+                raise ValidationError(
+                    f"sentence {earlier.id} has no gold label")
+            if previous is None:
+                previous = earlier.gold
+            if earlier.gold.subjective:
+                last_subjective = earlier.gold.characters
+                break
+    return _operation(interpretation, previous, last_subjective)
+
+
+def _operation(interpretation: Interpretation,
+               previous: Interpretation | None,
+               last_subjective: Characters | None) -> PovOperation:
+    """The operation rule.  ``previous`` is the gold label of the
+    sentence before in the scene, and ``last_subjective`` the characters
+    of the scene's last gold-subjective sentence; None when the scene
+    has none."""
     if not interpretation.subjective:
         return PovOperation.OBJECTIVE
-
     target = interpretation.characters
-    previous_sentence: Sentence | None = None
-    last_subjective: Sentence | None = None
-    for j in range(index - 1, -1, -1):
-        earlier = document.items[j]
-        if isinstance(earlier, SceneBreak):
-            break
-        if not isinstance(earlier, Sentence):
-            continue
-        if earlier.gold is None:
-            raise ValidationError(f"sentence {earlier.id} has no gold label")
-        if previous_sentence is None:
-            previous_sentence = earlier
-        if earlier.gold.subjective:
-            last_subjective = earlier
-            break
-    if (previous_sentence is not None and previous_sentence.gold.subjective
-            and previous_sentence.gold.characters == target):
-        return PovOperation.CONTINUATION
-    if (last_subjective is not None
-            and last_subjective.gold.characters == target
-            and not previous_sentence.gold.subjective):
-        return PovOperation.RESUMPTION
-    return PovOperation.INITIATION
+    if previous is not None and previous.subjective:
+        return (PovOperation.CONTINUATION if previous.characters == target
+                else PovOperation.INITIATION)
+    return (PovOperation.RESUMPTION if last_subjective == target
+            else PovOperation.INITIATION)
 
 
 def is_simple_quoted_speech(sentence: Sentence) -> bool:
@@ -93,11 +105,12 @@ def is_simple_quoted_speech(sentence: Sentence) -> bool:
     if not fs.quoted_speech or fs.pses:
         return False
     main_id = fs.main_clause().id
+    soas = {soa.id: soa for soa in fs.soas}
     for clause in fs.clauses:
         if clause.id == main_id:
             continue
-        if fs.soa_by_id(clause.soa).type in (SoaType.PRIVATE_STATE,
-                                             SoaType.PRIVATE_STATE_ACTION):
+        if soas[clause.soa].type in (SoaType.PRIVATE_STATE,
+                                     SoaType.PRIVATE_STATE_ACTION):
             return False
     return True
 
@@ -183,9 +196,11 @@ class EvalReport:
 
 
 def evaluate(document: Document, engine: Engine | None = None) -> EvalReport:
-    """Run both folds and build the full report.
+    """Run both folds and build the full report, in one linear pass.
 
-    Every sentence must carry a gold label.
+    Every sentence must carry a gold label.  Each sentence's operation
+    is classified from scene state carried along the walk, with the
+    rule ``classify_operation`` applies by scanning back.
     """
     engine = engine or Engine()
     interp_rows = {
@@ -208,14 +223,20 @@ def evaluate(document: Document, engine: Engine | None = None) -> EvalReport:
     simple_quoted = 0
     sentence_count = 0
 
+    # the scene state the operation rule reads, carried forward from the
+    # gold labels: paragraph breaks leave it alone, a scene break resets it
+    previous: Interpretation | None = None
+    last_subjective: Characters | None = None
+
     actual_fold = engine._fold(document.items, document.initial_context,
                                gold=True)
     computed_fold = engine._fold(document.items, document.initial_context,
                                  gold=False)
-    for index, (actual, computed) in enumerate(zip(actual_fold,
-                                                   computed_fold)):
+    for actual, computed in zip(actual_fold, computed_fold):
         item = actual.item
         if actual.interpretation is None:
+            if isinstance(item, SceneBreak):
+                previous = last_subjective = None
             continue
         sentence_count += 1
         gold = item.gold
@@ -226,7 +247,7 @@ def evaluate(document: Document, engine: Engine | None = None) -> EvalReport:
 
         quoted_simple = is_simple_quoted_speech(item)
         simple_quoted += quoted_simple
-        operation = classify_operation(document, index)
+        operation = _operation(gold, previous, last_subjective)
 
         irows = [interp_rows[gold.kind]]
         orows = [op_rows[operation]]
@@ -240,13 +261,16 @@ def evaluate(document: Document, engine: Engine | None = None) -> EvalReport:
             for row in irows:
                 row.primary += 1
                 row.wrong[_interp_error_label(gold, got_actual)] += 1
-            wrong_op = _operation_error_label(document, index, gold,
-                                              got_actual)
+            wrong_op = _operation_error_label(gold, got_actual, previous,
+                                              last_subjective)
             for row in orows:
                 row.primary += 1
                 row.wrong[wrong_op] += 1
         if is_secondary:
             secondary.append(ErrorCase(item.id, gold, got_computed))
+        previous = gold
+        if gold.subjective:
+            last_subjective = gold.characters
 
     return EvalReport(
         sentences=sentence_count,
@@ -270,11 +294,11 @@ def _interp_error_label(gold: Interpretation, got: Interpretation) -> str:
     return "subjective" if got.subjective else "objective, wrong active character"
 
 
-def _operation_error_label(document, index, gold, got) -> str:
+def _operation_error_label(gold, got, previous, last_subjective) -> str:
     if not got.subjective:
         return ("objective" if gold.subjective
                 else "objective, wrong active character")
-    return classify_operation(document, index, got).value
+    return _operation(got, previous, last_subjective).value
 
 
 def _pct(part: int, whole: int) -> int:

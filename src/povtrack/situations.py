@@ -49,8 +49,12 @@ def new_context(interpretation: Interpretation, context: Context) -> Context:
     """
     who = interpretation.characters
     if interpretation.subjective:
-        return Context(who, context.last_active_character,
-                       context.previous_scs | who, _TS.CONTINUING_SUBJECTIVE)
+        previous = context.previous_scs
+        # steps share one set until someone new becomes subjective
+        if not who <= previous:
+            previous = previous | who
+        return Context(who, context.last_active_character, previous,
+                       _TS.CONTINUING_SUBJECTIVE)
     situation = _AFTER_OBJECTIVE.get((context.situation, bool(who)),
                                      context.situation)
     return Context(context.last_sc, who or context.last_active_character,

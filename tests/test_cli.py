@@ -205,11 +205,20 @@ def chain_document(n, cycle):
             "clauses": clauses}}]}).encode()
 
 
+def lone_surrogate_document():
+    """demo1 with its first sentence id a lone surrogate."""
+    data = json.loads(fixture_path("demo1").read_bytes())
+    data["items"][0]["id"] = "\ud800"
+    return json.dumps(data).encode()
+
+
 @pytest.mark.parametrize("data, problem", [
     (b'{"title": "\xff"}', "can't decode byte 0xff"),
     (b"[" * 100_000, "recursion"),
     (b'{"title": ' + b"1" * 5000 + b"}", "integer string conversion"),
     (chain_document(5000, cycle=True), "cycle: c1 -> c2"),
+    pytest.param(lone_surrogate_document(),
+                 "items[0].id: lone surrogate '\\ud800'", id="lone-surrogate"),
 ])
 @pytest.mark.parametrize("command", ["track", "eval", "validate"])
 def test_hostile_input_exits_1_without_traceback(tmp_path, capsys, command,
@@ -220,6 +229,16 @@ def test_hostile_input_exits_1_without_traceback(tmp_path, capsys, command,
     assert (code, out) == (1, "")
     assert err.startswith("povtrack: error: ") and problem in err
     assert err.count("\n") == 1
+
+
+def test_lone_surrogate_with_out_exits_1(tmp_path, capsys):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(lone_surrogate_document())
+    target = tmp_path / "out.tsv"
+    code, out, err = run(capsys, "track", path, "--out", target)
+    assert (code, out) == (1, "")
+    assert err == "povtrack: error: items[0].id: lone surrogate '\\ud800'\n"
+    assert not target.exists()
 
 
 def test_hostile_registry_exits_1(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -316,6 +317,8 @@ def test_loading_does_not_mutate_defaults():
 
 @pytest.mark.parametrize("data, problem", [
     (b'{"title": "\xff"}', "can't decode byte 0xff"),
+    pytest.param(b'{"title": "\xed\xa0\x80"}', "can't decode byte 0xed",
+                 id="encoded-surrogate"),
     (b"[" * 100_000, "recursion"),
     (b'{"title": ' + b"1" * 5000 + b"}", "integer string conversion"),
 ])
@@ -323,6 +326,57 @@ def test_loading_does_not_mutate_defaults():
 def test_undecodable_input_is_a_parse_error(parse, data, problem):
     with pytest.raises(ParseError, match=problem):
         parse(data)
+
+
+def with_string(path, value):
+    doc = minimal()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("text, place", [
+    pytest.param(
+        json.dumps(with_string(["items", 0, "id"], "\ud800")).encode(),
+        "items[0].id: lone surrogate '\\ud800'", id="escape"),
+    pytest.param(
+        json.dumps(with_string(["items", 0, "id"], "s\udfff")).encode("utf-16"),
+        "items[0].id: lone surrogate '\\udfff'", id="escape-utf-16"),
+    pytest.param(
+        json.dumps(with_string(["title"], "\udc00\ud800")),
+        "title: lone surrogate '\\udc00'", id="pair-in-wrong-order"),
+    pytest.param(
+        json.dumps(with_string(["title"], "\udc00"), ensure_ascii=False),
+        "title: lone surrogate '\\udc00'", id="code-point-in-str"),
+    pytest.param(
+        json.dumps(with_string(["items", 0, "features", "soas", 0, "who", 0],
+                               "Zo\ud83d")).replace("d83d", "D83D"),
+        "items[0].features.soas[0].who[0]: lone surrogate '\\ud83d'",
+        id="upper-case-escape"),
+    pytest.param(
+        json.dumps(with_string(["items", 0, "features", "x\udbff"], 1)).encode(),
+        "items[0].features: field name has a lone surrogate '\\udbff'",
+        id="field-name"),
+])
+def test_lone_surrogate_is_a_parse_error_naming_the_field(text, place):
+    with pytest.raises(ParseError, match=re.escape(place)):
+        parse_document(text)
+
+
+def test_lone_surrogate_in_registry_is_a_parse_error():
+    with pytest.raises(ParseError, match=re.escape(
+            "registry: top level: field name has a lone surrogate")):
+        parse_registry(b'{"\\ud800": {"level": 1}}')
+
+
+def test_paired_surrogates_and_escaped_backslashes_parse():
+    doc = with_string(["items", 0, "id"], "\U0001f600")
+    doc["items"][0]["text"] = "\\ud800"
+    parsed = parse_document(json.dumps(doc).encode())
+    assert parsed.items[0].id == "\U0001f600"
+    assert parsed.items[0].text == "\\ud800"
 
 
 def chain(n):

@@ -1,10 +1,13 @@
 """Unit tests for the sentence interpreter, one behavior at a time."""
 
+from collections import Counter
+
 import pytest
 
 from povtrack import (
     Clause,
     Context,
+    Document,
     Engine,
     FeatureSet,
     INITIAL_CONTEXT,
@@ -20,6 +23,7 @@ from povtrack import (
     SubjectiveHistory,
     TextSituation,
     VerbFeatures,
+    evaluate,
 )
 
 TS = TextSituation
@@ -159,6 +163,36 @@ def test_quoted_speech_chooses_communicative_action(engine):
 def psa_features(actor="Zoe"):
     return fs([soa("a1", "private-state-action", {actor})],
               [clause("c1", "a1")])
+
+
+def wide_document(n, quoted):
+    """One gold-objective sentence of n clauses, each about its own
+    action, all under the first."""
+    clauses = [clause("c0", "a0")] + [clause(f"c{i}", f"a{i}", ["c0"])
+                                      for i in range(1, n)]
+    soas = [soa(f"a{i}", "action") for i in range(n)]
+    sentence = Sentence("s1", fs(soas, clauses, quoted_speech=quoted),
+                        gold=Interpretation.objective_of(()))
+    return Document("wide", frozenset(), (sentence,))
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_clause_lookups_do_not_grow_with_the_sentence(monkeypatch, quoted):
+    calls = Counter()
+    original = FeatureSet.soa_by_id
+
+    def counted(self, soa_id):
+        calls[len(self.clauses)] += 1
+        return original(self, soa_id)
+
+    monkeypatch.setattr(FeatureSet, "soa_by_id", counted)
+    for n in (2, 10_000):
+        document = wide_document(n, quoted)
+        engine = Engine()
+        assert engine.track_document(document)[0].interpretation == \
+            Interpretation.objective_of(())
+        assert evaluate(document, engine).primary_count == 0
+    assert calls[10_000] == calls[2]
 
 
 def test_psa_treated_when_actor_was_subjective(engine):

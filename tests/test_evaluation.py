@@ -4,8 +4,11 @@ import dataclasses
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povtrack import (
+    Document,
     Engine,
     Interpretation,
     ParagraphBreak,
@@ -18,7 +21,12 @@ from povtrack import (
     evaluate,
     is_simple_quoted_speech,
 )
+from povtrack import evaluation
+from povtrack.evaluation import BreakdownRow
 from conftest import DATA, fixture_doc
+from test_properties import NAMES, interpretations, streams
+
+FIXTURES = sorted(p.stem for p in DATA.glob("*.json"))
 
 TS = TextSituation
 
@@ -289,7 +297,7 @@ def test_report_render_and_json_agree():
 # -- one decision per sentence and fold ---------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.json")))
+@pytest.mark.parametrize("name", FIXTURES)
 def test_each_fold_decides_once_per_sentence(monkeypatch, name):
     calls = Counter()
     for method in ("choose_state_of_affairs", "subjective_elements"):
@@ -308,3 +316,85 @@ def test_each_fold_decides_once_per_sentence(monkeypatch, name):
     evaluate(doc, Engine())
     assert calls == {"choose_state_of_affairs": 2 * n,
                      "subjective_elements": 2 * n}
+
+
+# -- one linear pass: the carried scene state against the scanning classifier ---------
+
+
+def scanning_operation_rows(doc, engine):
+    """The by-operation rows rebuilt with the public ``classify_operation``,
+    which scans back through the scene for every sentence and again for
+    every misread one."""
+    rows = {op: BreakdownRow(op.value) for op in PovOperation}
+    nonquoted = BreakdownRow("objective, other than simple quoted speech")
+    fold = engine._fold(doc.items, doc.initial_context, gold=True)
+    for index, step in enumerate(fold):
+        if step.interpretation is None:
+            continue
+        gold, got = step.item.gold, step.interpretation
+        counted = [rows[classify_operation(doc, index)]]
+        if not gold.subjective and not is_simple_quoted_speech(step.item):
+            counted.append(nonquoted)
+        for row in counted:
+            row.actual += 1
+            if got == gold:
+                continue
+            row.primary += 1
+            if got.subjective:
+                row.wrong[classify_operation(doc, index, got).value] += 1
+            elif gold.subjective:
+                row.wrong["objective"] += 1
+            else:
+                row.wrong["objective, wrong active character"] += 1
+    return [r.to_dict() for r in (*rows.values(), nonquoted)]
+
+
+def operation_rows(doc, engine):
+    return [r.to_dict() for r in evaluate(doc, engine).by_operation]
+
+
+@pytest.mark.parametrize("policy", list(SignificancePolicy))
+@pytest.mark.parametrize("name", FIXTURES)
+def test_operation_rows_match_scanning_classifier(name, policy):
+    doc = fixture_doc(name)
+    engine = Engine(policy=policy)
+    assert operation_rows(doc, engine) == scanning_operation_rows(doc, engine)
+
+
+# a few labels that repeat often, so that every operation occurs
+gold_labels = interpretations | st.sampled_from([
+    Interpretation.subjective_of({NAMES[0]}),
+    Interpretation.subjective_of({NAMES[1]}),
+    Interpretation.objective_of(()),
+    Interpretation.objective_of({NAMES[0]}),
+])
+
+
+@st.composite
+def gold_documents(draw):
+    """A random stream of sentences and breaks, each sentence gold-labelled."""
+    items = [dataclasses.replace(item, gold=draw(gold_labels))
+             if isinstance(item, Sentence) else item
+             for item in draw(streams())]
+    return Document("random", frozenset(NAMES), tuple(items))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gold_documents())
+def test_random_operation_rows_match_scanning_classifier(doc):
+    engine = Engine()
+    assert operation_rows(doc, engine) == scanning_operation_rows(doc, engine)
+
+
+def test_evaluate_never_calls_classify_operation(monkeypatch):
+    calls = Counter()
+    original = evaluation.classify_operation
+
+    def counted(*args):
+        calls["classify_operation"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(evaluation, "classify_operation", counted)
+    for name in FIXTURES:
+        evaluate(fixture_doc(name), Engine())
+    assert calls == Counter()

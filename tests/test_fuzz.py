@@ -6,7 +6,7 @@ import contextlib
 import io
 import json
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from povtrack import (
@@ -141,17 +141,27 @@ def check(data, tmp_path):
     expected = {"track": document is not None, "eval": labelled,
                 "validate": document is not None}
     for command, ok in expected.items():
-        with contextlib.redirect_stdout(io.StringIO()), \
+        # strict UTF-8, as on a terminal, so that unencodable output fails
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
             assert main([command, str(path)]) == (0 if ok else 1)
+            out.flush()
 
 
 fuzz = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+def lone_surrogate_id():
+    document = json.loads(RAW["demo1"])
+    document["items"][0]["id"] = "\ud800"
+    return json.dumps(document).encode()
+
+
 @fuzz
 @given(data=set_anywhere())
+@example(data=lone_surrogate_id())
 def test_any_path_set_to_any_value(tmp_path, data):
     check(data, tmp_path)
 

@@ -88,6 +88,22 @@ def test_subjective_updates_last_sc_and_previous():
     assert out.last_active_character == before.last_active_character
 
 
+@pytest.mark.parametrize("who", [set(), {"Zoe"}, {"Jake", "Newt"},
+                                 {"Jake", "Newt", "Zoe"}])
+def test_subjective_adding_nobody_shares_previous(who):
+    before = ctx(TextSituation.POSTSUBJECTIVE_ACTIVE)
+    out = new_context(Interpretation.subjective_of(who), before)
+    assert out.previous_scs is before.previous_scs
+
+
+@pytest.mark.parametrize("who", [{"Call"}, {"Call", "Zoe"}])
+def test_subjective_adding_someone_enlarges_previous(who):
+    before = ctx(TextSituation.CONTINUING_SUBJECTIVE)
+    out = new_context(Interpretation.subjective_of(who), before)
+    assert out.previous_scs == before.previous_scs | who
+    assert out.previous_scs > before.previous_scs
+
+
 def test_objective_with_character_updates_last_active_only():
     before = ctx(TextSituation.BROKEN_SUBJECTIVE)
     out = new_context(Interpretation.objective_of({"Newt"}), before)
