@@ -43,7 +43,6 @@ from .engine import (
     Engine,
     InterpretationDetail,
     SignificancePolicy,
-    SubjectiveHistory,
     TrackStep,
 )
 from .corpus import (
@@ -74,7 +73,7 @@ __all__ = [
     "Interpretation", "InterpretationDetail", "NOBODY", "ParagraphBreak",
     "ParseError", "PovOperation", "PovTrackError", "Pse", "PseCategory",
     "RegistryError", "SceneBreak", "Sentence", "SignificancePolicy",
-    "SoaType", "StateOfAffairs", "SubjectiveHistory", "TextSituation",
+    "SoaType", "StateOfAffairs", "TextSituation",
     "TrackStep", "ValidationError", "VerbFeatures",
     "classify_operation", "document_from_dict", "document_to_dict",
     "dumps_document", "evaluate", "interpretation_line",

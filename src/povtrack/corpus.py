@@ -114,6 +114,9 @@ def parse_registry(text: str | bytes) -> dict[str, PseCategory]:
                 level = entry["level"]
                 if not isinstance(level, int) or isinstance(level, bool):
                     raise RegistryError(f"{where}: level must be an integer")
+                if not 1 <= level <= 4:
+                    raise RegistryError(
+                        f"{where}: level must be in 1..4, got {level}")
             elif base is not None:
                 level = base.level
             else:

@@ -54,69 +54,13 @@ class SignificancePolicy(Enum):
     MIN_LENGTH_2 = "min-length-2"
 
 
-@dataclass
-class CharacterRecord:
-    """Per-character subjective history; flags only ever turn on."""
-
-    ever_subjective: bool = False
-    represented_thought: bool = False
-    subjective_element: bool = False
-    longest_run: int = 0
-
-
-class SubjectiveHistory:
-    """Running record of each character's subjective contexts.
-
-    A run is a streak of consecutive subjective sentences attributed to
-    a character; any objective sentence, break, or subjective sentence
-    of someone else ends it.  Only the characters of the last subjective
-    sentence have a live run, so only their run lengths are kept.
-    """
-
-    def __init__(self, previously_subjective: Characters = NOBODY):
-        self._records: dict[str, CharacterRecord] = {}
-        self._runs: dict[str, int] = {}
-        for name in previously_subjective:
-            self.record(name).ever_subjective = True
-
-    def record(self, name: str) -> CharacterRecord:
-        if name not in self._records:
-            self._records[name] = CharacterRecord()
-        return self._records[name]
-
-    def note_subjective(self, characters: Characters,
-                        represented_thought: bool,
-                        subjective_element: bool) -> None:
-        runs = {}
-        for name in characters:
-            rec = self.record(name)
-            rec.ever_subjective = True
-            rec.represented_thought |= represented_thought
-            rec.subjective_element |= subjective_element
-            runs[name] = self._runs.get(name, 0) + 1
-            rec.longest_run = max(rec.longest_run, runs[name])
-        self._runs = runs
-
-    def note_nonsubjective(self) -> None:
-        self._runs = {}
-
-    def satisfies(self, name: str, policy: SignificancePolicy) -> bool:
-        rec = self._records.get(name)
-        if rec is None:
-            return False
-        if policy is SignificancePolicy.ANY_PREVIOUS_SC:
-            return rec.ever_subjective
-        if policy is SignificancePolicy.CONTAINS_REPRESENTED_THOUGHT:
-            return rec.represented_thought
-        if policy is SignificancePolicy.CONTAINS_SUBJECTIVE_ELEMENT:
-            return rec.subjective_element
-        return rec.longest_run >= 2
+_SP = SignificancePolicy
 
 
 @dataclass(frozen=True)
 class InterpretationDetail:
     """Everything the engine decided about one sentence, each part once;
-    the trace and the history update read it."""
+    the trace and the fold read it."""
 
     chosen: StateOfAffairs
     reads_private: bool  # a private state, or a psa treated as one
@@ -146,21 +90,23 @@ class Engine:
     # -- state-of-affairs selection ------------------------------------
 
     def treat_as_private_state(self, soa: StateOfAffairs, context: Context,
-                               history: SubjectiveHistory | None = None) -> bool:
-        """Whether a private-state action reads as a private state here.
+                               qualified: Characters | None = None) -> bool:
+        """Whether a state of affairs reads as a private state here.
 
-        Without a history, only having been a subjective character (as
-        ``context.previous_scs`` records) counts as a subjective past.
+        A private state always does.  A private-state action does when
+        its actors are all *qualified*: their subjective past is
+        significant under the policy.  Without ``qualified``, everyone
+        in ``context.previous_scs`` counts as qualified.
         """
-        who = soa.who
-        if not who or not who <= context.previous_scs:
-            return False
-        if history is None:
-            history = SubjectiveHistory(context.previous_scs)
-        return all(history.satisfies(name, self.policy) for name in who)
+        if soa.type is SoaType.PRIVATE_STATE:
+            return True
+        if qualified is None:
+            qualified = context.previous_scs
+        return (soa.type is SoaType.PRIVATE_STATE_ACTION
+                and bool(soa.who) and soa.who <= qualified)
 
     def choose_state_of_affairs(self, fs: FeatureSet, context: Context,
-                                history: SubjectiveHistory | None = None
+                                qualified: Characters | None = None
                                 ) -> StateOfAffairs:
         """Pick the single state of affairs the sentence is taken to be about.
 
@@ -171,7 +117,7 @@ class Engine:
         """
         main_clause = fs.main_clause()
         main = fs.soa_by_id(main_clause.soa)
-        if self._reads_private(main, context, history):
+        if self.treat_as_private_state(main, context, qualified):
             return main
         head = fs.head_noun_soa()
         if head is not None:
@@ -186,14 +132,9 @@ class Engine:
             if clause.id == main_clause.id or clause.under & private_clauses:
                 continue
             soa = soas[clause.soa]
-            if self._reads_private(soa, context, history):
+            if self.treat_as_private_state(soa, context, qualified):
                 return soa
         return main
-
-    def _reads_private(self, soa, context, history) -> bool:
-        return soa.type is SoaType.PRIVATE_STATE or (
-            soa.type is SoaType.PRIVATE_STATE_ACTION
-            and self.treat_as_private_state(soa, context, history))
 
     # -- subjective elements -------------------------------------------
 
@@ -209,7 +150,7 @@ class Engine:
     # -- the decision --------------------------------------------------
 
     def interpret(self, fs: FeatureSet, context: Context,
-                  history: SubjectiveHistory | None = None
+                  qualified: Characters | None = None
                   ) -> tuple[Interpretation, InterpretationDetail]:
         """Interpret one sentence, keeping the reasoning for the trace.
 
@@ -218,8 +159,8 @@ class Engine:
         subjective character: fired, not subordinated to it, and of a
         non-excluded category.
         """
-        chosen = self.choose_state_of_affairs(fs, context, history)
-        private = self._reads_private(chosen, context, history)
+        chosen = self.choose_state_of_affairs(fs, context, qualified)
+        private = self.treat_as_private_state(chosen, context, qualified)
         fired = self.subjective_elements(fs, context)
         considerable = tuple(
             pse for pse in fired
@@ -315,32 +256,49 @@ class Engine:
     def _fold(self, items, context: Context, gold: bool):
         """Yield one step per item, carrying the engine's verdict.
 
-        The context and history advance from that verdict, or from each
-        sentence's gold label when ``gold`` is set.  A subjective label
-        counts as a represented thought when nothing in the sentence
-        states the private state outright: no narrative parenthetical,
-        and the chosen state of affairs is not read as a private state.
+        The context advances from that verdict, or from each sentence's
+        gold label when ``gold`` is set, and so does ``qualified``, the
+        set of characters whose subjective past is significant under
+        the policy.  ``live`` holds the characters of the item just
+        before when it was a subjective sentence, so under
+        ``min-length-2`` a character qualifies on the second sentence of
+        a run.  A subjective label counts as a represented thought when
+        nothing in the sentence states the private state outright: no
+        narrative parenthetical, and the chosen state of affairs is not
+        read as a private state.
         """
-        history = SubjectiveHistory(context.previous_scs)
+        policy = self.policy
+        qualified = (context.previous_scs
+                     if policy is _SP.ANY_PREVIOUS_SC else NOBODY)
+        live = NOBODY
         for item in items:
             interpretation = detail = None
             if isinstance(item, Sentence):
                 fs = item.features
-                interpretation, detail = self.interpret(fs, context, history)
+                interpretation, detail = self.interpret(fs, context, qualified)
                 label = item.gold if gold else interpretation
                 if label is None:
                     raise ValidationError(
                         f"sentence {item.id} has no gold label")
-                if label.subjective:
-                    history.note_subjective(
-                        label.characters,
-                        fs.parenthetical is None and not detail.reads_private,
-                        bool(detail.fired))
+                if not label.subjective:
+                    live = NOBODY
                 else:
-                    history.note_nonsubjective()
+                    who = gained = label.characters
+                    if policy is _SP.MIN_LENGTH_2:
+                        gained = who & live
+                    elif policy is _SP.CONTAINS_REPRESENTED_THOUGHT:
+                        if detail.reads_private or fs.parenthetical is not None:
+                            gained = NOBODY
+                    elif policy is _SP.CONTAINS_SUBJECTIVE_ELEMENT:
+                        if not detail.fired:
+                            gained = NOBODY
+                    # steps share one set until someone new qualifies
+                    if not gained <= qualified:
+                        qualified = qualified | gained
+                    live = who
                 after = new_context(label, context)
             else:
                 after = new_context_after_break(item, context)
-                history.note_nonsubjective()
+                live = NOBODY
             yield TrackStep(item, context, after, interpretation, detail)
             context = after

@@ -3,7 +3,7 @@
 The engine's fold runs twice, side by side, over a fully gold-labelled
 document:
 
-* the *actual* fold advances context and history from the gold labels,
+* the *actual* fold advances context and qualified set from the gold labels,
   so every sentence is judged in the context a perfect reader would
   have;
 * the *computed* fold advances them from the engine's own output.
@@ -52,6 +52,9 @@ def classify_operation(document: Document, index: int,
     through the scene; ``evaluate`` carries the same state forward
     instead.
     """
+    if not 0 <= index < len(document.items):
+        raise ValueError(f"items[{index}] is out of range: the document "
+                         f"has {len(document.items)} items")
     item = document.items[index]
     if not isinstance(item, Sentence):
         raise ValueError(f"items[{index}] is not a sentence")

@@ -250,8 +250,11 @@ def test_registry_new_category():
 
 
 def test_registry_level_out_of_range():
-    with pytest.raises(RegistryError):
-        parse_registry(b'{"foo": {"level": 5}}')
+    for level in (5, 0, -1):
+        with pytest.raises(RegistryError) as excinfo:
+            parse_registry(b'{"foo": {"level": %d}}' % level)
+        assert str(excinfo.value) == \
+            f"registry: category 'foo': level must be in 1..4, got {level}"
 
 
 def test_registry_new_category_needs_level():

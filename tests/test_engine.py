@@ -20,7 +20,6 @@ from povtrack import (
     SignificancePolicy,
     SoaType,
     StateOfAffairs,
-    SubjectiveHistory,
     TextSituation,
     VerbFeatures,
     evaluate,
@@ -223,51 +222,74 @@ def test_psa_with_unspecified_actor_not_treated(engine):
     assert not engine.treat_as_private_state(chosen, context)
 
 
-def test_psa_policy_min_length(engine):
-    context = ctx(TS.POSTSUBJECTIVE_NONACTIVE, last_sc={"Zoe"},
-                  previous={"Zoe"})
-    features = psa_features("Zoe")
-    history = SubjectiveHistory()
-    history.note_subjective(frozenset({"Zoe"}), represented_thought=False,
-                            subjective_element=False)
-    history.note_nonsubjective()
-    strict = Engine(policy=SignificancePolicy.MIN_LENGTH_2)
-    chosen = strict.choose_state_of_affairs(features, context, history)
-    assert not strict.treat_as_private_state(chosen, context, history)
+def thinks(*names, pses=()):
+    """A sentence made subjective for ``names`` by a narrative
+    parenthetical: never a represented thought."""
+    return Sentence("t", fs([soa("a1", "action", names)], [clause("c1", "a1")],
+                            pses, parenthetical=frozenset(names)))
+
+
+OBJECTIVE = Sentence("o", fs([soa("a1", "action")], [clause("c1", "a1")]))
+
+
+def psa_reads_private(policy, items, actor="Zoe"):
+    """Whether a private-state action of ``actor`` after ``items`` reads
+    as a private state, tracked under ``policy``."""
+    probe = Sentence("probe", psa_features(actor))
+    step = Engine(policy=policy).track([*items, probe])[-1]
+    assert step.detail.chosen.type is SoaType.PRIVATE_STATE_ACTION
+    return step.detail.reads_private
+
+
+def test_psa_policy_min_length():
+    strict = SignificancePolicy.MIN_LENGTH_2
+    zoe = thinks("Zoe")
+    assert not psa_reads_private(strict, [zoe, OBJECTIVE])
     # two consecutive subjective sentences qualify
-    history.note_subjective(frozenset({"Zoe"}), False, False)
-    history.note_subjective(frozenset({"Zoe"}), False, False)
-    assert strict.treat_as_private_state(chosen, context, history)
+    assert psa_reads_private(strict, [zoe, OBJECTIVE, zoe, zoe])
 
 
-def test_psa_policy_flags(engine):
-    context = ctx(TS.POSTSUBJECTIVE_NONACTIVE, last_sc={"Zoe"},
-                  previous={"Zoe"})
-    features = psa_features("Zoe")
-    history = SubjectiveHistory()
-    history.note_subjective(frozenset({"Zoe"}), represented_thought=True,
-                            subjective_element=False)
-    rt = Engine(policy=SignificancePolicy.CONTAINS_REPRESENTED_THOUGHT)
-    se = Engine(policy=SignificancePolicy.CONTAINS_SUBJECTIVE_ELEMENT)
-    chosen = rt.choose_state_of_affairs(features, context, history)
-    assert rt.treat_as_private_state(chosen, context, history)
-    assert not se.treat_as_private_state(chosen, context, history)
+def test_psa_policy_flags():
+    rt = SignificancePolicy.CONTAINS_REPRESENTED_THOUGHT
+    se = SignificancePolicy.CONTAINS_SUBJECTIVE_ELEMENT
+    # a nonprivate state while continuing states nothing outright
+    thought = [thinks("Zoe"), Sentence("n", fs([soa("a1", "nonprivate-state")],
+                                                [clause("c1", "a1")]))]
+    steps = Engine(policy=rt).track(thought)
+    assert steps[1].interpretation == Interpretation.subjective_of({"Zoe"})
+    assert steps[1].detail.trigger == "continuing-nonprivate"
+    assert psa_reads_private(rt, thought)
+    assert not psa_reads_private(se, thought)
+    # an element that fires in a parenthetical sentence
+    element = [thinks("Zoe", pses=[pse("p1", "exclamation")])]
+    assert Engine(policy=se).track(element)[0].detail.fired
+    assert psa_reads_private(se, element)
+    assert not psa_reads_private(rt, element)
 
 
 def test_history_runs_end_at_breaks_and_other_characters():
     strict = SignificancePolicy.MIN_LENGTH_2
-    zoe, joe = frozenset({"Zoe"}), frozenset({"Joe"})
-    history = SubjectiveHistory()
-    history.note_subjective(zoe, False, False)
-    history.note_nonsubjective()
-    history.note_subjective(zoe, False, False)
-    history.note_subjective(joe, False, False)
-    history.note_subjective(zoe, False, False)
-    assert not history.satisfies("Zoe", strict)
+    zoe, joe, both = thinks("Zoe"), thinks("Joe"), thinks("Zoe", "Joe")
+    for stop in (ParagraphBreak(), SceneBreak(), OBJECTIVE, joe):
+        assert not psa_reads_private(strict, [zoe, stop, zoe])
+    assert not psa_reads_private(strict, [zoe, ParagraphBreak(), zoe, joe, zoe])
     # a shared sentence continues Zoe's run; Joe's ended with hers
-    history.note_subjective(zoe | joe, False, False)
-    assert history.satisfies("Zoe", strict)
-    assert not history.satisfies("Joe", strict)
+    items = [zoe, ParagraphBreak(), zoe, joe, zoe, both]
+    assert psa_reads_private(strict, items)
+    assert not psa_reads_private(strict, items, actor="Joe")
+
+
+def test_qualified_set_decides_a_private_state_action():
+    context = ctx(TS.POSTSUBJECTIVE_NONACTIVE, last_sc={"Zoe"},
+                  previous={"Zoe"})
+    strict = Engine(policy=SignificancePolicy.MIN_LENGTH_2)
+    chosen = psa_features("Zoe").soas[0]
+    assert not strict.treat_as_private_state(chosen, context, frozenset())
+    assert strict.treat_as_private_state(chosen, context, frozenset({"Zoe"}))
+    # without a set, everyone in previous_scs counts as qualified
+    assert strict.treat_as_private_state(chosen, context)
+    private_state = soa("a1", "private-state", {"Joe"})
+    assert strict.treat_as_private_state(private_state, context, frozenset())
 
 
 def test_parenthetical_sentence_is_not_a_represented_thought():

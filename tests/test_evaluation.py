@@ -166,6 +166,24 @@ def test_classification_ignores_extra_paragraph_breaks():
     assert classify_operation(padded, target + 2) is PovOperation.RESUMPTION
 
 
+@pytest.mark.parametrize("index", [-50, -1, 51, 52])
+def test_classify_rejects_an_index_outside_the_items(index):
+    doc = fixture_doc("minicorpus")
+    assert len(doc.items) == 51
+    with pytest.raises(ValueError,
+                       match=rf"items\[{index}\] is out of range: "
+                             "the document has 51 items"):
+        classify_operation(doc, index)
+
+
+def test_classify_rejects_a_break_index():
+    doc = fixture_doc("minicorpus")
+    index = next(i for i, item in enumerate(doc.items)
+                 if not isinstance(item, Sentence))
+    with pytest.raises(ValueError, match=rf"items\[{index}\] is not a "):
+        classify_operation(doc, index)
+
+
 def test_classify_explicit_interpretation():
     doc = fixture_doc("minicorpus")
     idx = sentence_indices(doc)
