@@ -93,10 +93,9 @@ def _load_registry(flag_value):
 
 def _cmd_track(args, registry) -> int:
     document = load_document(args.document, registry)
-    policy = SignificancePolicy(args.policy)
-    engine = Engine(registry, policy)
+    engine = Engine(registry, SignificancePolicy(args.policy))
     steps = engine.track_document(document)
-    lines = _track_lines(steps, args.trace, policy)
+    lines = _track_lines(steps, args.trace)
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -106,12 +105,11 @@ def _cmd_track(args, registry) -> int:
     return 0
 
 
-def _track_lines(steps: list[TrackStep], trace: bool,
-                 policy: SignificancePolicy) -> list[str]:
+def _track_lines(steps: list[TrackStep], trace: bool) -> list[str]:
     lines: list[str] = []
     for step in steps:
         if trace:
-            lines += render_step(step, policy)
+            lines += render_step(step)
         if step.interpretation is not None:
             lines.append(interpretation_line(step))
         if trace:

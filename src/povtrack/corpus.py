@@ -170,13 +170,17 @@ def _decode(raw, where, object_pairs_hook=None):
 def _reject_lone_surrogates(data, where) -> None:
     """Raise ParseError naming a string, or a field name, that holds a
     lone surrogate.  Escapes that pair up decode to one character and
-    pass."""
+    pass.  A value met again, as in a cyclic dict, is not walked twice."""
     stack = [("", data)]
+    seen: set[int] = set()
     while stack:
         place, value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
         if isinstance(value, dict):
             for key, child in value.items():
-                found = _SURROGATE.search(key)
+                found = isinstance(key, str) and _SURROGATE.search(key)
                 if found:
                     raise ParseError(f"{where}{place or 'top level'}: field "
                                      "name has a lone surrogate "
@@ -203,7 +207,7 @@ def parse_document(text: str | bytes,
     Every potential-subjective-element category in the document must
     resolve in the registry, the built-in one when none is given.
     """
-    return document_from_dict(_decode(text, ""), registry)
+    return _build_document(_decode(text, ""), registry)
 
 
 def load_document(path,
@@ -215,6 +219,13 @@ def load_document(path,
 def document_from_dict(data,
                        registry: dict[str, PseCategory] | None = None
                        ) -> Document:
+    """Validate and build a document from already-decoded JSON data."""
+    _reject_lone_surrogates(data, "")
+    return _build_document(data, registry)
+
+
+def _build_document(data, registry) -> Document:
+    """The document in decoded JSON free of lone surrogates."""
     registry = DEFAULT_REGISTRY if registry is None else registry
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
@@ -261,6 +272,10 @@ def _parse_item(raw, where, roster, registry, seen_ids) -> InputItem:
         raise ValidationError(f"{where}: unknown kind {kind!r}")
     _object(raw, _SENTENCE_KEYS, where)
     sid = _id(raw, where, seen_ids, "sentence")
+    # the id heads a tab-separated verdict line, which it must not split
+    if "\t" in sid or "\r" in sid or "\n" in sid:
+        raise ValidationError(f"{where}: sentence id {sid!r} must not hold "
+                              "a tab or line break")
     seen_ids.add(sid)
     text = raw.get("text")
     if text is not None and not isinstance(text, str):

@@ -68,6 +68,9 @@ class InterpretationDetail:
     considerable: tuple[Pse, ...]  # fired, minus subordinated/excluded
     trigger: str | None  # what made the sentence subjective
     sc_source: str | None  # where the subjective character came from
+    # why a chosen private-state action reads as an action:
+    # "never-subjective" or "not-significant"
+    action_reason: str | None
 
 
 @dataclass(frozen=True)
@@ -115,21 +118,19 @@ class Engine:
         first subordinated clause about a private state that is not
         itself under such a clause, then the main clause regardless.
         """
-        main_clause = fs.main_clause()
-        main = fs.soa_by_id(main_clause.soa)
+        soas = {soa.id: soa for soa in fs.soas}
+        main = soas[fs.main.soa]
         if self.treat_as_private_state(main, context, qualified):
             return main
-        head = fs.head_noun_soa()
-        if head is not None:
-            return head
-        soas = {soa.id: soa for soa in fs.soas}
+        if fs.head_noun_private_state is not None:
+            return soas[fs.head_noun_private_state]
         private_clauses = {
             c.id for c in fs.clauses
             if soas[c.soa].type in (SoaType.PRIVATE_STATE,
                                     SoaType.PRIVATE_STATE_ACTION)}
         # ties broken by annotation order, so runs are reproducible
         for clause in fs.clauses:
-            if clause.id == main_clause.id or clause.under & private_clauses:
+            if clause is fs.main or clause.under & private_clauses:
                 continue
             soa = soas[clause.soa]
             if self.treat_as_private_state(soa, context, qualified):
@@ -162,10 +163,16 @@ class Engine:
         chosen = self.choose_state_of_affairs(fs, context, qualified)
         private = self.treat_as_private_state(chosen, context, qualified)
         fired = self.subjective_elements(fs, context)
+        clause = fs.clause_about(chosen.id)
         considerable = tuple(
             pse for pse in fired
-            if not fs.pse_subordinated_to(pse, chosen)
+            if (clause is None or clause.id not in pse.under)
             and not self.registry[pse.category].excluded)
+        action_reason = None
+        if chosen.type is SoaType.PRIVATE_STATE_ACTION and not private:
+            action_reason = ("never-subjective"
+                             if self.policy is _SP.ANY_PREVIOUS_SC
+                             else "not-significant")
 
         if fs.parenthetical is not None:
             trigger = "parenthetical"
@@ -181,15 +188,15 @@ class Engine:
               and context.situation is TextSituation.CONTINUING_SUBJECTIVE):
             trigger = "continuing-nonprivate"
         else:
-            active = self._active_character(fs, context, chosen)
+            active = self._active_character(context, chosen, clause)
             return (Interpretation.objective_of(active),
                     InterpretationDetail(chosen, private, fired, considerable,
-                                         None, None))
+                                         None, None, action_reason))
         who, source = self._identify(fs, context, chosen, private,
                                      considerable)
         return (Interpretation.subjective_of(who),
                 InterpretationDetail(chosen, private, fired, considerable,
-                                     trigger, source))
+                                     trigger, source, action_reason))
 
     @staticmethod
     def _identify(fs, context, chosen, private, considerable):
@@ -222,16 +229,15 @@ class Engine:
         return NOBODY, "failed"
 
     @staticmethod
-    def _active_character(fs, context, chosen) -> Characters:
+    def _active_character(context, chosen, clause) -> Characters:
         """The actor of an objective sentence about an actual current
         action, provided the actor has been a subjective character.  A
-        private-state action chosen here reads as an ordinary action."""
+        private-state action chosen here reads as an ordinary action;
+        ``clause`` is the chosen state of affairs' clause."""
         who = chosen.who
         if (chosen.type not in (SoaType.ACTION, SoaType.PRIVATE_STATE_ACTION)
-                or not who or not who <= context.previous_scs):
-            return NOBODY
-        clause = fs.clause_about(chosen.id)
-        if clause is None:
+                or not who or not who <= context.previous_scs
+                or clause is None):
             return NOBODY
         vp = clause.vp
         if vp.simple_past and not vp.negated and not vp.habitual and not vp.modal:

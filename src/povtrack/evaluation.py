@@ -107,10 +107,9 @@ def is_simple_quoted_speech(sentence: Sentence) -> bool:
     fs = sentence.features
     if not fs.quoted_speech or fs.pses:
         return False
-    main_id = fs.main_clause().id
     soas = {soa.id: soa for soa in fs.soas}
     for clause in fs.clauses:
-        if clause.id == main_id:
+        if clause is fs.main:
             continue
         if soas[clause.soa].type in (SoaType.PRIVATE_STATE,
                                      SoaType.PRIVATE_STATE_ACTION):
@@ -206,20 +205,13 @@ def evaluate(document: Document, engine: Engine | None = None) -> EvalReport:
     rule ``classify_operation`` applies by scanning back.
     """
     engine = engine or Engine()
-    interp_rows = {
-        "subjective": BreakdownRow("subjective"),
-        "objective": BreakdownRow("objective"),
-        "objective-nonquoted": BreakdownRow(
-            "objective, other than simple quoted speech"),
-    }
-    op_rows = {
-        PovOperation.CONTINUATION: BreakdownRow("continuation"),
-        PovOperation.RESUMPTION: BreakdownRow("resumption"),
-        PovOperation.INITIATION: BreakdownRow("initiation"),
-        PovOperation.OBJECTIVE: BreakdownRow("objective"),
-        "objective-nonquoted": BreakdownRow(
-            "objective, other than simple quoted speech"),
-    }
+    # each table's rows, in table order; both end with the same subset
+    interp_rows = {kind: BreakdownRow(kind)
+                   for kind in ("subjective", "objective")}
+    op_rows: dict = {op: BreakdownRow(op.value) for op in PovOperation}
+    for rows in (interp_rows, op_rows):
+        rows["objective-nonquoted"] = BreakdownRow(
+            "objective, other than simple quoted speech")
 
     primary: list[ErrorCase] = []
     secondary: list[ErrorCase] = []
@@ -280,13 +272,8 @@ def evaluate(document: Document, engine: Engine | None = None) -> EvalReport:
         primary=primary,
         secondary=secondary,
         simple_quoted=simple_quoted,
-        by_interpretation=[interp_rows["subjective"], interp_rows["objective"],
-                           interp_rows["objective-nonquoted"]],
-        by_operation=[op_rows[PovOperation.CONTINUATION],
-                      op_rows[PovOperation.RESUMPTION],
-                      op_rows[PovOperation.INITIATION],
-                      op_rows[PovOperation.OBJECTIVE],
-                      op_rows["objective-nonquoted"]],
+        by_interpretation=list(interp_rows.values()),
+        by_operation=list(op_rows.values()),
     )
 
 

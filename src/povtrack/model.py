@@ -14,7 +14,7 @@ with no active character, or a failed identification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -225,42 +225,25 @@ class FeatureSet:
     parenthetical: Characters | None = None
     head_noun_private_state: str | None = None
     quoted_speech: bool = False
+    # the main clause, found once at construction and never compared
+    main: Clause = field(init=False, repr=False, compare=False)
 
-    def soa_by_id(self, soa_id: str) -> StateOfAffairs:
-        for soa in self.soas:
-            if soa.id == soa_id:
-                return soa
-        raise ValidationError(f"unknown state of affairs {soa_id!r}")
-
-    def main_clause(self) -> Clause:
+    def __post_init__(self) -> None:
         mains = [c for c in self.clauses if not c.under]
         if len(mains) != 1:
             raise ValidationError(
                 f"expected exactly one main clause, found {len(mains)}")
-        return mains[0]
+        object.__setattr__(self, "main", mains[0])
 
     def clause_about(self, soa_id: str) -> Clause | None:
-        """The clause a state of affairs belongs to (None for a head-noun one)."""
-        for clause in self.clauses:
-            if clause.soa == soa_id:
-                return clause
+        """The clause a state of affairs belongs to.  None for the
+        head-noun one: a noun phrase has no clausal scope for an element
+        to sit in."""
+        if soa_id != self.head_noun_private_state:
+            for clause in self.clauses:
+                if clause.soa == soa_id:
+                    return clause
         return None
-
-    def head_noun_soa(self) -> StateOfAffairs | None:
-        if self.head_noun_private_state is None:
-            return None
-        return self.soa_by_id(self.head_noun_private_state)
-
-    def pse_subordinated_to(self, pse: Pse, soa: StateOfAffairs) -> bool:
-        """Whether this element sits inside the scope of ``soa``'s lexical item.
-
-        Never true for the head-noun state of affairs (a noun phrase has
-        no clausal scope for the element to sit in).
-        """
-        if soa.id == self.head_noun_private_state:
-            return False
-        clause = self.clause_about(soa.id)
-        return clause is not None and clause.id in pse.under
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ and the situation after.  Character sets print sorted and joined with
 
 from __future__ import annotations
 
-from .engine import SignificancePolicy, TrackStep
+from .engine import TrackStep
 from .model import (
     Characters,
     ParagraphBreak,
@@ -33,15 +33,18 @@ SHORT = {
     TextSituation.POSTSUBJECTIVE_NONACTIVE: "postsubj-nonactive",
     TextSituation.POSTSUBJECTIVE_ACTIVE: "postsubj-active",
 }
+# why a private-state action was read as an action, by detail.action_reason
+_WHY_ACTION = {
+    "never-subjective": "has not been a subjective character",
+    "not-significant": "lacks a significant previous subjective context",
+}
 
 
 def names(characters: Characters) -> str:
     return " and ".join(sorted(characters))
 
 
-def render_step(step: TrackStep,
-                policy: SignificancePolicy = SignificancePolicy.ANY_PREVIOUS_SC
-                ) -> list[str]:
+def render_step(step: TrackStep) -> list[str]:
     if isinstance(step.item, (ParagraphBreak, SceneBreak)):
         kind = ("paragraph" if isinstance(step.item, ParagraphBreak)
                 else "scene")
@@ -52,10 +55,10 @@ def render_step(step: TrackStep,
             "After the break:",
             f"    The situation is {SHORT[step.after.situation]}",
         ]
-    return _render_sentence(step, policy)
+    return _render_sentence(step)
 
 
-def _render_sentence(step: TrackStep, policy) -> list[str]:
+def _render_sentence(step: TrackStep) -> list[str]:
     item: Sentence = step.item
     fs = item.features
     detail = step.detail
@@ -90,16 +93,9 @@ def _render_sentence(step: TrackStep, policy) -> list[str]:
 
     if detail.chosen.type is SoaType.PRIVATE_STATE_ACTION:
         actor = names(detail.chosen.who) or "an unspecified actor"
-        if detail.reads_private:
-            lines.append(f"Private-state action of {actor} treated as a "
-                         "private state")
-        elif policy is SignificancePolicy.ANY_PREVIOUS_SC:
-            lines.append(f"Private-state action of {actor} treated as an "
-                         "action: actor has not been a subjective character")
-        else:
-            lines.append(f"Private-state action of {actor} treated as an "
-                         "action: actor lacks a significant previous "
-                         "subjective context")
+        reading = ("a private state" if detail.reads_private else
+                   f"an action: actor {_WHY_ACTION[detail.action_reason]}")
+        lines.append(f"Private-state action of {actor} treated as {reading}")
 
     interpretation = step.interpretation
     if interpretation.subjective:
@@ -175,10 +171,8 @@ def _trigger_lines(step: TrackStep) -> list[str]:
     return ["Nonprivate-state sentence in the continuing-subj situation"]
 
 
-def render_trace(steps: list[TrackStep],
-                 policy: SignificancePolicy = SignificancePolicy.ANY_PREVIOUS_SC
-                 ) -> str:
-    blocks = ["\n".join(render_step(step, policy)) for step in steps]
+def render_trace(steps: list[TrackStep]) -> str:
+    blocks = ["\n".join(render_step(step)) for step in steps]
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
 

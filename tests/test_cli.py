@@ -205,10 +205,10 @@ def chain_document(n, cycle):
             "clauses": clauses}}]}).encode()
 
 
-def lone_surrogate_document():
-    """demo1 with its first sentence id a lone surrogate."""
+def demo1_with_first_id(sid):
+    """demo1 with its first sentence id replaced."""
     data = json.loads(fixture_path("demo1").read_bytes())
-    data["items"][0]["id"] = "\ud800"
+    data["items"][0]["id"] = sid
     return json.dumps(data).encode()
 
 
@@ -217,8 +217,12 @@ def lone_surrogate_document():
     (b"[" * 100_000, "recursion"),
     (b'{"title": ' + b"1" * 5000 + b"}", "integer string conversion"),
     (chain_document(5000, cycle=True), "cycle: c1 -> c2"),
-    pytest.param(lone_surrogate_document(),
+    pytest.param(demo1_with_first_id("\ud800"),
                  "items[0].id: lone surrogate '\\ud800'", id="lone-surrogate"),
+    # a verdict line that would read as two
+    pytest.param(demo1_with_first_id("a\tb\nOBJ"),
+                 "items[0]: sentence id 'a\\tb\\nOBJ' must not hold a tab",
+                 id="line-forging-id"),
 ])
 @pytest.mark.parametrize("command", ["track", "eval", "validate"])
 def test_hostile_input_exits_1_without_traceback(tmp_path, capsys, command,
@@ -233,7 +237,7 @@ def test_hostile_input_exits_1_without_traceback(tmp_path, capsys, command,
 
 def test_lone_surrogate_with_out_exits_1(tmp_path, capsys):
     path = tmp_path / "hostile.json"
-    path.write_bytes(lone_surrogate_document())
+    path.write_bytes(demo1_with_first_id("\ud800"))
     target = tmp_path / "out.tsv"
     code, out, err = run(capsys, "track", path, "--out", target)
     assert (code, out) == (1, "")

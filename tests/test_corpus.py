@@ -23,7 +23,7 @@ from povtrack import (
     parse_registry,
     validate_gold,
 )
-from conftest import fixture_doc
+from conftest import fixture_doc, fixture_json
 
 
 def minimal(**overrides):
@@ -340,7 +340,7 @@ def with_string(path, value):
     return doc
 
 
-@pytest.mark.parametrize("text, place", [
+LONE_SURROGATES = [
     pytest.param(
         json.dumps(with_string(["items", 0, "id"], "\ud800")).encode(),
         "items[0].id: lone surrogate '\\ud800'", id="escape"),
@@ -362,10 +362,47 @@ def with_string(path, value):
         json.dumps(with_string(["items", 0, "features", "x\udbff"], 1)).encode(),
         "items[0].features: field name has a lone surrogate '\\udbff'",
         id="field-name"),
-])
+]
+
+
+@pytest.mark.parametrize("text, place", LONE_SURROGATES)
 def test_lone_surrogate_is_a_parse_error_naming_the_field(text, place):
     with pytest.raises(ParseError, match=re.escape(place)):
         parse_document(text)
+
+
+@pytest.mark.parametrize("text, place", LONE_SURROGATES)
+def test_document_from_dict_rejects_lone_surrogates_too(text, place):
+    with pytest.raises(ParseError, match=re.escape(place)):
+        document_from_dict(json.loads(text))
+
+
+def test_document_from_dict_raises_what_parse_document_raises():
+    data = fixture_json("demo1")
+    data["items"][0]["id"] = "\ud800"
+    with pytest.raises(ParseError) as from_dict:
+        document_from_dict(data)
+    with pytest.raises(ParseError) as parsed:
+        parse_document(json.dumps(data))
+    assert str(from_dict.value) == str(parsed.value) == \
+        "items[0].id: lone surrogate '\\ud800'"
+
+
+def test_document_from_dict_refuses_cycles_and_non_string_keys():
+    items = []
+    items.append(items)
+    with pytest.raises(ValidationError, match=re.escape("items[0]: must be")):
+        document_from_dict({"items": items})
+    with pytest.raises(ValidationError, match="unknown field"):
+        document_from_dict({1: "x"})
+
+
+@pytest.mark.parametrize("sid", ["a\tb\nOBJ", "s1\r", "\ns1", "\t"])
+def test_sentence_id_cannot_hold_a_tab_or_line_break(sid):
+    with pytest.raises(ValidationError, match=re.escape(
+            f"items[0]: sentence id {sid!r} must not hold a tab or line "
+            "break")):
+        parse_document(json.dumps(with_string(["items", 0, "id"], sid)))
 
 
 def test_lone_surrogate_in_registry_is_a_parse_error():

@@ -178,13 +178,13 @@ def wide_document(n, quoted):
 @pytest.mark.parametrize("quoted", [False, True])
 def test_clause_lookups_do_not_grow_with_the_sentence(monkeypatch, quoted):
     calls = Counter()
-    original = FeatureSet.soa_by_id
+    original = FeatureSet.clause_about
 
     def counted(self, soa_id):
         calls[len(self.clauses)] += 1
         return original(self, soa_id)
 
-    monkeypatch.setattr(FeatureSet, "soa_by_id", counted)
+    monkeypatch.setattr(FeatureSet, "clause_about", counted)
     for n in (2, 10_000):
         document = wide_document(n, quoted)
         engine = Engine()
@@ -411,6 +411,38 @@ def test_head_noun_soa_never_subordinates_elements(engine):
     # subordinated to c1, but the chosen soa is the head noun's, so the
     # element still blocks the (unspecified) experiencer path
     assert considerable(engine, features, context)
+
+
+def test_clause_about_the_head_noun_gives_it_no_scope(engine):
+    features = fs([soa("a1", "action"), soa("hn", "private-state")],
+                  [clause("c1", "a1"), clause("c2", "hn", under={"c1"})],
+                  [pse("p1", "eval-adjective", under={"c2"})],
+                  head_noun_private_state="hn")
+    context = ctx(TS.BROKEN_SUBJECTIVE, last_sc={"Sandy"},
+                  previous={"Sandy"})
+    assert engine.choose_state_of_affairs(features, context).id == "hn"
+    assert features.clause_about("hn") is None
+    assert considerable(engine, features, context)
+
+
+@pytest.mark.parametrize("policy, reason", [
+    (SignificancePolicy.ANY_PREVIOUS_SC, "never-subjective"),
+    (SignificancePolicy.CONTAINS_REPRESENTED_THOUGHT, "not-significant"),
+    (SignificancePolicy.CONTAINS_SUBJECTIVE_ELEMENT, "not-significant"),
+    (SignificancePolicy.MIN_LENGTH_2, "not-significant"),
+])
+def test_detail_records_why_a_psa_reads_as_an_action(policy, reason):
+    engine = Engine(policy=policy)
+    context = ctx(TS.POSTSUBJECTIVE_NONACTIVE, last_sc={"Zoe"},
+                  previous={"Zoe"})
+    _, detail = engine.interpret(psa_features("Japheth"), context)
+    assert (detail.reads_private, detail.action_reason) == (False, reason)
+    # read as a private state, or not a private-state action: no reason
+    _, detail = engine.interpret(psa_features("Zoe"), context)
+    assert (detail.reads_private, detail.action_reason) == (True, None)
+    _, detail = engine.interpret(
+        fs([soa("a1", "action", {"Japheth"})], [clause("c1", "a1")]), context)
+    assert detail.action_reason is None
 
 
 # -- the subjectivity decision ------------------------------------------------

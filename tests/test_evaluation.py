@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from povtrack import (
     Document,
     Engine,
+    FeatureSet,
     Interpretation,
     ParagraphBreak,
     PovOperation,
@@ -318,22 +319,25 @@ def test_report_render_and_json_agree():
 @pytest.mark.parametrize("name", FIXTURES)
 def test_each_fold_decides_once_per_sentence(monkeypatch, name):
     calls = Counter()
-    for method in ("choose_state_of_affairs", "subjective_elements"):
-        original = getattr(Engine, method)
+    for owner, method in ((Engine, "choose_state_of_affairs"),
+                          (Engine, "subjective_elements"),
+                          (FeatureSet, "clause_about")):
+        original = getattr(owner, method)
 
         def counted(self, *args, _original=original, _method=method):
             calls[_method] += 1
             return _original(self, *args)
 
-        monkeypatch.setattr(Engine, method, counted)
+        monkeypatch.setattr(owner, method, counted)
     doc = fixture_doc(name)
     n = len(doc.sentences())
     Engine().track_document(doc)
-    assert calls == {"choose_state_of_affairs": n, "subjective_elements": n}
+    assert calls == {"choose_state_of_affairs": n, "subjective_elements": n,
+                     "clause_about": n}
     calls.clear()
     evaluate(doc, Engine())
     assert calls == {"choose_state_of_affairs": 2 * n,
-                     "subjective_elements": 2 * n}
+                     "subjective_elements": 2 * n, "clause_about": 2 * n}
 
 
 # -- one linear pass: the carried scene state against the scanning classifier ---------

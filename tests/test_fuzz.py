@@ -131,7 +131,7 @@ def check(data, tmp_path):
     if document is not None:
         for policy in SignificancePolicy:
             engine = Engine(policy=policy)
-            render_trace(engine.track_document(document), policy)
+            render_trace(engine.track_document(document))
             if labelled:
                 evaluate(document, engine)
         assert parse_document(dumps_document(document)) == document

@@ -1,10 +1,18 @@
+import dataclasses
+import re
+
 import pytest
 
 from povtrack import (
+    Clause,
     DEFAULT_REGISTRY,
+    FeatureSet,
     PseCategory,
     RegistryError,
+    SoaType,
+    StateOfAffairs,
     TextSituation,
+    ValidationError,
     registry_lookup,
     situations_up_to_level,
 )
@@ -95,3 +103,36 @@ def test_registry_lookup_unknown_category():
 def test_category_level_validated():
     with pytest.raises(RegistryError):
         PseCategory("bogus", 7)
+
+
+ACTION = (StateOfAffairs("a1", SoaType.ACTION),)
+
+
+@pytest.mark.parametrize("unders, found", [
+    ((), 0),
+    (({"c2"}, {"c1"}), 0),
+    (((), ()), 2),
+    (((), {"c1"}, ()), 2),
+])
+def test_feature_set_needs_one_main_clause_at_construction(unders, found):
+    clauses = tuple(Clause(f"c{i + 1}", "a1", frozenset(under))
+                    for i, under in enumerate(unders))
+    with pytest.raises(ValidationError, match=re.escape(
+            f"expected exactly one main clause, found {found}")):
+        FeatureSet(clauses, ACTION)
+
+
+def test_main_clause_takes_no_part_in_eq_hash_or_replace():
+    main, sub = Clause("c1", "a1"), Clause("c2", "a1", frozenset({"c1"}))
+    features = FeatureSet((sub, main), ACTION)
+    assert features.main is main
+    other = FeatureSet((sub, main), ACTION)
+    object.__setattr__(other, "main", sub)
+    assert other == features and hash(other) == hash(features)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(features, main=sub)
+    # replace rebuilds the set, and finds the main clause of its clauses
+    flipped = dataclasses.replace(
+        features, clauses=(Clause("c2", "a1"),
+                           Clause("c1", "a1", frozenset({"c2"}))))
+    assert flipped.main.id == "c2" and flipped != features

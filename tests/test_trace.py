@@ -91,5 +91,13 @@ def test_policy_changes_treated_as_action_reason():
     policy = SignificancePolicy.MIN_LENGTH_2
     steps = Engine(policy=policy).track_document(doc)
     by_id = {s.item.id: s for s in steps if s.interpretation is not None}
-    block = "\n".join(render_step(by_id["l.5"], policy))
+    block = "\n".join(render_step(by_id["l.5"]))
     assert "lacks a significant previous subjective context" in block
+
+
+def test_readme_library_example_words_the_engines_policy():
+    # the renderer takes no policy: the decision record carries the reason
+    engine = Engine(policy=SignificancePolicy.MIN_LENGTH_2)
+    text = render_trace(engine.track_document(fixture_doc("lynette")))
+    assert "lacks a significant previous subjective context" in text
+    assert "has not been a subjective character" not in text
