@@ -31,7 +31,6 @@ from .model import (
     ValidationError,
     VerbFeatures,
     registry_lookup,
-    situations_up_to_level,
 )
 from .situations import (
     last_active_character_expected,
@@ -81,5 +80,5 @@ __all__ = [
     "last_subjective_character_expected", "load_document", "load_registry",
     "new_context", "new_context_after_break", "parse_document",
     "parse_registry", "registry_lookup", "render_step", "render_trace",
-    "situations_up_to_level", "validate_gold",
+    "validate_gold",
 ]

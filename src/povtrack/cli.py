@@ -28,7 +28,7 @@ import sys
 from .corpus import load_document, load_registry, validate_gold
 from .engine import Engine, SignificancePolicy, TrackStep
 from .evaluation import evaluate
-from .model import PovTrackError
+from .model import ESCAPE_SEPARATORS, PovTrackError
 from .trace import interpretation_line, render_step
 
 REGISTRY_ENV = "POVTRACK_REGISTRY"
@@ -76,11 +76,10 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return _cmd_eval(args, registry)
         return _cmd_validate(args, registry)
-    except PovTrackError as exc:
-        print(f"povtrack: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"povtrack: error: {exc}", file=sys.stderr)
+    except (PovTrackError, OSError) as exc:
+        # one line, even when the message quotes an id that breaks lines
+        print(f"povtrack: error: {exc}".translate(ESCAPE_SEPARATORS),
+              file=sys.stderr)
         return 1
 
 

@@ -50,6 +50,7 @@ from .model import (
     Interpretation,
     ParagraphBreak,
     ParseError,
+    PovTrackError,
     Pse,
     PseCategory,
     RegistryError,
@@ -106,26 +107,17 @@ def parse_registry(text: str | bytes) -> dict[str, PseCategory]:
         raise RegistryError("registry: top level must be a JSON object")
     registry = dict(DEFAULT_REGISTRY)
     for name, entry in data.items():
-        where = f"registry: category {name!r}"
+        where = f"category {name!r}"
         base = registry.get(name)
         try:
             _object(entry, {"level", "excluded"}, where)
-            if "level" in entry:
-                level = entry["level"]
-                if not isinstance(level, int) or isinstance(level, bool):
-                    raise RegistryError(f"{where}: level must be an integer")
-                if not 1 <= level <= 4:
-                    raise RegistryError(
-                        f"{where}: level must be in 1..4, got {level}")
-            elif base is not None:
-                level = base.level
-            else:
+            if "level" not in entry and base is None:
                 raise RegistryError(f"{where}: new category needs a level")
-            excluded = _flag(entry, "excluded", where,
-                             base is not None and base.excluded)
-        except ValidationError as exc:
-            raise RegistryError(str(exc)) from None
-        registry[name] = PseCategory(name, level, excluded)
+            level = entry["level"] if "level" in entry else base.level
+            registry[name] = PseCategory(name, level, _flag(
+                entry, "excluded", where, base is not None and base.excluded))
+        except PovTrackError as exc:
+            raise RegistryError(f"registry: {exc}") from None
     return registry
 
 
@@ -272,10 +264,6 @@ def _parse_item(raw, where, roster, registry, seen_ids) -> InputItem:
         raise ValidationError(f"{where}: unknown kind {kind!r}")
     _object(raw, _SENTENCE_KEYS, where)
     sid = _id(raw, where, seen_ids, "sentence")
-    # the id heads a tab-separated verdict line, which it must not split
-    if "\t" in sid or "\r" in sid or "\n" in sid:
-        raise ValidationError(f"{where}: sentence id {sid!r} must not hold "
-                              "a tab or line break")
     seen_ids.add(sid)
     text = raw.get("text")
     if text is not None and not isinstance(text, str):
@@ -290,7 +278,10 @@ def _parse_item(raw, where, roster, registry, seen_ids) -> InputItem:
         who = _characters(gold.get("characters", []),
                           f"sentence {sid}: gold.characters")
         gold = Interpretation(gold["type"] == "subjective", who)
-    return Sentence(id=sid, features=features, text=text, gold=gold)
+    try:
+        return Sentence(id=sid, features=features, text=text, gold=gold)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def _parse_features(raw, sid, roster, registry) -> FeatureSet:
@@ -326,26 +317,6 @@ def _parse_features(raw, sid, roster, registry) -> FeatureSet:
             flags[attr] = value
         clauses[clause_id] = Clause(clause_id, soa, under,
                                     VerbFeatures(**flags))
-    for clause in clauses.values():
-        if clause.soa not in soas:
-            raise ValidationError(
-                f"sentence {sid}: clause {clause.id!r} references unknown "
-                f"state of affairs {clause.soa!r}")
-        if not clause.under <= clauses.keys():
-            raise ValidationError(
-                f"sentence {sid}: clause {clause.id!r} subordinated to "
-                f"unknown clause(s) {sorted(clause.under - clauses.keys())}")
-    mains = [c for c in clauses.values() if not c.under]
-    if not clauses:
-        raise ValidationError(f"sentence {sid}: at least one clause required")
-    if len(mains) == 0:
-        raise ValidationError(f"sentence {sid}: no main clause (every clause "
-                              "is subordinated)")
-    if len(mains) > 1:
-        raise ValidationError(
-            f"sentence {sid}: multiple main clauses "
-            f"({', '.join(sorted(c.id for c in mains))})")
-    _check_acyclic(clauses, sid)
 
     pses: dict[str, Pse] = {}
     for i, entry in enumerate(_array(raw.get("pses", []), f"{where}.pses")):
@@ -357,10 +328,6 @@ def _parse_features(raw, sid, roster, registry) -> FeatureSet:
             raise ValidationError(f"{place}: category must be a non-empty "
                                   "string")
         under = _under(entry, place)
-        if not under <= clauses.keys():
-            raise ValidationError(
-                f"sentence {sid}: element {pse_id!r} subordinated to unknown "
-                f"clause(s) {sorted(under - clauses.keys())}")
         if category not in registry:
             raise ValidationError(
                 f"sentence {sid}: element {pse_id!r} has unknown category "
@@ -371,51 +338,13 @@ def _parse_features(raw, sid, roster, registry) -> FeatureSet:
     if parenthetical is not None:
         parenthetical = _characters(parenthetical, f"{where}.parenthetical",
                                     roster)
-        if not parenthetical:
-            raise ValidationError(f"sentence {sid}: parenthetical subject "
-                                  "must name at least one character")
-
-    head = raw.get("headNounPrivateState")
-    if head is not None:
-        if not isinstance(head, str) or head not in soas:
-            raise ValidationError(
-                f"sentence {sid}: headNounPrivateState references unknown "
-                f"state of affairs {head!r}")
-        if soas[head].type is not SoaType.PRIVATE_STATE:
-            raise ValidationError(
-                f"sentence {sid}: headNounPrivateState {head!r} must be a "
-                "private-state state of affairs")
-
     quoted = _flag(raw, "quotedSpeech", where)
-    if quoted and soas[mains[0].soa].type is not SoaType.ACTION:
-        raise ValidationError(
-            f"sentence {sid}: quoted speech must be about a communicative "
-            "action (main state of affairs of type 'action')")
-    return FeatureSet(tuple(clauses.values()), tuple(soas.values()),
-                      tuple(pses.values()), parenthetical, head, quoted)
-
-
-def _check_acyclic(clauses: dict[str, Clause], sid) -> None:
-    """Depth-first with an explicit stack, so that no chain is too long."""
-    finished: dict[str, bool] = {}  # False while on the stack
-    for start in clauses:
-        if start in finished:
-            continue
-        stack = [(start, iter(sorted(clauses[start].under)))]
-        finished[start] = False
-        while stack:
-            node, parents = stack[-1]
-            parent = next(parents, None)
-            if parent is None:
-                stack.pop()
-                finished[node] = True
-            elif parent not in finished:
-                stack.append((parent, iter(sorted(clauses[parent].under))))
-                finished[parent] = False
-            elif not finished[parent]:
-                cycle = " -> ".join([n for n, _ in stack] + [parent])
-                raise ValidationError(f"sentence {sid}: clause subordination "
-                                      f"cycle: {cycle}")
+    try:
+        return FeatureSet(tuple(clauses.values()), tuple(soas.values()),
+                          tuple(pses.values()), parenthetical,
+                          raw.get("headNounPrivateState"), quoted)
+    except ValidationError as exc:
+        raise ValidationError(f"sentence {sid}: {exc}") from None
 
 
 # -- field readers: each checks one shape and names the place that breaks it

@@ -206,9 +206,7 @@ class Engine:
         if fs.parenthetical:
             return fs.parenthetical, "parenthetical"
         who = chosen.who
-        # an empty parenthetical, which only a hand-built feature set can
-        # carry, names nobody but still rules out the experiencer
-        if fs.parenthetical is None and who and private and not considerable:
+        if who and private and not considerable:
             # mid-context, only a strict narrowing or broadening of the
             # current point of view may come from the experiencer
             if (context.situation is not TextSituation.CONTINUING_SUBJECTIVE

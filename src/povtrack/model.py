@@ -72,13 +72,6 @@ _UP_TO_LEVEL: dict[int, frozenset[TextSituation]] = {
     for level in range(1, len(_LEVEL_SITUATIONS) + 1)}
 
 
-def situations_up_to_level(level: int) -> frozenset[TextSituation]:
-    """All situations in which a level-``level`` category is subjective."""
-    if level not in _UP_TO_LEVEL:
-        raise ValueError(f"level must be in 1..4, got {level!r}")
-    return _UP_TO_LEVEL[level]
-
-
 @dataclass(frozen=True)
 class PseCategory:
     """One category of potential subjective element.
@@ -96,9 +89,13 @@ class PseCategory:
     excluded: bool = False
 
     def __post_init__(self) -> None:
-        if self.level not in (1, 2, 3, 4):
+        level = self.level
+        if not isinstance(level, int) or isinstance(level, bool):
             raise RegistryError(
-                f"category {self.name!r}: level must be in 1..4, got {self.level!r}")
+                f"category {self.name!r}: level must be an integer")
+        if level not in _UP_TO_LEVEL:
+            raise RegistryError(
+                f"category {self.name!r}: level must be in 1..4, got {level}")
 
     @property
     def situations(self) -> frozenset[TextSituation]:
@@ -217,7 +214,9 @@ class Pse:
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """The annotations of a single sentential input item."""
+    """The annotations of a single sentential input item.  Building one
+    checks every rule that relates its fields, and raises ValidationError
+    for the first one broken."""
 
     clauses: tuple[Clause, ...]
     soas: tuple[StateOfAffairs, ...]
@@ -229,10 +228,49 @@ class FeatureSet:
     main: Clause = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        soas = {soa.id: soa for soa in self.soas}
+        clauses = {clause.id: clause for clause in self.clauses}
+        for clause in self.clauses:
+            if clause.soa not in soas:
+                raise ValidationError(
+                    f"clause {clause.id!r} references unknown state of "
+                    f"affairs {clause.soa!r}")
+            if not clause.under <= clauses.keys():
+                raise ValidationError(
+                    f"clause {clause.id!r} subordinated to unknown "
+                    f"clause(s) {sorted(clause.under - clauses.keys())}")
+        if not self.clauses:
+            raise ValidationError("at least one clause required")
         mains = [c for c in self.clauses if not c.under]
-        if len(mains) != 1:
+        if not mains:
             raise ValidationError(
-                f"expected exactly one main clause, found {len(mains)}")
+                "no main clause (every clause is subordinated)")
+        if len(mains) > 1:
+            raise ValidationError("multiple main clauses "
+                                  f"({', '.join(sorted(c.id for c in mains))})")
+        _check_acyclic(clauses)
+        for pse in self.pses:
+            if not pse.under <= clauses.keys():
+                raise ValidationError(
+                    f"element {pse.id!r} subordinated to unknown clause(s) "
+                    f"{sorted(pse.under - clauses.keys())}")
+        if self.parenthetical is not None and not self.parenthetical:
+            raise ValidationError(
+                "parenthetical subject must name at least one character")
+        head = self.head_noun_private_state
+        if head is not None:
+            if not isinstance(head, str) or head not in soas:
+                raise ValidationError("headNounPrivateState references "
+                                      f"unknown state of affairs {head!r}")
+            if soas[head].type is not SoaType.PRIVATE_STATE:
+                raise ValidationError(
+                    f"headNounPrivateState {head!r} must be a private-state "
+                    "state of affairs")
+        if (self.quoted_speech
+                and soas[mains[0].soa].type is not SoaType.ACTION):
+            raise ValidationError(
+                "quoted speech must be about a communicative action (main "
+                "state of affairs of type 'action')")
         object.__setattr__(self, "main", mains[0])
 
     def clause_about(self, soa_id: str) -> Clause | None:
@@ -244,6 +282,28 @@ class FeatureSet:
                 if clause.soa == soa_id:
                     return clause
         return None
+
+
+def _check_acyclic(clauses: dict[str, Clause]) -> None:
+    """Depth-first with an explicit stack, so that no chain is too long."""
+    finished: dict[str, bool] = {}  # False while on the stack
+    for start in clauses:
+        if start in finished:
+            continue
+        stack = [(start, iter(sorted(clauses[start].under)))]
+        finished[start] = False
+        while stack:
+            node, parents = stack[-1]
+            parent = next(parents, None)
+            if parent is None:
+                stack.pop()
+                finished[node] = True
+            elif parent not in finished:
+                stack.append((parent, iter(sorted(clauses[parent].under))))
+                finished[parent] = False
+            elif not finished[parent]:
+                cycle = " -> ".join([n for n, _ in stack] + [parent])
+                raise ValidationError(f"clause subordination cycle: {cycle}")
 
 
 @dataclass(frozen=True)
@@ -267,12 +327,25 @@ class Interpretation:
         return "subjective" if self.subjective else "objective"
 
 
+# what splits a tab-separated verdict line: the tab, and every character
+# at which str.splitlines breaks a line
+SEPARATORS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+# a str.translate table writing each separator as its escape: "\t", "\u2028"
+ESCAPE_SEPARATORS = {ord(c): repr(c)[1:-1] for c in SEPARATORS}
+
+
 @dataclass(frozen=True)
 class Sentence:
     id: str
     features: FeatureSet
     text: str | None = None
     gold: Interpretation | None = None
+
+    def __post_init__(self) -> None:
+        # the id heads a tab-separated verdict line, which it must not split
+        if not SEPARATORS.isdisjoint(self.id):
+            raise ValidationError(f"sentence id {self.id!r} must not hold a "
+                                  "tab or line break")
 
 
 @dataclass(frozen=True)

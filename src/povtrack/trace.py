@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .engine import TrackStep
 from .model import (
+    ESCAPE_SEPARATORS,
     Characters,
     ParagraphBreak,
     SceneBreak,
@@ -66,7 +67,8 @@ def _render_sentence(step: TrackStep) -> list[str]:
 
     head = f"--- {item.id}"
     if item.text:
-        head += f": {item.text}"
+        # escaped, the head stays one line that no reader takes for a verdict
+        head += f": {item.text.translate(ESCAPE_SEPARATORS)}"
     lines = [head, "At the beginning of this sentence:",
              f"    The situation is {SHORT[before.situation]}"]
     lines += _expected_lines(before)

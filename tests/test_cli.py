@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -33,6 +34,22 @@ def test_track_trace_agrees_on_interpretation_lines(capsys):
     kept = [line for line in traced.splitlines() if line in plain_lines]
     assert kept == plain_lines
     assert "Competition between the last_subj_char" in traced
+
+
+def test_trace_head_escapes_a_text_that_forges_a_verdict(tmp_path, capsys):
+    data = json.loads(fixture_path("demo1").read_bytes())
+    data["items"][0]["text"] = "x\ns9\tSUBJECTIVE\tJapheth"
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(data))
+    code, plain, _ = run(capsys, "track", path)
+    assert code == 0
+    code, traced, _ = run(capsys, "track", path, "--trace")
+    assert code == 0
+    lines = traced.splitlines()
+    assert lines[0] == "--- s1: x\\ns9\\tSUBJECTIVE\\tJapheth"
+    verdict = re.compile("[^\t]*\t(SUBJECTIVE|OBJECTIVE)\t[^\t]*")
+    assert [line for line in lines if verdict.fullmatch(line)] == \
+        plain.splitlines()
 
 
 def test_track_out_writes_file(tmp_path, capsys):
@@ -205,10 +222,11 @@ def chain_document(n, cycle):
             "clauses": clauses}}]}).encode()
 
 
-def demo1_with_first_id(sid):
-    """demo1 with its first sentence id replaced."""
+def demo1_with_first_id(sid, drop=None):
+    """demo1 with its first sentence id replaced, and a field dropped."""
     data = json.loads(fixture_path("demo1").read_bytes())
     data["items"][0]["id"] = sid
+    data["items"][0].pop(drop, None)
     return json.dumps(data).encode()
 
 
@@ -223,6 +241,16 @@ def demo1_with_first_id(sid):
     pytest.param(demo1_with_first_id("a\tb\nOBJ"),
                  "items[0]: sentence id 'a\\tb\\nOBJ' must not hold a tab",
                  id="line-forging-id"),
+    pytest.param(demo1_with_first_id("s1\u2028s9"),
+                 "items[0]: sentence id 's1\\u2028s9' must not hold a tab",
+                 id="line-separator-id"),
+    pytest.param(demo1_with_first_id("s1\x85s9"),
+                 "items[0]: sentence id 's1\\x85s9' must not hold a tab",
+                 id="next-line-id"),
+    # a second fault is found first, and its message quotes the id
+    pytest.param(demo1_with_first_id("a\nb", drop="features"),
+                 "sentence a\\nb: features: must be an object",
+                 id="line-forging-id-and-no-features"),
 ])
 @pytest.mark.parametrize("command", ["track", "eval", "validate"])
 def test_hostile_input_exits_1_without_traceback(tmp_path, capsys, command,

@@ -397,7 +397,8 @@ def test_document_from_dict_refuses_cycles_and_non_string_keys():
         document_from_dict({1: "x"})
 
 
-@pytest.mark.parametrize("sid", ["a\tb\nOBJ", "s1\r", "\ns1", "\t"])
+@pytest.mark.parametrize("sid", ["a\tb\nOBJ", "s1\r", "\ns1", "\t"] + [
+    f"s1{c}s9" for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"])
 def test_sentence_id_cannot_hold_a_tab_or_line_break(sid):
     with pytest.raises(ValidationError, match=re.escape(
             f"items[0]: sentence id {sid!r} must not hold a tab or line "

@@ -1,5 +1,6 @@
 import dataclasses
-import re
+import json
+from functools import partial
 
 import pytest
 
@@ -7,21 +8,28 @@ from povtrack import (
     Clause,
     DEFAULT_REGISTRY,
     FeatureSet,
+    Pse,
     PseCategory,
     RegistryError,
+    Sentence,
     SoaType,
     StateOfAffairs,
     TextSituation,
     ValidationError,
+    parse_document,
+    parse_registry,
     registry_lookup,
-    situations_up_to_level,
 )
+
+
+def up_to(level):
+    return PseCategory("x", level).situations
 
 
 def introduced_at(level):
     """The text situations introduced at exactly this strength level."""
-    below = situations_up_to_level(level - 1) if level > 1 else frozenset()
-    return situations_up_to_level(level) - below
+    below = up_to(level - 1) if level > 1 else frozenset()
+    return up_to(level) - below
 
 
 def test_level_sets():
@@ -45,16 +53,14 @@ def test_level_sets_partition_all_situations():
 
 @pytest.mark.parametrize("level", [0, 5, -1])
 def test_level_out_of_range_rejected(level):
-    with pytest.raises(ValueError):
+    with pytest.raises(RegistryError, match="level must be in 1..4"):
         introduced_at(level)
-    with pytest.raises(ValueError):
-        situations_up_to_level(level)
 
 
 def test_association_sets_grow_with_level():
     previous = frozenset()
     for level in range(1, 5):
-        current = situations_up_to_level(level)
+        current = up_to(level)
         assert previous < current
         previous = current
 
@@ -108,18 +114,110 @@ def test_category_level_validated():
 ACTION = (StateOfAffairs("a1", SoaType.ACTION),)
 
 
-@pytest.mark.parametrize("unders, found", [
-    ((), 0),
-    (({"c2"}, {"c1"}), 0),
-    (((), ()), 2),
-    (((), {"c1"}, ()), 2),
-])
-def test_feature_set_needs_one_main_clause_at_construction(unders, found):
-    clauses = tuple(Clause(f"c{i + 1}", "a1", frozenset(under))
-                    for i, under in enumerate(unders))
-    with pytest.raises(ValidationError, match=re.escape(
-            f"expected exactly one main clause, found {found}")):
-        FeatureSet(clauses, ACTION)
+# -- each annotation rule, checked by the type it constrains -----------------
+
+SOAS = ACTION + (StateOfAffairs("p1", SoaType.PRIVATE_STATE,
+                                frozenset({"Zoe"})),)
+MAIN = Clause("c1", "a1")
+
+
+def under(cid, soa, *parents):
+    return Clause(cid, soa, frozenset(parents))
+
+
+def features_json(clauses, soas, pses=(), parenthetical=None,
+                  head_noun_private_state=None, quoted_speech=False):
+    """The document form of FeatureSet's fields."""
+    out = {"quotedSpeech": quoted_speech,
+           "soas": [{"id": s.id, "type": s.type.value, "who": sorted(s.who)}
+                    for s in soas],
+           "clauses": [{"id": c.id, "soa": c.soa, "under": sorted(c.under)}
+                       for c in clauses],
+           "pses": [{"id": p.id, "category": p.category,
+                     "under": sorted(p.under)} for p in pses]}
+    if parenthetical is not None:
+        out["parenthetical"] = sorted(parenthetical)
+    if head_noun_private_state is not None:
+        out["headNounPrivateState"] = head_noun_private_state
+    return out
+
+
+def document(sid="s1", **fields):
+    fields = {"clauses": (MAIN,), "soas": SOAS, **fields}
+    return json.dumps({"roster": ["Zoe"], "items": [
+        {"kind": "sentence", "id": sid, "features": features_json(**fields)}]})
+
+
+def feature_rule(name, message, **fields):
+    fields = {"clauses": (MAIN,), "soas": SOAS, **fields}
+    return pytest.param(partial(FeatureSet, **fields),
+                        partial(parse_document, document(**fields)),
+                        ValidationError, message, "sentence s1: ", id=name)
+
+
+def id_rule(sid):
+    return pytest.param(partial(Sentence, sid, FeatureSet((MAIN,), SOAS)),
+                        partial(parse_document, document(sid)),
+                        ValidationError,
+                        f"sentence id {sid!r} must not hold a tab or line "
+                        "break", "items[0]: ", id=f"id-{sid!r}")
+
+
+def level_rule(level, message):
+    return pytest.param(partial(PseCategory, "x", level),
+                        partial(parse_registry, json.dumps({"x": {
+                            "level": level}})),
+                        RegistryError, f"category 'x': level must be {message}",
+                        "registry: ", id=f"level-{level!r}")
+
+
+RULES = [
+    feature_rule("missing-soa", "clause 'c1' references unknown state of "
+                 "affairs 'a9'", clauses=(Clause("c1", "a9"),)),
+    feature_rule("clause-under-missing", "clause 'c2' subordinated to "
+                 "unknown clause(s) ['c9']",
+                 clauses=(MAIN, under("c2", "a1", "c9"))),
+    feature_rule("no-clause", "at least one clause required", clauses=()),
+    feature_rule("no-main", "no main clause (every clause is subordinated)",
+                 clauses=(under("c1", "a1", "c2"), under("c2", "a1", "c1"))),
+    feature_rule("two-mains", "multiple main clauses (c1, c3)",
+                 clauses=(MAIN, under("c2", "a1", "c1"), Clause("c3", "a1"))),
+    feature_rule("cycle", "clause subordination cycle: c2 -> c3 -> c2",
+                 clauses=(MAIN, under("c2", "a1", "c3"),
+                          under("c3", "a1", "c2"))),
+    feature_rule("element-under-missing", "element 'e1' subordinated to "
+                 "unknown clause(s) ['c9']",
+                 pses=(Pse("e1", "question", frozenset({"c9"})),)),
+    feature_rule("empty-parenthetical", "parenthetical subject must name "
+                 "at least one character", parenthetical=frozenset()),
+    feature_rule("missing-head-noun", "headNounPrivateState references "
+                 "unknown state of affairs 'p9'",
+                 head_noun_private_state="p9"),
+    feature_rule("head-noun-not-private", "headNounPrivateState 'a1' must "
+                 "be a private-state state of affairs",
+                 head_noun_private_state="a1"),
+    feature_rule("quoted-private-state", "quoted speech must be about a "
+                 "communicative action (main state of affairs of type "
+                 "'action')", clauses=(Clause("c1", "p1"),),
+                 quoted_speech=True),
+    id_rule("a\tb"),
+    id_rule("s1\u2028s9"),
+    id_rule("s1\x85"),
+    level_rule(0, "in 1..4, got 0"),
+    level_rule(True, "an integer"),
+    level_rule(2.0, "an integer"),
+]
+
+
+@pytest.mark.parametrize("build, parse, error, message, place", RULES)
+def test_broken_rule_is_refused_where_the_object_is_built(
+        build, parse, error, message, place):
+    with pytest.raises(error) as built:
+        build()
+    assert str(built.value) == message
+    with pytest.raises(error) as parsed:
+        parse()
+    assert str(parsed.value) == place + message
 
 
 def test_main_clause_takes_no_part_in_eq_hash_or_replace():

@@ -14,14 +14,8 @@ import json
 import pytest
 
 from povtrack import (
-    Clause,
-    Context,
     Engine,
-    FeatureSet,
     SignificancePolicy,
-    SoaType,
-    StateOfAffairs,
-    TextSituation,
     evaluate,
     interpretation_line,
     render_trace,
@@ -154,19 +148,3 @@ def test_outputs_match_pinned_digests(name, policy):
              digest(report.render()))
     assert found == tuple(PINNED[(name, policy.value)].split())
 
-
-def test_empty_parenthetical_falls_through_to_expected_characters():
-    # the parser rejects an empty parenthetical, but a hand-built
-    # feature set may carry one: it makes the sentence subjective
-    # without naming anyone, so identification uses the context
-    features = FeatureSet(
-        clauses=(Clause("c1", "a1"),),
-        soas=(StateOfAffairs("a1", SoaType.ACTION, frozenset({"Newt"})),),
-        parenthetical=frozenset())
-    context = Context(frozenset({"Zoe"}), frozenset(), frozenset({"Zoe"}),
-                      TextSituation.BROKEN_SUBJECTIVE)
-    interpretation, detail = Engine().interpret(features, context)
-    assert interpretation.subjective
-    assert interpretation.characters == {"Zoe"}
-    assert detail.trigger == "parenthetical"
-    assert detail.sc_source == "last-sc"

@@ -1,5 +1,9 @@
 """Golden trace output and byte stability."""
 
+import dataclasses
+
+import pytest
+
 from povtrack import (
     Engine,
     SignificancePolicy,
@@ -101,3 +105,13 @@ def test_readme_library_example_words_the_engines_policy():
     text = render_trace(engine.track_document(fixture_doc("lynette")))
     assert "lacks a significant previous subjective context" in text
     assert "has not been a subjective character" not in text
+
+
+@pytest.mark.parametrize("separator", "\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+def test_sentence_head_escapes_tabs_and_line_breaks(separator):
+    doc = fixture_doc("demo1")
+    first = dataclasses.replace(doc.items[0], text=f"a{separator}b")
+    step = Engine().track([first])[0]
+    escaped = repr(separator)[1:-1]
+    assert render_step(step)[0] == f"--- s1: a{escaped}b"
+    assert len(render_trace([step]).splitlines()) == len(render_step(step))
