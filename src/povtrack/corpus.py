@@ -263,7 +263,9 @@ def _parse_item(raw, where, roster, registry, seen_ids) -> InputItem:
     if kind != "sentence":
         raise ValidationError(f"{where}: unknown kind {kind!r}")
     _object(raw, _SENTENCE_KEYS, where)
-    sid = _id(raw, where, seen_ids, "sentence")
+    sid = _id(raw, where, "sentence")
+    if sid in seen_ids:
+        raise ValidationError(f"{where}: duplicate sentence id {sid!r}")
     seen_ids.add(sid)
     text = raw.get("text")
     if text is not None and not isinstance(text, str):
@@ -288,22 +290,22 @@ def _parse_features(raw, sid, roster, registry) -> FeatureSet:
     where = f"sentence {sid}: features"
     _object(raw, _FEATURE_KEYS, where)
 
-    soas: dict[str, StateOfAffairs] = {}
+    soas: list[StateOfAffairs] = []
     for i, entry in enumerate(_array(raw.get("soas", []), f"{where}.soas")):
         place = f"{where}.soas[{i}]"
         _object(entry, _SOA_KEYS, place)
-        soa_id = _id(entry, place, soas, "state-of-affairs")
+        soa_id = _id(entry, place, "state-of-affairs")
         soa_type = _member(SoaType, entry.get("type", ""), place,
                            "state-of-affairs type")
         who = _characters(entry.get("who", []), f"{place}.who", roster)
-        soas[soa_id] = StateOfAffairs(soa_id, soa_type, who)
+        soas.append(StateOfAffairs(soa_id, soa_type, who))
 
-    clauses: dict[str, Clause] = {}
+    clauses: list[Clause] = []
     for i, entry in enumerate(_array(raw.get("clauses", []),
                                      f"{where}.clauses")):
         place = f"{where}.clauses[{i}]"
         _object(entry, _CLAUSE_KEYS, place)
-        clause_id = _id(entry, place, clauses, "clause")
+        clause_id = _id(entry, place, "clause")
         soa = entry.get("soa")
         if not isinstance(soa, str):
             raise ValidationError(f"{place}: soa must be a string")
@@ -315,14 +317,13 @@ def _parse_features(raw, sid, roster, registry) -> FeatureSet:
             if not isinstance(value, bool):
                 raise ValidationError(f"{place}: vp.{key} must be a boolean")
             flags[attr] = value
-        clauses[clause_id] = Clause(clause_id, soa, under,
-                                    VerbFeatures(**flags))
+        clauses.append(Clause(clause_id, soa, under, VerbFeatures(**flags)))
 
-    pses: dict[str, Pse] = {}
+    pses: list[Pse] = []
     for i, entry in enumerate(_array(raw.get("pses", []), f"{where}.pses")):
         place = f"{where}.pses[{i}]"
         _object(entry, _PSE_KEYS, place)
-        pse_id = _id(entry, place, pses, "element")
+        pse_id = _id(entry, place, "element")
         category = entry.get("category")
         if not isinstance(category, str) or not category:
             raise ValidationError(f"{place}: category must be a non-empty "
@@ -332,7 +333,7 @@ def _parse_features(raw, sid, roster, registry) -> FeatureSet:
             raise ValidationError(
                 f"sentence {sid}: element {pse_id!r} has unknown category "
                 f"{category!r}")
-        pses[pse_id] = Pse(pse_id, category, under)
+        pses.append(Pse(pse_id, category, under))
 
     parenthetical = raw.get("parenthetical")
     if parenthetical is not None:
@@ -340,9 +341,9 @@ def _parse_features(raw, sid, roster, registry) -> FeatureSet:
                                     roster)
     quoted = _flag(raw, "quotedSpeech", where)
     try:
-        return FeatureSet(tuple(clauses.values()), tuple(soas.values()),
-                          tuple(pses.values()), parenthetical,
-                          raw.get("headNounPrivateState"), quoted)
+        return FeatureSet(tuple(clauses), tuple(soas), tuple(pses),
+                          parenthetical, raw.get("headNounPrivateState"),
+                          quoted)
     except ValidationError as exc:
         raise ValidationError(f"sentence {sid}: {exc}") from None
 
@@ -359,12 +360,10 @@ def _object(value, keys, where) -> dict:
     return value
 
 
-def _id(raw, where, seen, what) -> str:
+def _id(raw, where, what) -> str:
     value = raw.get("id")
     if not isinstance(value, str) or not value:
         raise ValidationError(f"{where}: {what} id must be a non-empty string")
-    if value in seen:
-        raise ValidationError(f"{where}: duplicate {what} id {value!r}")
     return value
 
 

@@ -25,6 +25,7 @@ from .model import (
     InputItem,
     Interpretation,
     NOBODY,
+    PRIVATE_SOA_TYPES,
     Pse,
     PseCategory,
     Sentence,
@@ -92,26 +93,23 @@ class Engine:
 
     # -- state-of-affairs selection ------------------------------------
 
-    def treat_as_private_state(self, soa: StateOfAffairs, context: Context,
-                               qualified: Characters | None = None) -> bool:
+    def treat_as_private_state(self, soa: StateOfAffairs,
+                               qualified: Characters) -> bool:
         """Whether a state of affairs reads as a private state here.
 
         A private state always does.  A private-state action does when
         its actors are all *qualified*: their subjective past is
-        significant under the policy.  Without ``qualified``, everyone
-        in ``context.previous_scs`` counts as qualified.
+        significant under the policy.
         """
         if soa.type is SoaType.PRIVATE_STATE:
             return True
-        if qualified is None:
-            qualified = context.previous_scs
         return (soa.type is SoaType.PRIVATE_STATE_ACTION
                 and bool(soa.who) and soa.who <= qualified)
 
-    def choose_state_of_affairs(self, fs: FeatureSet, context: Context,
-                                qualified: Characters | None = None
-                                ) -> StateOfAffairs:
-        """Pick the single state of affairs the sentence is taken to be about.
+    def choose_state_of_affairs(self, fs: FeatureSet, qualified: Characters
+                                ) -> tuple[StateOfAffairs, bool]:
+        """Pick the single state of affairs the sentence is taken to be
+        about, and whether it reads as a private state.
 
         Preference order: a private-state (or private-state-reading
         action) main clause, then a private-state head noun, then the
@@ -120,22 +118,20 @@ class Engine:
         """
         soas = {soa.id: soa for soa in fs.soas}
         main = soas[fs.main.soa]
-        if self.treat_as_private_state(main, context, qualified):
-            return main
+        if self.treat_as_private_state(main, qualified):
+            return main, True
         if fs.head_noun_private_state is not None:
-            return soas[fs.head_noun_private_state]
-        private_clauses = {
-            c.id for c in fs.clauses
-            if soas[c.soa].type in (SoaType.PRIVATE_STATE,
-                                    SoaType.PRIVATE_STATE_ACTION)}
+            return soas[fs.head_noun_private_state], True
+        private_clauses = {c.id for c in fs.clauses
+                           if soas[c.soa].type in PRIVATE_SOA_TYPES}
         # ties broken by annotation order, so runs are reproducible
         for clause in fs.clauses:
             if clause is fs.main or clause.under & private_clauses:
                 continue
             soa = soas[clause.soa]
-            if self.treat_as_private_state(soa, context, qualified):
-                return soa
-        return main
+            if self.treat_as_private_state(soa, qualified):
+                return soa, True
+        return main, False
 
     # -- subjective elements -------------------------------------------
 
@@ -151,7 +147,7 @@ class Engine:
     # -- the decision --------------------------------------------------
 
     def interpret(self, fs: FeatureSet, context: Context,
-                  qualified: Characters | None = None
+                  qualified: Characters
                   ) -> tuple[Interpretation, InterpretationDetail]:
         """Interpret one sentence, keeping the reasoning for the trace.
 
@@ -160,8 +156,7 @@ class Engine:
         subjective character: fired, not subordinated to it, and of a
         non-excluded category.
         """
-        chosen = self.choose_state_of_affairs(fs, context, qualified)
-        private = self.treat_as_private_state(chosen, context, qualified)
+        chosen, private = self.choose_state_of_affairs(fs, qualified)
         fired = self.subjective_elements(fs, context)
         clause = fs.clause_about(chosen.id)
         considerable = tuple(

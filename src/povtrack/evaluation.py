@@ -26,9 +26,9 @@ from .corpus import Document
 from .model import (
     Characters,
     Interpretation,
+    PRIVATE_SOA_TYPES,
     SceneBreak,
     Sentence,
-    SoaType,
     ValidationError,
 )
 
@@ -107,14 +107,9 @@ def is_simple_quoted_speech(sentence: Sentence) -> bool:
     fs = sentence.features
     if not fs.quoted_speech or fs.pses:
         return False
-    soas = {soa.id: soa for soa in fs.soas}
-    for clause in fs.clauses:
-        if clause is fs.main:
-            continue
-        if soas[clause.soa].type in (SoaType.PRIVATE_STATE,
-                                     SoaType.PRIVATE_STATE_ACTION):
-            return False
-    return True
+    types = {soa.id: soa.type for soa in fs.soas}
+    # the main clause is about an action: FeatureSet requires it
+    return all(types[c.soa] not in PRIVATE_SOA_TYPES for c in fs.clauses)
 
 
 @dataclass

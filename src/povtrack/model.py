@@ -159,6 +159,10 @@ class SoaType(Enum):
     NONPRIVATE_STATE = "nonprivate-state"
 
 
+# the types a state of affairs may read as a private state under
+PRIVATE_SOA_TYPES = (SoaType.PRIVATE_STATE, SoaType.PRIVATE_STATE_ACTION)
+
+
 @dataclass(frozen=True)
 class StateOfAffairs:
     """What a clause (or a private-state head noun) is about.
@@ -230,6 +234,17 @@ class FeatureSet:
     def __post_init__(self) -> None:
         soas = {soa.id: soa for soa in self.soas}
         clauses = {clause.id: clause for clause in self.clauses}
+        for what, objects, ids in (
+                ("state-of-affairs", self.soas, soas),
+                ("clause", self.clauses, clauses),
+                ("element", self.pses, {pse.id for pse in self.pses})):
+            if len(ids) < len(objects):
+                seen: set[str] = set()
+                for obj in objects:
+                    if obj.id in seen:
+                        raise ValidationError(
+                            f"duplicate {what} id {obj.id!r}")
+                    seen.add(obj.id)
         for clause in self.clauses:
             if clause.soa not in soas:
                 raise ValidationError(

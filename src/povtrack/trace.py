@@ -25,15 +25,9 @@ from .situations import (
     last_subjective_character_expected,
 )
 
-SHORT = {
-    TextSituation.PRESUBJECTIVE_NONACTIVE: "presubj-nonactive",
-    TextSituation.PRESUBJECTIVE_ACTIVE: "presubj-active",
-    TextSituation.CONTINUING_SUBJECTIVE: "continuing-subj",
-    TextSituation.BROKEN_SUBJECTIVE: "broken-subj",
-    TextSituation.INTERRUPTED_SUBJECTIVE: "interrupted-subj",
-    TextSituation.POSTSUBJECTIVE_NONACTIVE: "postsubj-nonactive",
-    TextSituation.POSTSUBJECTIVE_ACTIVE: "postsubj-active",
-}
+SHORT = {s: s.value.replace("subjective", "subj") for s in TextSituation}
+# the sentence head escapes a backslash too, so no two texts print alike
+_HEAD_ESCAPES = {**ESCAPE_SEPARATORS, ord("\\"): "\\\\"}
 # why a private-state action was read as an action, by detail.action_reason
 _WHY_ACTION = {
     "never-subjective": "has not been a subjective character",
@@ -68,7 +62,7 @@ def _render_sentence(step: TrackStep) -> list[str]:
     head = f"--- {item.id}"
     if item.text:
         # escaped, the head stays one line that no reader takes for a verdict
-        head += f": {item.text.translate(ESCAPE_SEPARATORS)}"
+        head += f": {item.text.translate(_HEAD_ESCAPES)}"
     lines = [head, "At the beginning of this sentence:",
              f"    The situation is {SHORT[before.situation]}"]
     lines += _expected_lines(before)

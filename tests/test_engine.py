@@ -57,7 +57,8 @@ def engine():
 
 
 def verdict(engine, features, context):
-    interpretation, _detail = engine.interpret(features, context)
+    interpretation, _detail = engine.interpret(features, context,
+                                               context.previous_scs)
     return interpretation
 
 
@@ -69,13 +70,22 @@ def subjective_character(engine, features, context):
 
 def considerable(engine, features, context):
     """Elements usable as evidence against the chosen experiencer."""
-    _interpretation, detail = engine.interpret(features, context)
+    _interpretation, detail = engine.interpret(features, context,
+                                               context.previous_scs)
     return detail.considerable
 
 
 def source(engine, features, context):
-    _interpretation, detail = engine.interpret(features, context)
+    _interpretation, detail = engine.interpret(features, context,
+                                               context.previous_scs)
     return detail.sc_source
+
+
+def choose(engine, features, context=INITIAL_CONTEXT):
+    """The chosen state of affairs, everyone in previous_scs qualified."""
+    soa, _reads_private = engine.choose_state_of_affairs(
+        features, context.previous_scs)
+    return soa
 
 
 # where the subjective character comes from when the sentence names it
@@ -89,20 +99,20 @@ def test_choose_plain_action_main_clause(engine):
     # "Japheth turned the book over in a puzzled manner." -- the manner
     # adverbial is not annotated as a state of affairs at all
     features = fs([soa("a1", "action", {"Japheth"})], [clause("c1", "a1")])
-    chosen = engine.choose_state_of_affairs(features, INITIAL_CONTEXT)
+    chosen = choose(engine, features)
     assert chosen.id == "a1"
 
 
 def test_choose_private_state_main_clause(engine):
     features = fs([soa("a1", "private-state", {"Zoe"})], [clause("c1", "a1")])
-    assert engine.choose_state_of_affairs(features, INITIAL_CONTEXT).id == "a1"
+    assert choose(engine, features).id == "a1"
 
 
 def test_choose_head_noun_private_state(engine):
     # "The pain increased."
     features = fs([soa("a1", "action"), soa("a2", "private-state")],
                   [clause("c1", "a1")], head_noun_private_state="a2")
-    assert engine.choose_state_of_affairs(features, INITIAL_CONTEXT).id == "a2"
+    assert choose(engine, features).id == "a2"
 
 
 def test_private_state_main_clause_beats_head_noun(engine):
@@ -110,7 +120,7 @@ def test_private_state_main_clause_beats_head_noun(engine):
     features = fs([soa("a1", "private-state", {"Call"}),
                    soa("a2", "private-state")],
                   [clause("c1", "a1")], head_noun_private_state="a2")
-    assert engine.choose_state_of_affairs(features, INITIAL_CONTEXT).id == "a1"
+    assert choose(engine, features).id == "a1"
 
 
 def test_choose_subordinated_private_state_clause(engine):
@@ -121,7 +131,7 @@ def test_choose_subordinated_private_state_clause(engine):
          soa("a3", "private-state", {"Call"})],
         [clause("c1", "a1"), clause("c2", "a2", under={"c1"}),
          clause("c3", "a3", under={"c1"})])
-    assert engine.choose_state_of_affairs(features, INITIAL_CONTEXT).id == "a3"
+    assert choose(engine, features).id == "a3"
 
 
 def test_candidate_under_private_state_clause_is_skipped(engine):
@@ -132,7 +142,7 @@ def test_candidate_under_private_state_clause_is_skipped(engine):
          soa("a3", "private-state", {"Joe"})],
         [clause("c1", "a1"), clause("c2", "a2", under={"c1"}),
          clause("c3", "a3", under={"c2"})])
-    assert engine.choose_state_of_affairs(features, INITIAL_CONTEXT).id == "a2"
+    assert choose(engine, features).id == "a2"
 
 
 def test_candidate_tie_broken_by_annotation_order(engine):
@@ -141,19 +151,19 @@ def test_candidate_tie_broken_by_annotation_order(engine):
          soa("a3", "private-state", {"Joe"})],
         [clause("c1", "a1"), clause("c2", "a2", under={"c1"}),
          clause("c3", "a3", under={"c1"})])
-    assert engine.choose_state_of_affairs(features, INITIAL_CONTEXT).id == "a2"
+    assert choose(engine, features).id == "a2"
     flipped = fs(
         [soa("a1", "action", {"Zoe"}), soa("a2", "private-state", {"Zoe"}),
          soa("a3", "private-state", {"Joe"})],
         [clause("c1", "a1"), clause("c3", "a3", under={"c1"}),
          clause("c2", "a2", under={"c1"})])
-    assert engine.choose_state_of_affairs(flipped, INITIAL_CONTEXT).id == "a3"
+    assert choose(engine, flipped).id == "a3"
 
 
 def test_quoted_speech_chooses_communicative_action(engine):
     features = fs([soa("a1", "action", {"Zoe"})], [clause("c1", "a1")],
                   quoted_speech=True)
-    assert engine.choose_state_of_affairs(features, INITIAL_CONTEXT).id == "a1"
+    assert choose(engine, features).id == "a1"
 
 
 # -- private-state actions ---------------------------------------------------
@@ -198,8 +208,8 @@ def test_psa_treated_when_actor_was_subjective(engine):
     context = ctx(TS.POSTSUBJECTIVE_NONACTIVE, last_sc={"Zoe"},
                   previous={"Zoe"})
     features = psa_features("Zoe")
-    chosen = engine.choose_state_of_affairs(features, context)
-    assert engine.treat_as_private_state(chosen, context)
+    chosen = choose(engine, features, context)
+    assert engine.treat_as_private_state(chosen, context.previous_scs)
     assert verdict(engine, features, context).subjective
 
 
@@ -207,8 +217,9 @@ def test_psa_not_treated_for_new_actor(engine):
     context = ctx(TS.POSTSUBJECTIVE_NONACTIVE, last_sc={"Zoe"},
                   previous={"Zoe"})
     features = psa_features("Japheth")
-    chosen = engine.choose_state_of_affairs(features, context)
-    assert not engine.treat_as_private_state(chosen, context)
+    chosen = choose(engine, features, context)
+    assert not engine.treat_as_private_state(chosen,
+                                             context.previous_scs)
     assert not verdict(engine, features, context).subjective
     # the actor has never been subjective, so no active character either
     assert verdict(engine, features, context).characters == frozenset()
@@ -218,8 +229,9 @@ def test_psa_with_unspecified_actor_not_treated(engine):
     context = ctx(TS.POSTSUBJECTIVE_NONACTIVE, last_sc={"Zoe"},
                   previous={"Zoe"})
     features = fs([soa("a1", "private-state-action")], [clause("c1", "a1")])
-    chosen = engine.choose_state_of_affairs(features, context)
-    assert not engine.treat_as_private_state(chosen, context)
+    chosen = choose(engine, features, context)
+    assert not engine.treat_as_private_state(chosen,
+                                             context.previous_scs)
 
 
 def thinks(*names, pses=()):
@@ -280,16 +292,12 @@ def test_history_runs_end_at_breaks_and_other_characters():
 
 
 def test_qualified_set_decides_a_private_state_action():
-    context = ctx(TS.POSTSUBJECTIVE_NONACTIVE, last_sc={"Zoe"},
-                  previous={"Zoe"})
     strict = Engine(policy=SignificancePolicy.MIN_LENGTH_2)
     chosen = psa_features("Zoe").soas[0]
-    assert not strict.treat_as_private_state(chosen, context, frozenset())
-    assert strict.treat_as_private_state(chosen, context, frozenset({"Zoe"}))
-    # without a set, everyone in previous_scs counts as qualified
-    assert strict.treat_as_private_state(chosen, context)
+    assert not strict.treat_as_private_state(chosen, frozenset())
+    assert strict.treat_as_private_state(chosen, frozenset({"Zoe"}))
     private_state = soa("a1", "private-state", {"Joe"})
-    assert strict.treat_as_private_state(private_state, context, frozenset())
+    assert strict.treat_as_private_state(private_state, frozenset())
 
 
 def test_parenthetical_sentence_is_not_a_represented_thought():
@@ -371,7 +379,7 @@ def test_nonsubordinated_element_blocks_experiencer(engine):
         [pse("p1", "evidential-evidence", under={"c1"})])
     context = ctx(TS.CONTINUING_SUBJECTIVE, last_sc={"Dennys", "Sandy"},
                   previous={"Dennys", "Sandy"})
-    chosen = engine.choose_state_of_affairs(features, context)
+    chosen = choose(engine, features, context)
     assert chosen.id == "a2"
     assert considerable(engine, features, context)
     assert subjective_character(engine, features, context) == {
@@ -406,7 +414,7 @@ def test_head_noun_soa_never_subordinates_elements(engine):
                   head_noun_private_state="a2")
     context = ctx(TS.BROKEN_SUBJECTIVE, last_sc={"Sandy"},
                   previous={"Sandy"})
-    chosen = engine.choose_state_of_affairs(features, context)
+    chosen = choose(engine, features, context)
     assert chosen.id == "a2"
     # subordinated to c1, but the chosen soa is the head noun's, so the
     # element still blocks the (unspecified) experiencer path
@@ -420,7 +428,7 @@ def test_clause_about_the_head_noun_gives_it_no_scope(engine):
                   head_noun_private_state="hn")
     context = ctx(TS.BROKEN_SUBJECTIVE, last_sc={"Sandy"},
                   previous={"Sandy"})
-    assert engine.choose_state_of_affairs(features, context).id == "hn"
+    assert choose(engine, features, context).id == "hn"
     assert features.clause_about("hn") is None
     assert considerable(engine, features, context)
 
@@ -435,13 +443,16 @@ def test_detail_records_why_a_psa_reads_as_an_action(policy, reason):
     engine = Engine(policy=policy)
     context = ctx(TS.POSTSUBJECTIVE_NONACTIVE, last_sc={"Zoe"},
                   previous={"Zoe"})
-    _, detail = engine.interpret(psa_features("Japheth"), context)
+    _, detail = engine.interpret(psa_features("Japheth"), context,
+                                 context.previous_scs)
     assert (detail.reads_private, detail.action_reason) == (False, reason)
     # read as a private state, or not a private-state action: no reason
-    _, detail = engine.interpret(psa_features("Zoe"), context)
+    _, detail = engine.interpret(psa_features("Zoe"), context,
+                                 context.previous_scs)
     assert (detail.reads_private, detail.action_reason) == (True, None)
     _, detail = engine.interpret(
-        fs([soa("a1", "action", {"Japheth"})], [clause("c1", "a1")]), context)
+        fs([soa("a1", "action", {"Japheth"})], [clause("c1", "a1")]), context,
+        context.previous_scs)
     assert detail.action_reason is None
 
 

@@ -200,6 +200,13 @@ RULES = [
                  "communicative action (main state of affairs of type "
                  "'action')", clauses=(Clause("c1", "p1"),),
                  quoted_speech=True),
+    feature_rule("duplicate-soa", "duplicate state-of-affairs id 'a1'",
+                 soas=SOAS + ACTION),
+    feature_rule("duplicate-clause", "duplicate clause id 'c2'",
+                 clauses=(MAIN, under("c2", "a1", "c1"),
+                          under("c2", "p1", "c1"))),
+    feature_rule("duplicate-element", "duplicate element id 'e1'",
+                 pses=(Pse("e1", "question"), Pse("e1", "exclamation"))),
     id_rule("a\tb"),
     id_rule("s1\u2028s9"),
     id_rule("s1\x85"),

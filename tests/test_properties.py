@@ -127,13 +127,21 @@ def test_break_transition_invariants(context):
 @given(feature_sets(), contexts())
 def test_interpretation_is_deterministic(fs, context):
     engine = Engine()
-    assert engine.interpret(fs, context) == engine.interpret(fs, context)
+    assert (engine.interpret(fs, context, context.previous_scs)
+            == engine.interpret(fs, context, context.previous_scs))
+
+
+@given(feature_sets(), character_sets)
+def test_choice_returns_the_reading_of_the_chosen_state(fs, qualified):
+    engine = Engine()
+    soa, reads_private = engine.choose_state_of_affairs(fs, qualified)
+    assert reads_private == engine.treat_as_private_state(soa, qualified)
 
 
 @given(feature_sets(), contexts())
 def test_identified_character_comes_from_known_sources(fs, context):
     engine = Engine()
-    interp, detail = engine.interpret(fs, context)
+    interp, detail = engine.interpret(fs, context, context.previous_scs)
     if not interp.subjective:
         return
     allowed = (detail.chosen.who | context.last_sc
@@ -146,7 +154,7 @@ def test_identified_character_comes_from_known_sources(fs, context):
 @given(feature_sets(), contexts())
 def test_active_characters_were_subjective_before(fs, context):
     engine = Engine()
-    interp, detail = engine.interpret(fs, context)
+    interp, detail = engine.interpret(fs, context, context.previous_scs)
     if interp.subjective or not interp.characters:
         return
     assert interp.characters <= context.previous_scs
@@ -160,7 +168,7 @@ def test_psa_sentences_never_have_active_characters_by_default(fs, context):
     # under the default policy, an actor qualified to be active would
     # also make the sentence subjective, so the two never co-occur
     engine = Engine()
-    interp, detail = engine.interpret(fs, context)
+    interp, detail = engine.interpret(fs, context, context.previous_scs)
     if detail.chosen.type is SoaType.PRIVATE_STATE_ACTION and \
             not interp.subjective:
         assert interp.characters == frozenset()

@@ -115,3 +115,11 @@ def test_sentence_head_escapes_tabs_and_line_breaks(separator):
     escaped = repr(separator)[1:-1]
     assert render_step(step)[0] == f"--- s1: a{escaped}b"
     assert len(render_trace([step]).splitlines()) == len(render_step(step))
+
+
+def test_sentence_head_tells_an_escape_from_a_line_feed():
+    first = fixture_doc("demo1").items[0]
+    heads = {render_step(Engine().track([
+        dataclasses.replace(first, text=text)])[0])[0]
+        for text in ("x\\ny", "x\ny")}
+    assert heads == {"--- s1: x\\\\ny", "--- s1: x\\ny"}
