@@ -36,9 +36,11 @@ defaults, and categories the file does not mention keep them.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _string
 
 from .model import (
     Characters,
@@ -88,10 +90,41 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 @dataclass(frozen=True)
 class Document:
+    """Building one checks the rules that need the whole document, and
+    raises ValidationError for the first one broken."""
+
     title: str
     roster: Characters
     items: tuple[InputItem, ...]
     initial_context: Context = INITIAL_CONTEXT
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.title, str):
+            raise ValidationError("title must be a string")
+        roster, seen = self.roster, set()
+        for i, item in enumerate(self.items):
+            if not isinstance(item, Sentence):
+                continue
+            if item.id in seen:
+                raise ValidationError(
+                    f"items[{i}]: duplicate sentence id {item.id!r}")
+            seen.add(item.id)
+            for j, soa in enumerate(item.features.soas):
+                if not soa.who <= roster:
+                    raise _off_roster(soa.who, roster, f"sentence {item.id}: "
+                                      f"features.soas[{j}].who")
+            parenthetical = item.features.parenthetical
+            if parenthetical is not None and not parenthetical <= roster:
+                raise _off_roster(parenthetical, roster, f"sentence "
+                                  f"{item.id}: features.parenthetical")
+        ctx = self.initial_context
+        for key, names in zip(_CONTEXT_SETS, (
+                ctx.last_sc, ctx.previous_scs, ctx.last_active_character)):
+            if not names <= roster:
+                raise _off_roster(names, roster, f"preamble.{key}")
+        if ctx.last_sc and not ctx.last_sc <= ctx.previous_scs:
+            raise ValidationError("preamble: lastSC must be a subset of "
+                                  "previousSCs when non-empty")
 
     def sentences(self) -> tuple[Sentence, ...]:
         return tuple(i for i in self.items if isinstance(i, Sentence))
@@ -222,38 +255,28 @@ def _build_document(data, registry) -> Document:
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
     _object(data, {"title", "roster", "preamble", "items"}, "top level")
-    title = data.get("title", "")
-    if not isinstance(title, str):
-        raise ValidationError("title must be a string")
     roster = _characters(data.get("roster", []), "roster")
     raw_items = _array(data.get("items", []), "items")
-    seen_ids: set[str] = set()
-    items = tuple(_parse_item(raw, f"items[{i}]", roster, registry, seen_ids)
+    items = tuple(_parse_item(raw, f"items[{i}]", registry)
                   for i, raw in enumerate(raw_items))
-    initial = _parse_preamble(data.get("preamble"), roster)
-    return Document(title, roster, items, initial)
+    initial = _parse_preamble(data.get("preamble"))
+    return Document(data.get("title", ""), roster, items, initial)
 
 
-def _parse_preamble(raw, roster: Characters) -> Context:
+def _parse_preamble(raw) -> Context:
     if raw is None:
         return INITIAL_CONTEXT
     _object(raw, {"situation", *_CONTEXT_SETS}, "preamble")
     situation = _member(TextSituation, raw.get(
         "situation", TextSituation.PRESUBJECTIVE_NONACTIVE.value),
         "preamble", "text situation")
-    # every list's shape is checked before any list's roster
-    for key in _CONTEXT_SETS:
-        _characters(raw.get(key, []), f"preamble.{key}")
     last_sc, previous, last_active = (
-        _characters(raw.get(key, []), f"preamble.{key}", roster)
+        _characters(raw.get(key, []), f"preamble.{key}")
         for key in _CONTEXT_SETS)
-    if last_sc and not last_sc <= previous:
-        raise ValidationError("preamble: lastSC must be a subset of "
-                              "previousSCs when non-empty")
     return Context(last_sc, last_active, previous, situation)
 
 
-def _parse_item(raw, where, roster, registry, seen_ids) -> InputItem:
+def _parse_item(raw, where, registry) -> InputItem:
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: must be an object")
     kind = raw.get("kind")
@@ -264,13 +287,10 @@ def _parse_item(raw, where, roster, registry, seen_ids) -> InputItem:
         raise ValidationError(f"{where}: unknown kind {kind!r}")
     _object(raw, _SENTENCE_KEYS, where)
     sid = _id(raw, where, "sentence")
-    if sid in seen_ids:
-        raise ValidationError(f"{where}: duplicate sentence id {sid!r}")
-    seen_ids.add(sid)
     text = raw.get("text")
     if text is not None and not isinstance(text, str):
         raise ValidationError(f"sentence {sid}: text must be a string")
-    features = _parse_features(raw.get("features"), sid, roster, registry)
+    features = _parse_features(raw.get("features"), sid, registry)
     gold = raw.get("gold")
     if gold is not None:
         _object(gold, _GOLD_KEYS, f"sentence {sid}: gold")
@@ -286,7 +306,7 @@ def _parse_item(raw, where, roster, registry, seen_ids) -> InputItem:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _parse_features(raw, sid, roster, registry) -> FeatureSet:
+def _parse_features(raw, sid, registry) -> FeatureSet:
     where = f"sentence {sid}: features"
     _object(raw, _FEATURE_KEYS, where)
 
@@ -297,7 +317,7 @@ def _parse_features(raw, sid, roster, registry) -> FeatureSet:
         soa_id = _id(entry, place, "state-of-affairs")
         soa_type = _member(SoaType, entry.get("type", ""), place,
                            "state-of-affairs type")
-        who = _characters(entry.get("who", []), f"{place}.who", roster)
+        who = _characters(entry.get("who", []), f"{place}.who")
         soas.append(StateOfAffairs(soa_id, soa_type, who))
 
     clauses: list[Clause] = []
@@ -337,8 +357,7 @@ def _parse_features(raw, sid, roster, registry) -> FeatureSet:
 
     parenthetical = raw.get("parenthetical")
     if parenthetical is not None:
-        parenthetical = _characters(parenthetical, f"{where}.parenthetical",
-                                    roster)
+        parenthetical = _characters(parenthetical, f"{where}.parenthetical")
     quoted = _flag(raw, "quotedSpeech", where)
     try:
         return FeatureSet(tuple(clauses), tuple(soas), tuple(pses),
@@ -383,17 +402,18 @@ def _flag(raw, key, where, default=False) -> bool:
     return value
 
 
-def _characters(value, where, roster=None) -> Characters:
+def _characters(value, where) -> Characters:
     if not isinstance(value, list):
         raise ValidationError(f"{where}: must be an array of names")
     for name in value:
         if not isinstance(name, str) or not name:
             raise ValidationError(f"{where}: names must be non-empty strings")
-    names = frozenset(value)
-    if roster is not None and not names <= roster:
-        raise ValidationError(f"{where}: character(s) "
-                              f"{sorted(names - roster)} not in roster")
-    return names
+    return frozenset(value)
+
+
+def _off_roster(names, roster, where) -> ValidationError:
+    return ValidationError(f"{where}: character(s) "
+                           f"{sorted(names - roster)} not in roster")
 
 
 def _member(enum, value, where, what):
@@ -432,52 +452,84 @@ def validate_gold(document: Document) -> list[str]:
 
 
 def document_to_dict(document: Document) -> dict:
-    out: dict = {"title": document.title,
-                 "roster": sorted(document.roster)}
-    if document.initial_context != INITIAL_CONTEXT:
-        ctx = document.initial_context
-        out["preamble"] = {
-            "situation": ctx.situation.value,
-            "lastSC": sorted(ctx.last_sc),
-            "previousSCs": sorted(ctx.previous_scs),
-            "lastActiveCharacter": sorted(ctx.last_active_character),
-        }
-    out["items"] = [_item_to_dict(item) for item in document.items]
-    return out
+    """The parsed view of ``dumps_document``'s text."""
+    return json.loads(dumps_document(document))
 
 
 def dumps_document(document: Document) -> str:
-    return json.dumps(document_to_dict(document), indent=2,
-                      ensure_ascii=False)
+    """``json.dumps(..., indent=2, ensure_ascii=False)`` of the dict view,
+    written from the model, since that encoder indents in pure Python.  A
+    field of a type with no JSON text raises ValidationError naming its
+    sentence."""
+    ctx = document.initial_context
+    fields = [f'"title": {_string(document.title)}',
+              f'"roster": {_names(document.roster, 1)}']
+    if ctx != INITIAL_CONTEXT:
+        sets = ctx.last_sc, ctx.previous_scs, ctx.last_active_character
+        fields.append('"preamble": ' + _json([
+            f'"situation": "{ctx.situation.value}"', *(
+                f'"{key}": {_names(names, 2)}'
+                for key, names in zip(_CONTEXT_SETS, sets))], 1, "{}"))
+    items = []
+    for item in document.items:
+        try:
+            items.append(_BREAKS.get(type(item)) or _sentence_json(item))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValidationError(f"sentence {item.id}: cannot be written: "
+                                  f"{exc}") from None
+    fields.append(f'"items": {_json(items, 1)}')
+    return _json(fields, 0, "{}")
 
 
-def _item_to_dict(item: InputItem) -> dict:
-    if isinstance(item, SceneBreak):
-        return {"kind": "scene-break"}
-    if isinstance(item, ParagraphBreak):
-        return {"kind": "paragraph-break"}
-    out: dict = {"kind": "sentence", "id": item.id}
-    if item.text is not None:
-        out["text"] = item.text
-    if item.gold is not None:
-        out["gold"] = {"type": item.gold.kind,
-                       "characters": sorted(item.gold.characters)}
-    fs = item.features
-    features: dict = {"quotedSpeech": fs.quoted_speech}
+# a line break and the indent of each depth of dumps_document's text
+_LINE = tuple("\n" + "  " * depth for depth in range(8))
+_L2, _L3, _L4, _L5, _L6 = _LINE[2:7]
+
+
+def _json(parts, depth, brackets="[]") -> str:
+    """An array, or object, of written parts, a line each at depth + 1."""
+    if not parts:
+        return brackets
+    line = _LINE[depth + 1]
+    return (f"{brackets[0]}{line}{(',' + line).join(parts)}{_LINE[depth]}"
+            f"{brackets[1]}")
+
+
+def _names(names, depth) -> str:
+    return _json(list(map(_string, sorted(names))), depth) if names else "[]"
+
+
+_BREAKS = {kind: _json([f'"kind": "{name}"'], 2, "{}") for kind, name in (
+    (SceneBreak, "scene-break"), (ParagraphBreak, "paragraph-break"))}
+# the "vp" object of each of the 64 VerbFeatures values
+_VP_JSON = {vp: _json([f'"{key}": true' for key, attr in _VP_KEYS.items()
+                       if getattr(vp, attr)], 6, "{}")
+            for vp in itertools.starmap(VerbFeatures, itertools.product(
+                (False, True), repeat=len(_VP_KEYS)))}
+
+
+def _sentence_json(s: Sentence) -> str:
+    out = f'{{{_L3}"kind": "sentence",{_L3}"id": {_string(s.id)}'
+    if s.text is not None:
+        out += f',{_L3}"text": {_string(s.text)}'
+    if s.gold is not None:
+        out += (f',{_L3}"gold": {{{_L4}"type": "{s.gold.kind}",{_L4}'
+                f'"characters": {_names(s.gold.characters, 4)}{_L3}}}')
+    fs = s.features
+    out += (f',{_L3}"features": {{{_L4}"quotedSpeech": '
+            f'{"true" if fs.quoted_speech else "false"}')
     if fs.parenthetical is not None:
-        features["parenthetical"] = sorted(fs.parenthetical)
+        out += f',{_L4}"parenthetical": {_names(fs.parenthetical, 4)}'
     if fs.head_noun_private_state is not None:
-        features["headNounPrivateState"] = fs.head_noun_private_state
-    features["soas"] = [
-        {"id": s.id, "type": s.type.value, "who": sorted(s.who)}
-        for s in fs.soas]
-    features["clauses"] = [
-        {"id": c.id, "soa": c.soa, "under": sorted(c.under),
-         "vp": {key: getattr(c.vp, attr) for key, attr in _VP_KEYS.items()
-                if getattr(c.vp, attr)}}
-        for c in fs.clauses]
-    features["pses"] = [
-        {"id": p.id, "category": p.category, "under": sorted(p.under)}
-        for p in fs.pses]
-    out["features"] = features
-    return out
+        out += (f',{_L4}"headNounPrivateState": '
+                f'{_string(fs.head_noun_private_state)}')
+    soas = [f'{{{_L6}"id": {_string(a.id)},{_L6}"type": "{a.type.value}",'
+            f'{_L6}"who": {_names(a.who, 6)}{_L5}}}' for a in fs.soas]
+    clauses = [f'{{{_L6}"id": {_string(c.id)},{_L6}"soa": {_string(c.soa)},'
+               f'{_L6}"under": {_names(c.under, 6)},{_L6}"vp": '
+               f'{_VP_JSON[c.vp]}{_L5}}}' for c in fs.clauses]
+    pses = [f'{{{_L6}"id": {_string(p.id)},{_L6}"category": '
+            f'{_string(p.category)},{_L6}"under": {_names(p.under, 6)}{_L5}}}'
+            for p in fs.pses]
+    return (f'{out},{_L4}"soas": {_json(soas, 4)},{_L4}"clauses": '
+            f'{_json(clauses, 4)},{_L4}"pses": {_json(pses, 4)}{_L3}}}{_L2}}}')

@@ -23,6 +23,7 @@ from povtrack import (
 )
 from povtrack.cli import main
 from conftest import DATA
+from test_writer import oracle_dumps
 
 FIXTURES = sorted(path.stem for path in DATA.glob("*.json"))
 RAW = {name: (DATA / f"{name}.json").read_bytes() for name in FIXTURES}
@@ -135,6 +136,7 @@ def check(data, tmp_path):
             if labelled:
                 evaluate(document, engine)
         assert parse_document(dumps_document(document)) == document
+        assert dumps_document(document) == oracle_dumps(document)
 
     path = tmp_path / "mutated.json"
     path.write_bytes(data)

@@ -1,16 +1,22 @@
 import dataclasses
 import json
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
 from povtrack import (
     Clause,
+    Context,
     DEFAULT_REGISTRY,
+    Document,
     FeatureSet,
+    INITIAL_CONTEXT,
+    NOBODY,
     Pse,
     PseCategory,
     RegistryError,
+    SceneBreak,
     Sentence,
     SoaType,
     StateOfAffairs,
@@ -20,6 +26,7 @@ from povtrack import (
     parse_registry,
     registry_lookup,
 )
+from test_writer import oracle_dict
 
 
 def up_to(level):
@@ -163,6 +170,29 @@ def id_rule(sid):
                         "break", "items[0]: ", id=f"id-{sid!r}")
 
 
+S1 = Sentence("s1", FeatureSet((MAIN,), SOAS))
+
+
+def document_rule(name, message, items=(S1,), title="t",
+                  roster=frozenset({"Zoe"}), context=INITIAL_CONTEXT):
+    fields = {"title": title, "roster": roster, "items": items,
+              "initial_context": context}
+    text = json.dumps(oracle_dict(SimpleNamespace(**fields)))
+    return pytest.param(partial(Document, **fields),
+                        partial(parse_document, text), ValidationError,
+                        message, "", id=name)
+
+
+def preamble_rule(key, context):
+    return document_rule(f"off-roster-{key}", f"preamble.{key}: "
+                         "character(s) ['Ghost'] not in roster",
+                         context=context)
+
+
+GHOST = frozenset({"Ghost"})
+SITUATION = TextSituation.POSTSUBJECTIVE_ACTIVE
+
+
 def level_rule(level, message):
     return pytest.param(partial(PseCategory, "x", level),
                         partial(parse_registry, json.dumps({"x": {
@@ -207,6 +237,24 @@ RULES = [
                           under("c2", "p1", "c1"))),
     feature_rule("duplicate-element", "duplicate element id 'e1'",
                  pses=(Pse("e1", "question"), Pse("e1", "exclamation"))),
+    document_rule("title-not-a-string", "title must be a string",
+                  title=None),
+    document_rule("duplicate-sentence-id", "items[2]: duplicate sentence "
+                  "id 's1'", items=(S1, SceneBreak(), S1)),
+    document_rule("off-roster-who", "sentence s1: features.soas[1].who: "
+                  "character(s) ['Zoe'] not in roster", roster=frozenset()),
+    document_rule("off-roster-parenthetical", "sentence s1: "
+                  "features.parenthetical: character(s) ['Ghost'] not in "
+                  "roster", items=(Sentence("s1", FeatureSet(
+                      (MAIN,), SOAS, parenthetical=GHOST)),)),
+    preamble_rule("lastSC", Context(GHOST, NOBODY, GHOST, SITUATION)),
+    preamble_rule("previousSCs", Context(NOBODY, NOBODY, GHOST, SITUATION)),
+    preamble_rule("lastActiveCharacter",
+                  Context(NOBODY, GHOST, NOBODY, SITUATION)),
+    document_rule("preamble-last-sc-not-previous", "preamble: lastSC must "
+                  "be a subset of previousSCs when non-empty",
+                  context=Context(frozenset({"Zoe"}), NOBODY, NOBODY,
+                                  SITUATION)),
     id_rule("a\tb"),
     id_rule("s1\u2028s9"),
     id_rule("s1\x85"),
