@@ -30,7 +30,6 @@ from .model import (
     TextSituation,
     ValidationError,
     VerbFeatures,
-    registry_lookup,
 )
 from .situations import (
     last_active_character_expected,
@@ -79,6 +78,6 @@ __all__ = [
     "is_simple_quoted_speech", "last_active_character_expected",
     "last_subjective_character_expected", "load_document", "load_registry",
     "new_context", "new_context_after_break", "parse_document",
-    "parse_registry", "registry_lookup", "render_step", "render_trace",
+    "parse_registry", "render_step", "render_trace",
     "validate_gold",
 ]

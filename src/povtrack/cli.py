@@ -42,28 +42,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Track psychological point of view over annotated "
                     "narrative sentence streams.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # arguments that several commands share, each declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("document", help="annotated document JSON")
+    common.add_argument("--registry", help="category registry JSON "
+                        f"(default: ${REGISTRY_ENV} or built-ins)")
+    policy = argparse.ArgumentParser(add_help=False)
+    policy.add_argument("--policy", choices=_POLICIES,
+                        default=SignificancePolicy.ANY_PREVIOUS_SC.value,
+                        help="when a character's subjective past qualifies "
+                        "their private-state actions (default: %(default)s)")
 
-    track = sub.add_parser("track", help="interpret every sentence")
-    track.add_argument("document")
-    track.add_argument("--registry", help="category registry JSON "
-                       f"(default: ${REGISTRY_ENV} or built-ins)")
-    track.add_argument("--policy", choices=_POLICIES,
-                       default=SignificancePolicy.ANY_PREVIOUS_SC.value)
+    track = sub.add_parser("track", parents=[common, policy],
+                           help="interpret every sentence")
     track.add_argument("--trace", action="store_true",
                        help="interleave a step-by-step trace")
     track.add_argument("--out", help="write output here instead of stdout")
 
-    ev = sub.add_parser("eval", help="score against gold labels")
-    ev.add_argument("document")
-    ev.add_argument("--registry")
-    ev.add_argument("--policy", choices=_POLICIES,
-                    default=SignificancePolicy.ANY_PREVIOUS_SC.value)
+    ev = sub.add_parser("eval", parents=[common, policy],
+                        help="score against gold labels")
     ev.add_argument("--json", action="store_true",
                     help="print a machine-readable report")
 
-    val = sub.add_parser("validate", help="check a document file")
-    val.add_argument("document")
-    val.add_argument("--registry")
+    sub.add_parser("validate", parents=[common],
+                   help="check a document file")
     return parser
 
 
@@ -92,7 +94,7 @@ def _load_registry(flag_value):
 
 def _cmd_track(args, registry) -> int:
     document = load_document(args.document, registry)
-    engine = Engine(registry, SignificancePolicy(args.policy))
+    engine = Engine(policy=SignificancePolicy(args.policy))
     steps = engine.track_document(document)
     lines = _track_lines(steps, args.trace)
     text = "\n".join(lines) + ("\n" if lines else "")
@@ -121,7 +123,7 @@ def _track_lines(steps: list[TrackStep], trace: bool) -> list[str]:
 def _cmd_eval(args, registry) -> int:
     document = load_document(args.document, registry)
     policy = SignificancePolicy(args.policy)
-    report = evaluate(document, Engine(registry, policy))
+    report = evaluate(document, Engine(policy=policy))
     if args.json:
         json.dump(report.to_dict(), sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")

@@ -104,6 +104,8 @@ class Document:
         roster, seen = self.roster, set()
         for i, item in enumerate(self.items):
             if not isinstance(item, Sentence):
+                if not isinstance(item, (ParagraphBreak, SceneBreak)):
+                    raise ValidationError(f"items[{i}]: unknown kind {item!r}")
                 continue
             if item.id in seen:
                 raise ValidationError(
@@ -229,8 +231,10 @@ def parse_document(text: str | bytes,
                    registry: dict[str, PseCategory] | None = None) -> Document:
     """Parse and fully validate one document.
 
-    Every potential-subjective-element category in the document must
-    resolve in the registry, the built-in one when none is given.
+    Each potential subjective element's category name is resolved once,
+    here, in the registry (the built-in one when none is given): the
+    element holds the ``PseCategory``, and a name the registry lacks is
+    refused.
     """
     return _build_document(_decode(text, ""), registry)
 
@@ -252,6 +256,11 @@ def document_from_dict(data,
 def _build_document(data, registry) -> Document:
     """The document in decoded JSON free of lone surrogates."""
     registry = DEFAULT_REGISTRY if registry is None else registry
+    # an element keeps only the category, so its name must be the key
+    for name, category in registry.items():
+        if not isinstance(category, PseCategory) or category.name != name:
+            raise RegistryError(f"registry: {name!r} must map to a "
+                                f"PseCategory named {name!r}")
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
     _object(data, {"title", "roster", "preamble", "items"}, "top level")
@@ -348,12 +357,9 @@ def _parse_features(raw, sid, registry) -> FeatureSet:
         if not isinstance(category, str) or not category:
             raise ValidationError(f"{place}: category must be a non-empty "
                                   "string")
-        under = _under(entry, place)
-        if category not in registry:
-            raise ValidationError(
-                f"sentence {sid}: element {pse_id!r} has unknown category "
-                f"{category!r}")
-        pses.append(Pse(pse_id, category, under))
+        # an unknown name stays a name, which FeatureSet refuses
+        pses.append(Pse(pse_id, registry.get(category, category),
+                        _under(entry, place)))
 
     parenthetical = raw.get("parenthetical")
     if parenthetical is not None:
@@ -529,7 +535,7 @@ def _sentence_json(s: Sentence) -> str:
                f'{_L6}"under": {_names(c.under, 6)},{_L6}"vp": '
                f'{_VP_JSON[c.vp]}{_L5}}}' for c in fs.clauses]
     pses = [f'{{{_L6}"id": {_string(p.id)},{_L6}"category": '
-            f'{_string(p.category)},{_L6}"under": {_names(p.under, 6)}{_L5}}}'
-            for p in fs.pses]
+            f'{_string(p.category.name)},{_L6}"under": '
+            f'{_names(p.under, 6)}{_L5}}}' for p in fs.pses]
     return (f'{out},{_L4}"soas": {_json(soas, 4)},{_L4}"clauses": '
             f'{_json(clauses, 4)},{_L4}"pses": {_json(pses, 4)}{_L3}}}{_L2}}}')

@@ -27,14 +27,11 @@ from .model import (
     NOBODY,
     PRIVATE_SOA_TYPES,
     Pse,
-    PseCategory,
     Sentence,
     SoaType,
     StateOfAffairs,
     TextSituation,
     ValidationError,
-    registry_lookup,
-    DEFAULT_REGISTRY,
     INITIAL_CONTEXT,
 )
 from .situations import (
@@ -84,11 +81,11 @@ class TrackStep:
 
 
 class Engine:
-    """Interprets sentences against a category registry and a policy."""
+    """Interprets sentences under a significance policy.  Each element
+    carries its category, resolved when the document was parsed."""
 
-    def __init__(self, registry: dict[str, PseCategory] | None = None,
+    def __init__(self, *,
                  policy: SignificancePolicy = SignificancePolicy.ANY_PREVIOUS_SC):
-        self.registry = DEFAULT_REGISTRY if registry is None else registry
         self.policy = policy
 
     # -- state-of-affairs selection ------------------------------------
@@ -139,10 +136,8 @@ class Engine:
                             ) -> tuple[Pse, ...]:
         """The elements that actually express subjectivity here: those
         whose category is associated with the current situation."""
-        return tuple(
-            pse for pse in fs.pses
-            if context.situation in registry_lookup(
-                pse.category, self.registry).situations)
+        return tuple(pse for pse in fs.pses
+                     if context.situation in pse.category.situations)
 
     # -- the decision --------------------------------------------------
 
@@ -162,7 +157,7 @@ class Engine:
         considerable = tuple(
             pse for pse in fired
             if (clause is None or clause.id not in pse.under)
-            and not self.registry[pse.category].excluded)
+            and not pse.category.excluded)
         action_reason = None
         if chosen.type is SoaType.PRIVATE_STATE_ACTION and not private:
             action_reason = ("never-subjective"

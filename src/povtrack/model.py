@@ -31,7 +31,7 @@ class ValidationError(PovTrackError):
 
 
 class RegistryError(PovTrackError):
-    """A category registry is malformed or a category cannot be resolved."""
+    """A category registry, or one of its categories, is malformed."""
 
 
 Characters = frozenset[str]
@@ -102,7 +102,7 @@ class PseCategory:
         return _UP_TO_LEVEL[self.level]
 
 
-def _default_categories() -> tuple[PseCategory, ...]:
+def _default_registry() -> dict[str, PseCategory]:
     level1 = ("past-perfective", "progressive")
     level2 = ("habitual",)
     level4 = ("exclamation", "question")
@@ -118,24 +118,13 @@ def _default_categories() -> tuple[PseCategory, ...]:
     )
     excluded = {"habitual", "comparative-like", "as-plus-modifier",
                 "degree-intensifier"}
-    out = []
-    for level, names in ((1, level1), (2, level2), (3, level3), (4, level4)):
-        for name in names:
-            out.append(PseCategory(name, level, excluded=name in excluded))
-    return tuple(out)
+    return {name: PseCategory(name, level, excluded=name in excluded)
+            for level, names in ((1, level1), (2, level2), (3, level3),
+                                 (4, level4))
+            for name in names}
 
 
-DEFAULT_CATEGORIES: tuple[PseCategory, ...] = _default_categories()
-
-DEFAULT_REGISTRY: dict[str, PseCategory] = {c.name: c for c in DEFAULT_CATEGORIES}
-
-
-def registry_lookup(name: str, registry: dict[str, PseCategory]) -> PseCategory:
-    try:
-        return registry[name]
-    except KeyError:
-        raise RegistryError(
-            f"unknown potential-subjective-element category {name!r}") from None
+DEFAULT_REGISTRY: dict[str, PseCategory] = _default_registry()
 
 
 @dataclass(frozen=True)
@@ -208,11 +197,12 @@ class Pse:
 
     ``under`` lists the clauses whose governing lexical item
     syntactically dominates the element; an element is never treated as
-    subordinated to the head-noun state of affairs.
+    subordinated to the head-noun state of affairs.  ``category`` is the
+    category the registry resolved its name to when it was parsed.
     """
 
     id: str
-    category: str
+    category: PseCategory
     under: frozenset[str] = frozenset()
 
 
@@ -232,6 +222,10 @@ class FeatureSet:
     main: Clause = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for pse in self.pses:
+            if not isinstance(pse.category, PseCategory):
+                raise ValidationError(f"element {pse.id!r} has unknown "
+                                      f"category {pse.category!r}")
         soas = {soa.id: soa for soa in self.soas}
         clauses = {clause.id: clause for clause in self.clauses}
         for what, objects, ids in (

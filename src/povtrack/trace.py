@@ -68,8 +68,8 @@ def _render_sentence(step: TrackStep) -> list[str]:
     lines += _expected_lines(before)
 
     if fs.pses:
-        considered = [p.category for p in fs.pses]
-        fired = [p.category for p in detail.fired]
+        considered = [p.category.name for p in fs.pses]
+        fired = [p.category.name for p in detail.fired]
         if len(considered) == 1:
             lines.append("Potential subjective element considered:")
             lines.append(f"    {considered[0]}")
@@ -95,7 +95,7 @@ def _render_sentence(step: TrackStep) -> list[str]:
 
     interpretation = step.interpretation
     if interpretation.subjective:
-        excluded = [p.category for p in detail.fired
+        excluded = [p.category.name for p in detail.fired
                     if p not in detail.considerable]
         if excluded:
             lines.append("Not considered in identifying the subjective "
@@ -155,7 +155,7 @@ def _trigger_lines(step: TrackStep) -> list[str]:
         firing = detail.considerable or detail.fired
         noun = "this feature" if len(firing) == 1 else "these features"
         return ([f"Subjective context {verb} by {noun}:"]
-                + [f"    {p.category}" for p in firing])
+                + [f"    {p.category.name}" for p in firing])
     if trigger == "private-state":
         who = names(detail.chosen.who) or "an unspecified experiencer"
         return [f"Subjective context {verb} by this feature:",

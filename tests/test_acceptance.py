@@ -89,12 +89,13 @@ def test_criterion_1_demo1_replay():
     assert steps[0].detail.chosen.type.value == "private-state-action"
     assert steps[0].detail.reads_private is False
     # item 4 turns subjective through the sentence fragment
-    assert [p.category for p in steps[3].detail.fired] == ["sentence-fragment"]
+    assert [p.category.name for p in steps[3].detail.fired] == [
+        "sentence-fragment"]
     # item 7 fires the fragment and the seeming verb; the progressive
     # is considered but stays silent outside continuing-subjective
-    assert [p.category for p in steps[6].detail.fired] == [
+    assert [p.category.name for p in steps[6].detail.fired] == [
         "sentence-fragment", "seeming-verb"]
-    assert [p.category for p in steps[6].item.features.pses] == [
+    assert [p.category.name for p in steps[6].item.features.pses] == [
         "sentence-fragment", "progressive", "seeming-verb"]
     elapsed = time.monotonic() - started
     assert elapsed < 1.0
@@ -113,10 +114,10 @@ def test_criterion_2_demo2_replay():
         "broken-subjective",       # after the paragraph break
         "continuing-subjective",   # after the private-state report
     ]
-    assert [p.category for p in steps[0].detail.fired] == [
+    assert [p.category.name for p in steps[0].detail.fired] == [
         "question", "eval-adjective", "past-perfective"]
     # both elements fire but are subordinated to the private-state term
-    assert [p.category for p in steps[2].detail.fired] == [
+    assert [p.category.name for p in steps[2].detail.fired] == [
         "percept-term", "attitude-noun"]
     assert steps[2].detail.considerable == ()
     print("\nACCEPTANCE PASS 2: demo 2 replay exact "

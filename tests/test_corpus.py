@@ -1,17 +1,16 @@
 """Loader, registry, and serialization behavior."""
 
-import dataclasses
 import json
 import re
 
 import pytest
 
 from povtrack import (
-    Context,
     DEFAULT_REGISTRY,
     Engine,
     Interpretation,
     ParseError,
+    PseCategory,
     RegistryError,
     Sentence,
     SoaType,
@@ -19,6 +18,7 @@ from povtrack import (
     ValidationError,
     document_from_dict,
     dumps_document,
+    evaluate,
     parse_document,
     parse_registry,
     validate_gold,
@@ -75,7 +75,7 @@ def test_demo1_loads_field_by_field():
     assert not first.features.quoted_speech
 
     last = doc.items[6]
-    assert [p.category for p in last.features.pses] == [
+    assert [p.category.name for p in last.features.pses] == [
         "sentence-fragment", "progressive", "seeming-verb"]
     assert last.features.clauses[0].vp.progressive
 
@@ -226,21 +226,49 @@ def test_registry_promoting_habitual_changes_decisions():
     assert registry["habitual"].level == 3
     assert registry["habitual"].excluded  # partial override keeps the flag
 
-    doc = document_from_dict(patch_features(
-        pses=[{"id": "p1", "category": "habitual", "under": []}]),
-        registry)
-    doc = dataclasses.replace(doc, initial_context=Context(
-        frozenset({"Zoe"}), frozenset(), frozenset({"Zoe"}),
-        TextSituation.POSTSUBJECTIVE_NONACTIVE))
-    default_steps = Engine().track_document(doc)
-    promoted_steps = Engine(registry).track_document(doc)
+    # the registry is applied at parse time, so each registry parses once
+    data = patch_features(
+        pses=[{"id": "p1", "category": "habitual", "under": []}])
+    data["preamble"] = {"situation": "postsubjective-nonactive",
+                        "lastSC": ["Zoe"], "previousSCs": ["Zoe"]}
+    default_steps = Engine().track_document(document_from_dict(data))
+    promoted_steps = Engine().track_document(
+        document_from_dict(data, registry))
     assert not default_steps[0].interpretation.subjective
     assert promoted_steps[0].interpretation.subjective
 
     # a document with no habitual elements is unaffected
-    untouched = fixture_doc("demo1")
-    assert [s.interpretation for s in Engine(registry).track_document(untouched)] \
-        == [s.interpretation for s in Engine().track_document(untouched)]
+    assert [s.interpretation for s in Engine().track_document(
+        fixture_doc("demo1", registry))] == [
+        s.interpretation for s in Engine().track_document(
+            fixture_doc("demo1"))]
+
+
+def test_category_new_to_the_registry_fires_under_the_default_engine():
+    registry = parse_registry(b'{"sound-symbolism": {"level": 4}}')
+    data = patch_features(
+        pses=[{"id": "p1", "category": "sound-symbolism", "under": []}])
+    data["items"][0]["gold"] = {"type": "subjective", "characters": []}
+    doc = document_from_dict(data, registry)
+    step, = Engine().track_document(doc)
+    assert step.detail.fired == doc.items[0].features.pses
+    assert step.detail.fired[0].category is registry["sound-symbolism"]
+    assert step.detail.trigger == "elements"
+    assert step.interpretation.subjective
+    report = evaluate(doc, Engine())
+    assert (report.primary_count, report.secondary_count) == (0, 0)
+
+
+@pytest.mark.parametrize("entry", [PseCategory("noise", 4), 4],
+                         ids=["other-name", "not-a-category"])
+def test_registry_given_by_hand_maps_each_name_to_its_category(entry):
+    # the writer writes the category's own name, so a key that differs
+    # from it would not parse back
+    registry = {**DEFAULT_REGISTRY, "sound": entry}
+    with pytest.raises(RegistryError) as excinfo:
+        document_from_dict(minimal(), registry)
+    assert str(excinfo.value) == ("registry: 'sound' must map to a "
+                                  "PseCategory named 'sound'")
 
 
 def test_registry_new_category():

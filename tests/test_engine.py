@@ -7,6 +7,7 @@ import pytest
 from povtrack import (
     Clause,
     Context,
+    DEFAULT_REGISTRY,
     Document,
     Engine,
     FeatureSet,
@@ -14,7 +15,6 @@ from povtrack import (
     Interpretation,
     ParagraphBreak,
     Pse,
-    RegistryError,
     SceneBreak,
     Sentence,
     SignificancePolicy,
@@ -38,7 +38,7 @@ def clause(cid, soa_id, under=(), vp=PAST):
 
 
 def pse(pid, category, under=()):
-    return Pse(pid, category, frozenset(under))
+    return Pse(pid, DEFAULT_REGISTRY[category], frozenset(under))
 
 
 def fs(soas, clauses, pses=(), **kwargs):
@@ -54,6 +54,14 @@ def ctx(situation, last_sc=(), last_active=(), previous=()):
 @pytest.fixture
 def engine():
     return Engine()
+
+
+def test_engine_takes_only_the_policy_by_keyword():
+    # the registry was applied when the document was parsed
+    with pytest.raises(TypeError):
+        Engine(DEFAULT_REGISTRY)
+    policy = SignificancePolicy.MIN_LENGTH_2
+    assert Engine(policy=policy).policy is policy
 
 
 def verdict(engine, features, context):
@@ -346,13 +354,6 @@ def test_strong_elements_silent_without_expectations(engine):
         features, ctx(TS.PRESUBJECTIVE_NONACTIVE))
     assert not verdict(engine, features,
                        ctx(TS.PRESUBJECTIVE_NONACTIVE)).subjective
-
-
-def test_unknown_category_raises(engine):
-    features = fs([soa("a1", "action")], [clause("c1", "a1")],
-                  [pse("p1", "sparkliness")])
-    with pytest.raises(RegistryError, match="sparkliness"):
-        engine.subjective_elements(features, ctx(TS.CONTINUING_SUBJECTIVE))
 
 
 def test_subordinated_element_blocked_for_identification(engine):

@@ -24,7 +24,6 @@ from povtrack import (
     ValidationError,
     parse_document,
     parse_registry,
-    registry_lookup,
 )
 from test_writer import oracle_dict
 
@@ -108,11 +107,6 @@ def test_category_situations_monotone():
             assert introduced_at(level) <= cat.situations
 
 
-def test_registry_lookup_unknown_category():
-    with pytest.raises(RegistryError, match="no-such-thing"):
-        registry_lookup("no-such-thing", DEFAULT_REGISTRY)
-
-
 def test_category_level_validated():
     with pytest.raises(RegistryError):
         PseCategory("bogus", 7)
@@ -126,6 +120,7 @@ ACTION = (StateOfAffairs("a1", SoaType.ACTION),)
 SOAS = ACTION + (StateOfAffairs("p1", SoaType.PRIVATE_STATE,
                                 frozenset({"Zoe"})),)
 MAIN = Clause("c1", "a1")
+QUESTION = DEFAULT_REGISTRY["question"]
 
 
 def under(cid, soa, *parents):
@@ -140,7 +135,8 @@ def features_json(clauses, soas, pses=(), parenthetical=None,
                     for s in soas],
            "clauses": [{"id": c.id, "soa": c.soa, "under": sorted(c.under)}
                        for c in clauses],
-           "pses": [{"id": p.id, "category": p.category,
+           "pses": [{"id": p.id, "category": getattr(p.category, "name",
+                                                     p.category),
                      "under": sorted(p.under)} for p in pses]}
     if parenthetical is not None:
         out["parenthetical"] = sorted(parenthetical)
@@ -217,7 +213,7 @@ RULES = [
                           under("c3", "a1", "c2"))),
     feature_rule("element-under-missing", "element 'e1' subordinated to "
                  "unknown clause(s) ['c9']",
-                 pses=(Pse("e1", "question", frozenset({"c9"})),)),
+                 pses=(Pse("e1", QUESTION, frozenset({"c9"})),)),
     feature_rule("empty-parenthetical", "parenthetical subject must name "
                  "at least one character", parenthetical=frozenset()),
     feature_rule("missing-head-noun", "headNounPrivateState references "
@@ -236,9 +232,17 @@ RULES = [
                  clauses=(MAIN, under("c2", "a1", "c1"),
                           under("c2", "p1", "c1"))),
     feature_rule("duplicate-element", "duplicate element id 'e1'",
-                 pses=(Pse("e1", "question"), Pse("e1", "exclamation"))),
+                 pses=(Pse("e1", QUESTION),
+                       Pse("e1", DEFAULT_REGISTRY["exclamation"]))),
+    # a name is not a category: the parser resolves it in the registry
+    feature_rule("unknown-category", "element 'e1' has unknown category "
+                 "'no-such-thing'", pses=(Pse("e1", "no-such-thing"),)),
     document_rule("title-not-a-string", "title must be a string",
                   title=None),
+    pytest.param(partial(Document, "t", frozenset(), ("x",)),
+                 partial(parse_document, '{"items": [{"kind": "x"}]}'),
+                 ValidationError, "items[0]: unknown kind 'x'", "",
+                 id="unknown-item-kind"),
     document_rule("duplicate-sentence-id", "items[2]: duplicate sentence "
                   "id 's1'", items=(S1, SceneBreak(), S1)),
     document_rule("off-roster-who", "sentence s1: features.soas[1].who: "

@@ -12,6 +12,7 @@ from povtrack import (
     Interpretation,
     ParagraphBreak,
     Pse,
+    PseCategory,
     SceneBreak,
     Sentence,
     SignificancePolicy,
@@ -27,6 +28,9 @@ NAMES = ("Ada", "Bo", "Cyr", "Dot")
 CATEGORIES = ("question", "sentence-fragment", "progressive", "habitual",
               "eval-adjective", "evidential-evidence", "comparative-like",
               "past-perfective", "conjunct", "degree-intensifier")
+# a registry may set any category to any level, excluded or not
+categories = st.builds(PseCategory, st.sampled_from(CATEGORIES),
+                       st.integers(1, 4), st.booleans())
 
 character_sets = st.frozensets(st.sampled_from(NAMES), max_size=3)
 situations = st.sampled_from(list(TextSituation))
@@ -73,8 +77,7 @@ def feature_sets(draw):
     for j in range(draw(st.integers(0, 3))):
         under = draw(st.sets(st.sampled_from([c.id for c in clauses]),
                              max_size=2))
-        pses.append(Pse(f"p{j}", draw(st.sampled_from(CATEGORIES)),
-                        frozenset(under)))
+        pses.append(Pse(f"p{j}", draw(categories), frozenset(under)))
     parenthetical = None
     if draw(st.booleans()):
         parenthetical = draw(character_sets.filter(bool))
@@ -263,8 +266,7 @@ def psa_sentences(draw, sid):
                               VerbFeatures(simple_past=True)))
     pses = tuple(Pse(f"p{j}", category, frozenset())
                  for j, category in enumerate(draw(st.lists(
-                     st.sampled_from(("question", "progressive",
-                                      "eval-adjective")), max_size=2))))
+                     categories, max_size=2))))
     parenthetical = draw(st.sampled_from(
         [None, None, None, frozenset({"Ada"}), frozenset(PAIR)]))
     return Sentence(sid, FeatureSet(tuple(clauses), tuple(soas), pses,

@@ -81,7 +81,7 @@ def oracle_item(item):
                 if getattr(c.vp, attr)}}
         for c in fs.clauses]
     features["pses"] = [
-        {"id": p.id, "category": p.category, "under": sorted(p.under)}
+        {"id": p.id, "category": p.category.name, "under": sorted(p.under)}
         for p in fs.pses]
     out["features"] = features
     return out
@@ -113,7 +113,9 @@ characters = (st.sampled_from(HOSTILE)
 strings = st.text(characters, max_size=5)
 words = st.text(characters, min_size=1, max_size=5)
 sentence_ids = words.filter(SEPARATORS.isdisjoint)
-categories = st.sampled_from(sorted(DEFAULT_REGISTRY)) | words
+# a built-in name or any other, at any level, excluded or not
+categories = st.builds(PseCategory, st.sampled_from(sorted(DEFAULT_REGISTRY))
+                       | words, st.integers(1, 4), st.booleans())
 
 
 def subsets(draw, pool, min_size=0):
@@ -122,9 +124,10 @@ def subsets(draw, pool, min_size=0):
 
 
 @st.composite
-def feature_sets(draw, roster):
+def feature_sets(draw, roster, registry):
     """Every optional field present or absent, and empty who, under and
-    vp; the ids share an alphabet with every other string."""
+    vp; the ids share an alphabet with every other string.  Elements
+    draw their category from ``registry``."""
     soa_ids = draw(st.lists(words, min_size=1, max_size=3, unique=True))
     soas = [StateOfAffairs(soa_id, draw(st.sampled_from(list(SoaType))),
                            subsets(draw, roster)) for soa_id in soa_ids]
@@ -136,7 +139,8 @@ def feature_sets(draw, roster):
                for i, cid in enumerate(clause_ids)]
     head = draw(st.none() | st.sampled_from(
         [s.id for s in soas if s.type is SoaType.PRIVATE_STATE] or [None]))
-    pses = [Pse(pid, draw(categories), subsets(draw, clause_ids))
+    pses = [Pse(pid, draw(st.sampled_from(registry)),
+                subsets(draw, clause_ids))
             for pid in draw(st.lists(words, max_size=3, unique=True))]
     parenthetical = (subsets(draw, roster, min_size=1)
                      if roster and draw(st.booleans()) else None)
@@ -150,6 +154,9 @@ def feature_sets(draw, roster):
 @st.composite
 def documents(draw):
     roster = draw(st.frozensets(words, max_size=4))
+    # one category per name, so that one registry parses the text back
+    registry = draw(st.lists(categories, min_size=1, max_size=4,
+                             unique_by=lambda c: c.name))
     items = []
     for sid in draw(st.lists(sentence_ids, max_size=4, unique=True)):
         items += draw(st.lists(st.sampled_from([SceneBreak(),
@@ -157,7 +164,7 @@ def documents(draw):
                                max_size=1))
         gold = draw(st.none() | st.builds(
             Interpretation, st.booleans(), st.frozensets(words, max_size=2)))
-        items.append(Sentence(sid, draw(feature_sets(roster)),
+        items.append(Sentence(sid, draw(feature_sets(roster, registry)),
                               draw(st.none() | strings), gold))
     context = INITIAL_CONTEXT
     if draw(st.booleans()):
@@ -174,7 +181,7 @@ EVERY_FIELD = Document(
                                           VerbFeatures(True, modal=True))),
         (StateOfAffairs("a\x00", SoaType.ACTION, frozenset({HOSTILE})),
          StateOfAffairs("p", SoaType.PRIVATE_STATE)),
-        (Pse(HOSTILE, HOSTILE, frozenset({"c2"})),),
+        (Pse(HOSTILE, PseCategory(HOSTILE, 3), frozenset({"c2"})),),
         frozenset({"é"}), "p"), text=HOSTILE,
         gold=Interpretation(True, frozenset({"Ghost", HOSTILE}))),
      SceneBreak(), ParagraphBreak(),
@@ -193,7 +200,7 @@ def test_any_document_is_written_as_json_dumps_writes_it(document):
     registry = dict(DEFAULT_REGISTRY)
     for sentence in document.sentences():
         for pse in sentence.features.pses:
-            registry.setdefault(pse.category, PseCategory(pse.category, 3))
+            registry[pse.category.name] = pse.category
     check_written(document, registry)
 
 
