@@ -66,14 +66,15 @@ from .model import (
     DEFAULT_REGISTRY,
 )
 
-_VP_KEYS = {
-    "simplePast": "simple_past",
-    "negated": "negated",
-    "habitual": "habitual",
-    "modal": "modal",
-    "pastPerfective": "past_perfective",
-    "progressive": "progressive",
-}
+# the "vp" flags in VerbFeatures field order
+_VP_KEYS = ("simplePast", "negated", "habitual", "modal", "pastPerfective",
+            "progressive")
+_VP_FIELDS = frozenset(_VP_KEYS)
+_ABSENT = (False,) * len(_VP_KEYS)
+_BOOLS = (bool,) * len(_VP_KEYS)
+# the 64 VerbFeatures values, each built once, by their flags in that order
+_VERB_FEATURES = {flags: VerbFeatures(*flags) for flags in itertools.product(
+    (False, True), repeat=len(_VP_KEYS))}
 _CONTEXT_SETS = ("lastSC", "previousSCs", "lastActiveCharacter")
 _BREAK_KEYS = frozenset({"kind"})
 _SENTENCE_KEYS = frozenset({"kind", "id", "text", "gold", "features"})
@@ -86,9 +87,13 @@ _PSE_KEYS = frozenset({"id", "category", "under"})
 # half of a UTF-16 pair, and the JSON escape that can spell one
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_STR = itertools.repeat(str)  # isinstance's second argument, for map
+# what Enum(value) finds: a member by its value, or the member itself
+_SOA_TYPES, _SITUATIONS = ({key: m for m in enum for key in (m.value, m)}
+                           for enum in (SoaType, TextSituation))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     """Building one checks the rules that need the whole document, and
     raises ValidationError for the first one broken."""
@@ -102,6 +107,9 @@ class Document:
         if not isinstance(self.title, str):
             raise ValidationError("title must be a string")
         roster, seen = self.roster, set()
+        if not isinstance(roster, frozenset) or not _all_names(roster):
+            raise ValidationError(
+                "roster must be a frozenset of non-empty strings")
         for i, item in enumerate(self.items):
             if not isinstance(item, Sentence):
                 if not isinstance(item, (ParagraphBreak, SceneBreak)):
@@ -276,7 +284,7 @@ def _parse_preamble(raw) -> Context:
     if raw is None:
         return INITIAL_CONTEXT
     _object(raw, {"situation", *_CONTEXT_SETS}, "preamble")
-    situation = _member(TextSituation, raw.get(
+    situation = _member(_SITUATIONS, raw.get(
         "situation", TextSituation.PRESUBJECTIVE_NONACTIVE.value),
         "preamble", "text situation")
     last_sc, previous, last_active = (
@@ -296,81 +304,88 @@ def _parse_item(raw, where, registry) -> InputItem:
         raise ValidationError(f"{where}: unknown kind {kind!r}")
     _object(raw, _SENTENCE_KEYS, where)
     sid = _id(raw, where, "sentence")
-    text = raw.get("text")
-    if text is not None and not isinstance(text, str):
-        raise ValidationError(f"sentence {sid}: text must be a string")
-    features = _parse_features(raw.get("features"), sid, registry)
-    gold = raw.get("gold")
-    if gold is not None:
-        _object(gold, _GOLD_KEYS, f"sentence {sid}: gold")
-        if gold.get("type") not in ("subjective", "objective"):
-            raise ValidationError(f"sentence {sid}: gold.type must be "
-                                  "'subjective' or 'objective'")
-        who = _characters(gold.get("characters", []),
-                          f"sentence {sid}: gold.characters")
-        gold = Interpretation(gold["type"] == "subjective", who)
+    try:
+        text = raw.get("text")
+        if text is not None and not isinstance(text, str):
+            raise ValidationError("text must be a string")
+        features = _parse_features(raw.get("features"), registry)
+        gold = raw.get("gold")
+        if gold is not None:
+            _object(gold, _GOLD_KEYS, "gold")
+            if gold.get("type") not in ("subjective", "objective"):
+                raise ValidationError(
+                    "gold.type must be 'subjective' or 'objective'")
+            gold = Interpretation(gold["type"] == "subjective", _characters(
+                gold.get("characters", []), "gold.characters"))
+    except ValidationError as exc:
+        raise ValidationError(f"sentence {sid}: {exc}") from None
     try:
         return Sentence(id=sid, features=features, text=text, gold=gold)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _parse_features(raw, sid, registry) -> FeatureSet:
-    where = f"sentence {sid}: features"
-    _object(raw, _FEATURE_KEYS, where)
-
-    soas: list[StateOfAffairs] = []
-    for i, entry in enumerate(_array(raw.get("soas", []), f"{where}.soas")):
-        place = f"{where}.soas[{i}]"
-        _object(entry, _SOA_KEYS, place)
-        soa_id = _id(entry, place, "state-of-affairs")
-        soa_type = _member(SoaType, entry.get("type", ""), place,
-                           "state-of-affairs type")
-        who = _characters(entry.get("who", []), f"{place}.who")
-        soas.append(StateOfAffairs(soa_id, soa_type, who))
-
-    clauses: list[Clause] = []
-    for i, entry in enumerate(_array(raw.get("clauses", []),
-                                     f"{where}.clauses")):
-        place = f"{where}.clauses[{i}]"
-        _object(entry, _CLAUSE_KEYS, place)
-        clause_id = _id(entry, place, "clause")
-        soa = entry.get("soa")
-        if not isinstance(soa, str):
-            raise ValidationError(f"{place}: soa must be a string")
-        under = _under(entry, place)
-        vp = _object(entry.get("vp", {}), _VP_KEYS.keys(), f"{place}.vp")
-        flags = {}
-        for key, attr in _VP_KEYS.items():
-            value = vp.get(key, False)
-            if not isinstance(value, bool):
-                raise ValidationError(f"{place}: vp.{key} must be a boolean")
-            flags[attr] = value
-        clauses.append(Clause(clause_id, soa, under, VerbFeatures(**flags)))
-
-    pses: list[Pse] = []
-    for i, entry in enumerate(_array(raw.get("pses", []), f"{where}.pses")):
-        place = f"{where}.pses[{i}]"
-        _object(entry, _PSE_KEYS, place)
-        pse_id = _id(entry, place, "element")
-        category = entry.get("category")
-        if not isinstance(category, str) or not category:
-            raise ValidationError(f"{place}: category must be a non-empty "
-                                  "string")
-        # an unknown name stays a name, which FeatureSet refuses
-        pses.append(Pse(pse_id, registry.get(category, category),
-                        _under(entry, place)))
-
+def _parse_features(raw, registry) -> FeatureSet:
+    _object(raw, _FEATURE_KEYS, "features")
+    soas = _entries(raw.get("soas", []), "features.soas", _parse_soa)
+    clauses = _entries(raw.get("clauses", []), "features.clauses",
+                       _parse_clause)
+    pses = _entries(raw.get("pses", []), "features.pses",
+                    lambda entry: _parse_pse(entry, registry))
     parenthetical = raw.get("parenthetical")
     if parenthetical is not None:
-        parenthetical = _characters(parenthetical, f"{where}.parenthetical")
-    quoted = _flag(raw, "quotedSpeech", where)
-    try:
-        return FeatureSet(tuple(clauses), tuple(soas), tuple(pses),
-                          parenthetical, raw.get("headNounPrivateState"),
-                          quoted)
-    except ValidationError as exc:
-        raise ValidationError(f"sentence {sid}: {exc}") from None
+        parenthetical = _characters(parenthetical, "features.parenthetical")
+    quoted = _flag(raw, "quotedSpeech", "features")
+    return FeatureSet(clauses, soas, pses, parenthetical,
+                      raw.get("headNounPrivateState"), quoted)
+
+
+def _entries(value, where, parse) -> tuple:
+    """``parse`` of each entry of an array.  The entry readers name their
+    place "", so a message holds only what follows it, and the entry's
+    place ``where[i]`` is written only when one fails."""
+    out = []
+    for entry in _array(value, where):
+        try:
+            out.append(parse(entry))
+        except ValidationError as exc:
+            raise ValidationError(f"{where}[{len(out)}]{exc}") from None
+    return tuple(out)
+
+
+def _parse_soa(raw) -> StateOfAffairs:
+    _object(raw, _SOA_KEYS, "")
+    return StateOfAffairs(
+        _id(raw, "", "state-of-affairs"),
+        _member(_SOA_TYPES, raw.get("type", ""), "", "state-of-affairs type"),
+        _characters(raw.get("who", []), ".who"))
+
+
+def _parse_clause(raw) -> Clause:
+    _object(raw, _CLAUSE_KEYS, "")
+    clause_id = _id(raw, "", "clause")
+    soa = raw.get("soa")
+    if not isinstance(soa, str):
+        raise ValidationError(": soa must be a string")
+    under = _under(raw, "")
+    vp = _object(raw.get("vp", {}), _VP_FIELDS, ".vp")
+    flags = tuple(map(vp.get, _VP_KEYS, _ABSENT))
+    # 1 and 0 would find the entries of True and False
+    if not all(map(isinstance, flags, _BOOLS)):
+        key = next(k for k, v in zip(_VP_KEYS, flags)
+                   if not isinstance(v, bool))
+        raise ValidationError(f": vp.{key} must be a boolean")
+    return Clause(clause_id, soa, under, _VERB_FEATURES[flags])
+
+
+def _parse_pse(raw, registry) -> Pse:
+    _object(raw, _PSE_KEYS, "")
+    pse_id = _id(raw, "", "element")
+    category = raw.get("category")
+    if not isinstance(category, str) or not category:
+        raise ValidationError(": category must be a non-empty string")
+    # an unknown name stays a name, which FeatureSet refuses
+    return Pse(pse_id, registry.get(category, category), _under(raw, ""))
 
 
 # -- field readers: each checks one shape and names the place that breaks it
@@ -394,8 +409,7 @@ def _id(raw, where, what) -> str:
 
 def _under(raw, where) -> frozenset[str]:
     value = raw.get("under", [])
-    if (not isinstance(value, list)
-            or not all(isinstance(u, str) for u in value)):
+    if not isinstance(value, list) or not all(map(isinstance, value, _STR)):
         raise ValidationError(f"{where}: under must be an array of clause "
                               "ids")
     return frozenset(value)
@@ -411,10 +425,14 @@ def _flag(raw, key, where, default=False) -> bool:
 def _characters(value, where) -> Characters:
     if not isinstance(value, list):
         raise ValidationError(f"{where}: must be an array of names")
-    for name in value:
-        if not isinstance(name, str) or not name:
-            raise ValidationError(f"{where}: names must be non-empty strings")
+    if not _all_names(value):
+        raise ValidationError(f"{where}: names must be non-empty strings")
     return frozenset(value)
+
+
+def _all_names(values) -> bool:
+    """Whether every value is a non-empty str."""
+    return all(map(isinstance, values, _STR)) and all(values)
 
 
 def _off_roster(names, roster, where) -> ValidationError:
@@ -422,10 +440,10 @@ def _off_roster(names, roster, where) -> ValidationError:
                            f"{sorted(names - roster)} not in roster")
 
 
-def _member(enum, value, where, what):
+def _member(members, value, where, what):
     try:
-        return enum(value)
-    except ValueError:
+        return members[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
         raise ValidationError(f"{where}: unknown {what} {value!r}") from None
 
 
@@ -508,10 +526,9 @@ def _names(names, depth) -> str:
 _BREAKS = {kind: _json([f'"kind": "{name}"'], 2, "{}") for kind, name in (
     (SceneBreak, "scene-break"), (ParagraphBreak, "paragraph-break"))}
 # the "vp" object of each of the 64 VerbFeatures values
-_VP_JSON = {vp: _json([f'"{key}": true' for key, attr in _VP_KEYS.items()
-                       if getattr(vp, attr)], 6, "{}")
-            for vp in itertools.starmap(VerbFeatures, itertools.product(
-                (False, True), repeat=len(_VP_KEYS)))}
+_VP_JSON = {vp: _json([f'"{key}": true' for key, on in zip(_VP_KEYS, flags)
+                       if on], 6, "{}")
+            for flags, vp in _VERB_FEATURES.items()}
 
 
 def _sentence_json(s: Sentence) -> str:

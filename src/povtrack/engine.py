@@ -55,7 +55,7 @@ class SignificancePolicy(Enum):
 _SP = SignificancePolicy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterpretationDetail:
     """Everything the engine decided about one sentence, each part once;
     the trace and the fold read it."""
@@ -71,7 +71,7 @@ class InterpretationDetail:
     action_reason: str | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackStep:
     item: InputItem
     before: Context

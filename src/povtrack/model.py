@@ -72,7 +72,7 @@ _UP_TO_LEVEL: dict[int, frozenset[TextSituation]] = {
     for level in range(1, len(_LEVEL_SITUATIONS) + 1)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PseCategory:
     """One category of potential subjective element.
 
@@ -127,7 +127,7 @@ def _default_registry() -> dict[str, PseCategory]:
 DEFAULT_REGISTRY: dict[str, PseCategory] = _default_registry()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Context:
     """The tracking state carried from one input item to the next."""
 
@@ -152,7 +152,7 @@ class SoaType(Enum):
 PRIVATE_SOA_TYPES = (SoaType.PRIVATE_STATE, SoaType.PRIVATE_STATE_ACTION)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateOfAffairs:
     """What a clause (or a private-state head noun) is about.
 
@@ -164,7 +164,7 @@ class StateOfAffairs:
     who: Characters = NOBODY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerbFeatures:
     """Tense/aspect/mood flags of one clause's main verb phrase."""
 
@@ -176,7 +176,7 @@ class VerbFeatures:
     progressive: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """One clause; ``under`` names the clauses it is subordinated to.
 
@@ -191,7 +191,7 @@ class Clause:
     vp: VerbFeatures = VerbFeatures()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pse:
     """A potential subjective element occurrence.
 
@@ -206,7 +206,7 @@ class Pse:
     under: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureSet:
     """The annotations of a single sentential input item.  Building one
     checks every rule that relates its fields, and raises ValidationError
@@ -315,7 +315,7 @@ def _check_acyclic(clauses: dict[str, Clause]) -> None:
                 raise ValidationError(f"clause subordination cycle: {cycle}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interpretation:
     """The verdict on one sentence: subjective of a character set, or
     objective with an (often empty) active character set."""
@@ -343,7 +343,7 @@ SEPARATORS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 ESCAPE_SEPARATORS = {ord(c): repr(c)[1:-1] for c in SEPARATORS}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     id: str
     features: FeatureSet
@@ -351,18 +351,20 @@ class Sentence:
     gold: Interpretation | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, str) or not self.id:
+            raise ValidationError("sentence id must be a non-empty string")
         # the id heads a tab-separated verdict line, which it must not split
         if not SEPARATORS.isdisjoint(self.id):
             raise ValidationError(f"sentence id {self.id!r} must not hold a "
                                   "tab or line break")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParagraphBreak:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SceneBreak:
     pass
 

@@ -1,5 +1,6 @@
 """Loader, registry, and serialization behavior."""
 
+import dataclasses
 import json
 import re
 
@@ -16,6 +17,7 @@ from povtrack import (
     SoaType,
     TextSituation,
     ValidationError,
+    VerbFeatures,
     document_from_dict,
     dumps_document,
     evaluate,
@@ -23,7 +25,7 @@ from povtrack import (
     parse_registry,
     validate_gold,
 )
-from conftest import fixture_doc, fixture_json
+from conftest import DATA, fixture_doc, fixture_json
 
 
 def minimal(**overrides):
@@ -472,3 +474,239 @@ def test_long_subordination_chain_cycle_detected():
     with pytest.raises(ValidationError,
                        match=r"cycle: c1 -> c2 -> .* -> c5000 -> c4999$"):
         document_from_dict(doc)
+
+
+# -- one message per reader branch ------------------------------------------
+#
+# One fault in an otherwise valid document (``minimal()`` with an element
+# added).  The messages were generated by the parser that built each place
+# string before reading the entry there; the readers now build one only
+# when they fail, and must still say the same.
+
+F = ("items", 0, "features")
+DELETE = object()
+MESSAGES = [
+    ((), 5, "top level must be a JSON object"),
+    (("chapter",), 1, "top level: unknown field(s) ['chapter']"),
+    (("roster",), "Zoe", "roster: must be an array of names"),
+    (("roster",), [""], "roster: names must be non-empty strings"),
+    (("items",), {}, "items: must be an array"),
+    (("preamble",), [], "preamble: must be an object"),
+    (("preamble",), {"situation": "confused"},
+     "preamble: unknown text situation 'confused'"),
+    (("preamble",), {"situation": []}, "preamble: unknown text situation []"),
+    (("preamble",), {"lastSC": "Zoe"},
+     "preamble.lastSC: must be an array of names"),
+    (("items", 0), 5, "items[0]: must be an object"),
+    (("items", 0), {"kind": "chapter-break"},
+     "items[0]: unknown kind 'chapter-break'"),
+    (("items", 0), {"kind": "scene-break", "id": "x"},
+     "items[0]: unknown field(s) ['id']"),
+    (("items", 0, "note"), "x", "items[0]: unknown field(s) ['note']"),
+    (("items", 0, "id"), "",
+     "items[0]: sentence id must be a non-empty string"),
+    (("items", 0, "id"), "s\t1",
+     "items[0]: sentence id 's\\t1' must not hold a tab or line break"),
+    (("items", 0, "text"), 5, "sentence s1: text must be a string"),
+    (("items", 0, "gold"), [], "sentence s1: gold: must be an object"),
+    (("items", 0, "gold"), {"type": "maybe"},
+     "sentence s1: gold.type must be 'subjective' or 'objective'"),
+    (("items", 0, "gold"), {"type": "objective", "characters": [5]},
+     "sentence s1: gold.characters: names must be non-empty strings"),
+    (F, DELETE, "sentence s1: features: must be an object"),
+    (F + ("note",), 1, "sentence s1: features: unknown field(s) ['note']"),
+    (F + ("soas",), {}, "sentence s1: features.soas: must be an array"),
+    (F + ("soas", 0), "a1", "sentence s1: features.soas[0]: must be an object"),
+    (F + ("soas", 0, "note"), 1,
+     "sentence s1: features.soas[0]: unknown field(s) ['note']"),
+    (F + ("soas", 0, "id"), 5, "sentence s1: features.soas[0]: "
+     "state-of-affairs id must be a non-empty string"),
+    (F + ("soas", 0, "type"), "feeling", "sentence s1: features.soas[0]: "
+     "unknown state-of-affairs type 'feeling'"),
+    (F + ("soas", 0, "who"), "Zoe",
+     "sentence s1: features.soas[0].who: must be an array of names"),
+    (F + ("soas", 0, "who"), ["Ghost"], "sentence s1: features.soas[0].who: "
+     "character(s) ['Ghost'] not in roster"),
+    (F + ("clauses",), None, "sentence s1: features.clauses: must be an array"),
+    (F + ("clauses", 0), [],
+     "sentence s1: features.clauses[0]: must be an object"),
+    (F + ("clauses", 0, "note"), 1,
+     "sentence s1: features.clauses[0]: unknown field(s) ['note']"),
+    (F + ("clauses", 0, "id"), DELETE,
+     "sentence s1: features.clauses[0]: clause id must be a non-empty string"),
+    (F + ("clauses", 0, "soa"), 1,
+     "sentence s1: features.clauses[0]: soa must be a string"),
+    (F + ("clauses", 0, "under"), [None], "sentence s1: features.clauses[0]: "
+     "under must be an array of clause ids"),
+    (F + ("clauses", 0, "vp"), [],
+     "sentence s1: features.clauses[0].vp: must be an object"),
+    (F + ("clauses", 0, "vp", "past"), True,
+     "sentence s1: features.clauses[0].vp: unknown field(s) ['past']"),
+    (F + ("clauses", 0, "vp", "modal"), 1,
+     "sentence s1: features.clauses[0]: vp.modal must be a boolean"),
+    (F + ("pses",), "p1", "sentence s1: features.pses: must be an array"),
+    (F + ("pses", 0), None, "sentence s1: features.pses[0]: must be an object"),
+    (F + ("pses", 0, "note"), 1,
+     "sentence s1: features.pses[0]: unknown field(s) ['note']"),
+    (F + ("pses", 0, "id"), "",
+     "sentence s1: features.pses[0]: element id must be a non-empty string"),
+    (F + ("pses", 0, "category"), "", "sentence s1: features.pses[0]: "
+     "category must be a non-empty string"),
+    (F + ("pses", 0, "category"), "wobbly",
+     "sentence s1: element 'p1' has unknown category 'wobbly'"),
+    (F + ("pses", 0, "under"), "c1", "sentence s1: features.pses[0]: "
+     "under must be an array of clause ids"),
+    (F + ("parenthetical",), [""], "sentence s1: features.parenthetical: "
+     "names must be non-empty strings"),
+    (F + ("quotedSpeech",), 0,
+     "sentence s1: features: quotedSpeech must be a boolean"),
+    (F + ("headNounPrivateState",), "a1", "sentence s1: headNounPrivateState "
+     "'a1' must be a private-state state of affairs"),
+]
+
+
+def with_fault(path, value):
+    if not path:
+        return value
+    doc = patch_features(pses=[{"id": "p1", "category": "hedge",
+                                "under": []}])
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value, message", MESSAGES,
+                         ids=[message for _, _, message in MESSAGES])
+@pytest.mark.parametrize("entry", ["parse_document", "document_from_dict"])
+def test_each_reader_branch_keeps_its_message(entry, path, value, message):
+    doc = with_fault(path, value)
+    with pytest.raises((ParseError, ValidationError)) as caught:
+        if entry == "parse_document":
+            parse_document(json.dumps(doc))
+        else:
+            document_from_dict(doc)
+    assert str(caught.value) == message
+
+
+# -- the good path's traps ---------------------------------------------------
+
+
+VP_FLAGS = ["simplePast", "negated", "habitual", "modal", "pastPerfective",
+            "progressive"]
+
+
+@pytest.mark.parametrize("value", [1, 0, None, 1.0])
+@pytest.mark.parametrize("flag", VP_FLAGS)
+def test_a_number_or_null_is_not_a_vp_flag(flag, value):
+    doc = patch_features(clauses=[{"id": "c1", "soa": "a1",
+                                   "vp": {"modal": True, flag: value}}])
+    with pytest.raises(ValidationError) as caught:
+        document_from_dict(doc)
+    assert str(caught.value) == ("sentence s1: features.clauses[0]: "
+                                 f"vp.{flag} must be a boolean")
+
+
+def test_the_first_bad_vp_flag_is_named_in_field_order():
+    doc = patch_features(clauses=[{"id": "c1", "soa": "a1", "vp": {
+        "progressive": "yes", "negated": 0}}])
+    with pytest.raises(ValidationError, match=r"vp\.negated must"):
+        document_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [1, 0, None])
+def test_a_number_or_null_is_not_quoted_speech(value):
+    with pytest.raises(ValidationError) as caught:
+        document_from_dict(patch_features(quotedSpeech=value))
+    assert str(caught.value) == \
+        "sentence s1: features: quotedSpeech must be a boolean"
+
+
+@pytest.mark.parametrize("value", [[], {}, ["action"]])
+def test_an_unhashable_soa_type_is_unknown(value):
+    doc = patch_features(soas=[{"id": "a1", "type": value, "who": []}])
+    with pytest.raises(ValidationError) as caught:
+        document_from_dict(doc)
+    assert str(caught.value) == ("sentence s1: features.soas[0]: unknown "
+                                 f"state-of-affairs type {value!r}")
+
+
+def three_of_each():
+    return patch_features(
+        soas=[{"id": f"a{i}", "type": "action", "who": ["Zoe"]}
+              for i in range(3)],
+        clauses=[{"id": f"c{i}", "soa": f"a{i}",
+                  "under": ["c0"] if i else []} for i in range(3)],
+        pses=[{"id": f"p{i}", "category": "hedge", "under": ["c0"]}
+              for i in range(3)])
+
+
+@pytest.mark.parametrize("key, field, value, message", [
+    ("soas", None, 5, "features.soas[2]: must be an object"),
+    ("soas", "who", [5], "features.soas[2].who: names must be non-empty "
+     "strings"),
+    ("clauses", None, 5, "features.clauses[2]: must be an object"),
+    ("clauses", "under", [5], "features.clauses[2]: under must be an array "
+     "of clause ids"),
+    ("clauses", "vp", {"habitual": 1}, "features.clauses[2]: vp.habitual "
+     "must be a boolean"),
+    ("pses", None, 5, "features.pses[2]: must be an object"),
+    ("pses", "under", "c0", "features.pses[2]: under must be an array of "
+     "clause ids"),
+])
+def test_a_fault_in_an_entry_names_its_index(key, field, value, message):
+    doc = three_of_each()
+    document_from_dict(doc)
+    entries = doc["items"][0]["features"][key]
+    if field is None:
+        entries[2] = value
+    else:
+        entries[2][field] = value
+    with pytest.raises(ValidationError) as caught:
+        document_from_dict(doc)
+    assert str(caught.value) == f"sentence s1: {message}"
+
+
+def test_equal_vp_objects_parse_to_one_verb_features_object():
+    doc = three_of_each()
+    clauses = doc["items"][0]["features"]["clauses"]
+    clauses[0]["vp"] = {"negated": True, "modal": True}
+    clauses[1]["vp"] = {"modal": True, "negated": True, "habitual": False}
+    clauses[2].pop("vp", None)
+    again = minimal()
+    again["items"][0]["features"]["clauses"][0]["vp"] = {}
+    parsed = document_from_dict(doc).items[0].features.clauses
+    assert parsed[0].vp is parsed[1].vp
+    assert parsed[0].vp == VerbFeatures(negated=True, modal=True)
+    assert parsed[2].vp is document_from_dict(again).items[0].features.\
+        clauses[0].vp
+
+
+def model_objects(value):
+    """The objects a parsed document is built from, itself included."""
+    yield value
+    if isinstance(value, (tuple, frozenset)):
+        for child in value:
+            yield from model_objects(child)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from model_objects(getattr(value, field.name))
+
+
+def test_no_model_object_has_a_dict():
+    kinds = set()
+    for path in sorted(DATA.glob("*.json")):
+        doc = fixture_doc(path.stem)
+        for obj in model_objects((doc, tuple(Engine().track_document(doc)))):
+            if dataclasses.is_dataclass(obj):
+                assert not hasattr(obj, "__dict__"), type(obj).__name__
+                kinds.add(type(obj).__name__)
+    assert kinds == {
+        "Document", "Sentence", "ParagraphBreak", "SceneBreak", "FeatureSet",
+        "Clause", "StateOfAffairs", "VerbFeatures", "Pse", "PseCategory",
+        "Interpretation", "Context", "TrackStep", "InterpretationDetail"}

@@ -259,6 +259,10 @@ RULES = [
                   "be a subset of previousSCs when non-empty",
                   context=Context(frozenset({"Zoe"}), NOBODY, NOBODY,
                                   SITUATION)),
+    pytest.param(partial(Sentence, 5, FeatureSet((MAIN,), SOAS)),
+                 partial(parse_document, document(5)), ValidationError,
+                 "sentence id must be a non-empty string", "items[0]: ",
+                 id="id-not-a-string"),
     id_rule("a\tb"),
     id_rule("s1\u2028s9"),
     id_rule("s1\x85"),
@@ -277,6 +281,15 @@ def test_broken_rule_is_refused_where_the_object_is_built(
     with pytest.raises(error) as parsed:
         parse()
     assert str(parsed.value) == place + message
+
+
+@pytest.mark.parametrize("roster", [["Zoe"], {"Zoe"}, frozenset({""}),
+                                    frozenset({5}), None])
+def test_roster_must_be_a_frozenset_of_names(roster):
+    with pytest.raises(ValidationError) as caught:
+        Document("t", roster, (S1,))
+    assert str(caught.value) == \
+        "roster must be a frozenset of non-empty strings"
 
 
 def test_main_clause_takes_no_part_in_eq_hash_or_replace():
