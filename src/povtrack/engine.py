@@ -73,6 +73,8 @@ class InterpretationDetail:
 
 @dataclass(frozen=True, slots=True)
 class TrackStep:
+    """One item of a pass, with the contexts before and after it."""
+
     item: InputItem
     before: Context
     after: Context

@@ -345,6 +345,8 @@ ESCAPE_SEPARATORS = {ord(c): repr(c)[1:-1] for c in SEPARATORS}
 
 @dataclass(frozen=True, slots=True)
 class Sentence:
+    """One annotated sentence, with its text and gold verdict if given."""
+
     id: str
     features: FeatureSet
     text: str | None = None
@@ -361,12 +363,12 @@ class Sentence:
 
 @dataclass(frozen=True, slots=True)
 class ParagraphBreak:
-    pass
+    """The end of a paragraph."""
 
 
 @dataclass(frozen=True, slots=True)
 class SceneBreak:
-    pass
+    """The end of a scene."""
 
 
 InputItem = Sentence | ParagraphBreak | SceneBreak
