@@ -479,9 +479,9 @@ def test_long_subordination_chain_cycle_detected():
 # -- one message per reader branch ------------------------------------------
 #
 # One fault in an otherwise valid document (``minimal()`` with an element
-# added).  The messages were generated by the parser that built each place
-# string before reading the entry there; the readers now build one only
-# when they fail, and must still say the same.
+# added).  The messages were generated by a parser that built each place
+# string before reading the entry there: readers that build one only when
+# they fail must say the same.
 
 F = ("items", 0, "features")
 DELETE = object()
