@@ -46,7 +46,6 @@ from .engine import (
 from .corpus import (
     Document,
     document_from_dict,
-    document_to_dict,
     dumps_document,
     load_document,
     load_registry,
@@ -73,7 +72,7 @@ __all__ = [
     "RegistryError", "SceneBreak", "Sentence", "SignificancePolicy",
     "SoaType", "StateOfAffairs", "TextSituation",
     "TrackStep", "ValidationError", "VerbFeatures",
-    "classify_operation", "document_from_dict", "document_to_dict",
+    "classify_operation", "document_from_dict",
     "dumps_document", "evaluate", "interpretation_line",
     "is_simple_quoted_speech", "last_active_character_expected",
     "last_subjective_character_expected", "load_document", "load_registry",

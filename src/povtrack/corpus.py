@@ -328,16 +328,20 @@ def _parse_item(raw, where, registry) -> InputItem:
 def _parse_features(raw, registry) -> FeatureSet:
     _object(raw, _FEATURE_KEYS, "features")
     soas = _entries(raw.get("soas", []), "features.soas", _parse_soa)
+    # an unknown id stays a string, which FeatureSet refuses
+    by_id = {soa.id: soa for soa in soas}
     clauses = _entries(raw.get("clauses", []), "features.clauses",
-                       _parse_clause)
+                       lambda entry: _parse_clause(entry, by_id))
     pses = _entries(raw.get("pses", []), "features.pses",
                     lambda entry: _parse_pse(entry, registry))
     parenthetical = raw.get("parenthetical")
     if parenthetical is not None:
         parenthetical = _characters(parenthetical, "features.parenthetical")
     quoted = _flag(raw, "quotedSpeech", "features")
-    return FeatureSet(clauses, soas, pses, parenthetical,
-                      raw.get("headNounPrivateState"), quoted)
+    head = raw.get("headNounPrivateState")
+    if isinstance(head, str):
+        head = by_id.get(head, head)
+    return FeatureSet(clauses, soas, pses, parenthetical, head, quoted)
 
 
 def _entries(value, where, parse) -> tuple:
@@ -361,7 +365,7 @@ def _parse_soa(raw) -> StateOfAffairs:
         _characters(raw.get("who", []), ".who"))
 
 
-def _parse_clause(raw) -> Clause:
+def _parse_clause(raw, soas) -> Clause:
     _object(raw, _CLAUSE_KEYS, "")
     clause_id = _id(raw, "", "clause")
     soa = raw.get("soa")
@@ -375,7 +379,7 @@ def _parse_clause(raw) -> Clause:
         key = next(k for k, v in zip(_VP_KEYS, flags)
                    if not isinstance(v, bool))
         raise ValidationError(f": vp.{key} must be a boolean")
-    return Clause(clause_id, soa, under, _VERB_FEATURES[flags])
+    return Clause(clause_id, soas.get(soa, soa), under, _VERB_FEATURES[flags])
 
 
 def _parse_pse(raw, registry) -> Pse:
@@ -475,11 +479,6 @@ def validate_gold(document: Document) -> list[str]:
     return warnings
 
 
-def document_to_dict(document: Document) -> dict:
-    """The parsed view of ``dumps_document``'s text."""
-    return json.loads(dumps_document(document))
-
-
 def dumps_document(document: Document) -> str:
     """``json.dumps(..., indent=2, ensure_ascii=False)`` of the dict view,
     written from the model, since that encoder indents in pure Python.  A
@@ -545,10 +544,10 @@ def _sentence_json(s: Sentence) -> str:
         out += f',{_L4}"parenthetical": {_names(fs.parenthetical, 4)}'
     if fs.head_noun_private_state is not None:
         out += (f',{_L4}"headNounPrivateState": '
-                f'{_string(fs.head_noun_private_state)}')
+                f'{_string(fs.head_noun_private_state.id)}')
     soas = [f'{{{_L6}"id": {_string(a.id)},{_L6}"type": "{a.type.value}",'
             f'{_L6}"who": {_names(a.who, 6)}{_L5}}}' for a in fs.soas]
-    clauses = [f'{{{_L6}"id": {_string(c.id)},{_L6}"soa": {_string(c.soa)},'
+    clauses = [f'{{{_L6}"id": {_string(c.id)},{_L6}"soa": {_string(c.soa.id)},'
                f'{_L6}"under": {_names(c.under, 6)},{_L6}"vp": '
                f'{_VP_JSON[c.vp]}{_L5}}}' for c in fs.clauses]
     pses = [f'{{{_L6}"id": {_string(p.id)},{_L6}"category": '

@@ -88,6 +88,9 @@ class Engine:
 
     def __init__(self, *,
                  policy: SignificancePolicy = SignificancePolicy.ANY_PREVIOUS_SC):
+        if not isinstance(policy, SignificancePolicy):
+            raise TypeError("policy must be a SignificancePolicy, not "
+                            f"{policy!r}")
         self.policy = policy
 
     # -- state-of-affairs selection ------------------------------------
@@ -115,21 +118,19 @@ class Engine:
         first subordinated clause about a private state that is not
         itself under such a clause, then the main clause regardless.
         """
-        soas = {soa.id: soa for soa in fs.soas}
-        main = soas[fs.main.soa]
+        main = fs.main.soa
         if self.treat_as_private_state(main, qualified):
             return main, True
         if fs.head_noun_private_state is not None:
-            return soas[fs.head_noun_private_state], True
+            return fs.head_noun_private_state, True
         private_clauses = {c.id for c in fs.clauses
-                           if soas[c.soa].type in PRIVATE_SOA_TYPES}
+                           if c.soa.type in PRIVATE_SOA_TYPES}
         # ties broken by annotation order, so runs are reproducible
         for clause in fs.clauses:
             if clause is fs.main or clause.under & private_clauses:
                 continue
-            soa = soas[clause.soa]
-            if self.treat_as_private_state(soa, qualified):
-                return soa, True
+            if self.treat_as_private_state(clause.soa, qualified):
+                return clause.soa, True
         return main, False
 
     # -- subjective elements -------------------------------------------
@@ -155,7 +156,7 @@ class Engine:
         """
         chosen, private = self.choose_state_of_affairs(fs, qualified)
         fired = self.subjective_elements(fs, context)
-        clause = fs.clause_about(chosen.id)
+        clause = fs.clause_about(chosen)
         considerable = tuple(
             pse for pse in fired
             if (clause is None or clause.id not in pse.under)

@@ -107,9 +107,8 @@ def is_simple_quoted_speech(sentence: Sentence) -> bool:
     fs = sentence.features
     if not fs.quoted_speech or fs.pses:
         return False
-    types = {soa.id: soa.type for soa in fs.soas}
     # the main clause is about an action: FeatureSet requires it
-    return all(types[c.soa] not in PRIVATE_SOA_TYPES for c in fs.clauses)
+    return all(c.soa.type not in PRIVATE_SOA_TYPES for c in fs.clauses)
 
 
 @dataclass

@@ -186,7 +186,7 @@ class Clause:
     """
 
     id: str
-    soa: str
+    soa: StateOfAffairs
     under: frozenset[str] = frozenset()
     vp: VerbFeatures = VerbFeatures()
 
@@ -210,13 +210,14 @@ class Pse:
 class FeatureSet:
     """The annotations of a single sentential input item.  Building one
     checks every rule that relates its fields, and raises ValidationError
-    for the first one broken."""
+    for the first one broken.  A clause's and the head noun's state of
+    affairs must be an element of ``soas``, not an equal copy."""
 
     clauses: tuple[Clause, ...]
     soas: tuple[StateOfAffairs, ...]
     pses: tuple[Pse, ...] = ()
     parenthetical: Characters | None = None
-    head_noun_private_state: str | None = None
+    head_noun_private_state: StateOfAffairs | None = None
     quoted_speech: bool = False
     # the main clause, found once at construction and never compared
     main: Clause = field(init=False, repr=False, compare=False)
@@ -226,10 +227,9 @@ class FeatureSet:
             if not isinstance(pse.category, PseCategory):
                 raise ValidationError(f"element {pse.id!r} has unknown "
                                       f"category {pse.category!r}")
-        soas = {soa.id: soa for soa in self.soas}
         clauses = {clause.id: clause for clause in self.clauses}
         for what, objects, ids in (
-                ("state-of-affairs", self.soas, soas),
+                ("state-of-affairs", self.soas, {soa.id for soa in self.soas}),
                 ("clause", self.clauses, clauses),
                 ("element", self.pses, {pse.id for pse in self.pses})):
             if len(ids) < len(objects):
@@ -239,8 +239,10 @@ class FeatureSet:
                         raise ValidationError(
                             f"duplicate {what} id {obj.id!r}")
                     seen.add(obj.id)
+        # by identity: hashing each state of affairs would cost more
+        soas = {id(soa) for soa in self.soas}
         for clause in self.clauses:
-            if clause.soa not in soas:
+            if id(clause.soa) not in soas:
                 raise ValidationError(
                     f"clause {clause.id!r} references unknown state of "
                     f"affairs {clause.soa!r}")
@@ -268,27 +270,26 @@ class FeatureSet:
                 "parenthetical subject must name at least one character")
         head = self.head_noun_private_state
         if head is not None:
-            if not isinstance(head, str) or head not in soas:
+            if id(head) not in soas:
                 raise ValidationError("headNounPrivateState references "
                                       f"unknown state of affairs {head!r}")
-            if soas[head].type is not SoaType.PRIVATE_STATE:
+            if head.type is not SoaType.PRIVATE_STATE:
                 raise ValidationError(
-                    f"headNounPrivateState {head!r} must be a private-state "
-                    "state of affairs")
-        if (self.quoted_speech
-                and soas[mains[0].soa].type is not SoaType.ACTION):
+                    f"headNounPrivateState {head.id!r} must be a "
+                    "private-state state of affairs")
+        if self.quoted_speech and mains[0].soa.type is not SoaType.ACTION:
             raise ValidationError(
                 "quoted speech must be about a communicative action (main "
                 "state of affairs of type 'action')")
         object.__setattr__(self, "main", mains[0])
 
-    def clause_about(self, soa_id: str) -> Clause | None:
+    def clause_about(self, soa: StateOfAffairs) -> Clause | None:
         """The clause a state of affairs belongs to.  None for the
         head-noun one: a noun phrase has no clausal scope for an element
         to sit in."""
-        if soa_id != self.head_noun_private_state:
+        if soa is not self.head_noun_private_state:
             for clause in self.clauses:
-                if clause.soa == soa_id:
+                if clause.soa is soa:
                     return clause
         return None
 

@@ -1,7 +1,9 @@
 """Loader, registry, and serialization behavior."""
 
+import copy
 import dataclasses
 import json
+import pickle
 import re
 
 import pytest
@@ -326,13 +328,35 @@ def test_validate_gold_off_roster():
     assert len(warnings) == 1 and "Ghost" in warnings[0]
 
 
-@pytest.mark.parametrize("name", ["demo1", "demo2", "demo3", "p18", "p24",
-                                  "p26", "p27", "p31", "p19", "minicorpus",
-                                  "flipped", "lynette"])
+FIXTURES = ["demo1", "demo2", "demo3", "p18", "p24", "p26", "p27", "p31",
+            "p19", "minicorpus", "flipped", "lynette"]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
 def test_round_trip_all_fixtures(name):
     doc = fixture_doc(name)
     again = parse_document(dumps_document(doc))
     assert again == doc
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_clauses_and_head_nouns_hold_their_own_states_of_affairs(name):
+    doc = fixture_doc(name)
+    # a deep copy and a pickle keep which object each reference is
+    for kept in (doc, copy.deepcopy(doc), pickle.loads(pickle.dumps(doc))):
+        for sentence in kept.sentences():
+            fs = sentence.features
+            own = {id(soa) for soa in fs.soas}
+            assert all(id(clause.soa) in own for clause in fs.clauses)
+            head = fs.head_noun_private_state
+            assert head is None or id(head) in own
+            # rebuilding runs FeatureSet's checks again
+            assert dataclasses.replace(fs) == fs
+
+
+def test_some_fixture_has_a_head_noun():
+    assert any(s.features.head_noun_private_state is not None
+               for name in FIXTURES for s in fixture_doc(name).sentences())
 
 
 def test_two_loads_compare_equal():
@@ -562,6 +586,10 @@ MESSAGES = [
      "sentence s1: features: quotedSpeech must be a boolean"),
     (F + ("headNounPrivateState",), "a1", "sentence s1: headNounPrivateState "
      "'a1' must be a private-state state of affairs"),
+    (F + ("headNounPrivateState",), ["a1"], "sentence s1: "
+     "headNounPrivateState references unknown state of affairs ['a1']"),
+    (F + ("headNounPrivateState",), 5, "sentence s1: headNounPrivateState "
+     "references unknown state of affairs 5"),
 ]
 
 

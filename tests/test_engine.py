@@ -1,5 +1,6 @@
 """Unit tests for the sentence interpreter, one behavior at a time."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -41,9 +42,15 @@ def pse(pid, category, under=()):
     return Pse(pid, DEFAULT_REGISTRY[category], frozenset(under))
 
 
-def fs(soas, clauses, pses=(), **kwargs):
-    return FeatureSet(clauses=tuple(clauses), soas=tuple(soas),
-                      pses=tuple(pses), **kwargs)
+def fs(soas, clauses, pses=(), head_noun_private_state=None, **kwargs):
+    """A feature set whose clauses and head noun name their state of
+    affairs by id, as a document does, resolved as the parser does."""
+    by_id = {s.id: s for s in soas}
+    return FeatureSet(
+        clauses=tuple(dataclasses.replace(c, soa=by_id[c.soa])
+                      for c in clauses),
+        soas=tuple(soas), pses=tuple(pses),
+        head_noun_private_state=by_id.get(head_noun_private_state), **kwargs)
 
 
 def ctx(situation, last_sc=(), last_active=(), previous=()):
@@ -62,6 +69,14 @@ def test_engine_takes_only_the_policy_by_keyword():
         Engine(DEFAULT_REGISTRY)
     policy = SignificancePolicy.MIN_LENGTH_2
     assert Engine(policy=policy).policy is policy
+
+
+@pytest.mark.parametrize("policy", ["min-length-2", None, 3])
+def test_engine_refuses_a_policy_that_is_not_a_significance_policy(policy):
+    # the fold tests the policy by identity, so a policy's name would
+    # match none of them and track under no policy at all
+    with pytest.raises(TypeError, match=f"not {policy!r}$"):
+        Engine(policy=policy)
 
 
 def verdict(engine, features, context):
@@ -430,7 +445,7 @@ def test_clause_about_the_head_noun_gives_it_no_scope(engine):
     context = ctx(TS.BROKEN_SUBJECTIVE, last_sc={"Sandy"},
                   previous={"Sandy"})
     assert choose(engine, features, context).id == "hn"
-    assert features.clause_about("hn") is None
+    assert features.clause_about(features.head_noun_private_state) is None
     assert considerable(engine, features, context)
 
 

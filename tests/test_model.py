@@ -112,14 +112,15 @@ def test_category_level_validated():
         PseCategory("bogus", 7)
 
 
-ACTION = (StateOfAffairs("a1", SoaType.ACTION),)
+A1 = StateOfAffairs("a1", SoaType.ACTION)
+ACTION = (A1,)
 
 
 # -- each annotation rule, checked by the type it constrains -----------------
 
-SOAS = ACTION + (StateOfAffairs("p1", SoaType.PRIVATE_STATE,
-                                frozenset({"Zoe"})),)
-MAIN = Clause("c1", "a1")
+P1 = StateOfAffairs("p1", SoaType.PRIVATE_STATE, frozenset({"Zoe"}))
+SOAS = ACTION + (P1,)
+MAIN = Clause("c1", A1)
 QUESTION = DEFAULT_REGISTRY["question"]
 
 
@@ -129,19 +130,21 @@ def under(cid, soa, *parents):
 
 def features_json(clauses, soas, pses=(), parenthetical=None,
                   head_noun_private_state=None, quoted_speech=False):
-    """The document form of FeatureSet's fields."""
+    """The document form of FeatureSet's fields.  A reference that is
+    not a state of affairs, an unknown id say, is written as it is."""
     out = {"quotedSpeech": quoted_speech,
            "soas": [{"id": s.id, "type": s.type.value, "who": sorted(s.who)}
                     for s in soas],
-           "clauses": [{"id": c.id, "soa": c.soa, "under": sorted(c.under)}
-                       for c in clauses],
+           "clauses": [{"id": c.id, "soa": getattr(c.soa, "id", c.soa),
+                        "under": sorted(c.under)} for c in clauses],
            "pses": [{"id": p.id, "category": getattr(p.category, "name",
                                                      p.category),
                      "under": sorted(p.under)} for p in pses]}
     if parenthetical is not None:
         out["parenthetical"] = sorted(parenthetical)
     if head_noun_private_state is not None:
-        out["headNounPrivateState"] = head_noun_private_state
+        out["headNounPrivateState"] = getattr(head_noun_private_state, "id",
+                                              head_noun_private_state)
     return out
 
 
@@ -202,15 +205,15 @@ RULES = [
                  "affairs 'a9'", clauses=(Clause("c1", "a9"),)),
     feature_rule("clause-under-missing", "clause 'c2' subordinated to "
                  "unknown clause(s) ['c9']",
-                 clauses=(MAIN, under("c2", "a1", "c9"))),
+                 clauses=(MAIN, under("c2", A1, "c9"))),
     feature_rule("no-clause", "at least one clause required", clauses=()),
     feature_rule("no-main", "no main clause (every clause is subordinated)",
-                 clauses=(under("c1", "a1", "c2"), under("c2", "a1", "c1"))),
+                 clauses=(under("c1", A1, "c2"), under("c2", A1, "c1"))),
     feature_rule("two-mains", "multiple main clauses (c1, c3)",
-                 clauses=(MAIN, under("c2", "a1", "c1"), Clause("c3", "a1"))),
+                 clauses=(MAIN, under("c2", A1, "c1"), Clause("c3", A1))),
     feature_rule("cycle", "clause subordination cycle: c2 -> c3 -> c2",
-                 clauses=(MAIN, under("c2", "a1", "c3"),
-                          under("c3", "a1", "c2"))),
+                 clauses=(MAIN, under("c2", A1, "c3"),
+                          under("c3", A1, "c2"))),
     feature_rule("element-under-missing", "element 'e1' subordinated to "
                  "unknown clause(s) ['c9']",
                  pses=(Pse("e1", QUESTION, frozenset({"c9"})),)),
@@ -221,16 +224,16 @@ RULES = [
                  head_noun_private_state="p9"),
     feature_rule("head-noun-not-private", "headNounPrivateState 'a1' must "
                  "be a private-state state of affairs",
-                 head_noun_private_state="a1"),
+                 head_noun_private_state=A1),
     feature_rule("quoted-private-state", "quoted speech must be about a "
                  "communicative action (main state of affairs of type "
-                 "'action')", clauses=(Clause("c1", "p1"),),
+                 "'action')", clauses=(Clause("c1", P1),),
                  quoted_speech=True),
     feature_rule("duplicate-soa", "duplicate state-of-affairs id 'a1'",
                  soas=SOAS + ACTION),
     feature_rule("duplicate-clause", "duplicate clause id 'c2'",
-                 clauses=(MAIN, under("c2", "a1", "c1"),
-                          under("c2", "p1", "c1"))),
+                 clauses=(MAIN, under("c2", A1, "c1"),
+                          under("c2", P1, "c1"))),
     feature_rule("duplicate-element", "duplicate element id 'e1'",
                  pses=(Pse("e1", QUESTION),
                        Pse("e1", DEFAULT_REGISTRY["exclamation"]))),
@@ -293,7 +296,7 @@ def test_roster_must_be_a_frozenset_of_names(roster):
 
 
 def test_main_clause_takes_no_part_in_eq_hash_or_replace():
-    main, sub = Clause("c1", "a1"), Clause("c2", "a1", frozenset({"c1"}))
+    main, sub = Clause("c1", A1), Clause("c2", A1, frozenset({"c1"}))
     features = FeatureSet((sub, main), ACTION)
     assert features.main is main
     other = FeatureSet((sub, main), ACTION)
@@ -303,6 +306,49 @@ def test_main_clause_takes_no_part_in_eq_hash_or_replace():
         dataclasses.replace(features, main=sub)
     # replace rebuilds the set, and finds the main clause of its clauses
     flipped = dataclasses.replace(
-        features, clauses=(Clause("c2", "a1"),
-                           Clause("c1", "a1", frozenset({"c2"}))))
+        features, clauses=(Clause("c2", A1),
+                           Clause("c1", A1, frozenset({"c2"}))))
     assert flipped.main.id == "c2" and flipped != features
+
+
+# -- a clause and the head noun hold one of the set's own states of affairs --
+
+# an equal copy is not the set's own: FeatureSet checks membership by
+# identity, as the parser, copy.deepcopy and pickle all keep it
+NOT_OWN = {"list": ["a1"], "id": "a1", "copy": dataclasses.replace(A1)}
+
+
+@pytest.mark.parametrize("soa", NOT_OWN.values(), ids=NOT_OWN)
+def test_a_clause_about_a_state_of_affairs_not_its_own_is_refused(soa):
+    assert dataclasses.replace(A1) == A1
+    with pytest.raises(ValidationError) as caught:
+        FeatureSet((Clause("c1", soa),), SOAS)
+    assert str(caught.value) == ("clause 'c1' references unknown state of "
+                                 f"affairs {soa!r}")
+
+
+@pytest.mark.parametrize("head", [["p1"], "p1", dataclasses.replace(P1)],
+                         ids=NOT_OWN)
+def test_a_head_noun_not_its_own_is_refused(head):
+    with pytest.raises(ValidationError) as caught:
+        FeatureSet((MAIN,), SOAS, head_noun_private_state=head)
+    assert str(caught.value) == ("headNounPrivateState references unknown "
+                                 f"state of affairs {head!r}")
+
+
+def test_replacing_the_states_of_affairs_with_copies_is_refused():
+    features = FeatureSet((MAIN,), SOAS, head_noun_private_state=P1)
+    copies = tuple(map(dataclasses.replace, SOAS))
+    assert copies == features.soas
+    with pytest.raises(ValidationError, match="^clause 'c1' references"):
+        dataclasses.replace(features, soas=copies)
+
+
+def test_clause_about_finds_a_clause_by_its_own_state_of_affairs():
+    sub = Clause("c2", P1, frozenset({"c1"}))
+    features = FeatureSet((MAIN, sub), SOAS)
+    assert features.clause_about(P1) is sub
+    assert features.clause_about(A1) is MAIN
+    assert features.clause_about(dataclasses.replace(P1)) is None
+    headed = FeatureSet((MAIN,), SOAS, head_noun_private_state=P1)
+    assert headed.clause_about(P1) is None

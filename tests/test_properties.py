@@ -67,12 +67,12 @@ def feature_sets(draw):
             draw(character_sets)))
         under = frozenset() if i == 0 else frozenset(
             {f"c{draw(st.integers(0, i - 1))}"})
-        clauses.append(Clause(f"c{i}", f"a{i}", under, draw(verb_features)))
+        clauses.append(Clause(f"c{i}", soas[i], under, draw(verb_features)))
     head = None
     if draw(st.booleans()):
-        soas.append(StateOfAffairs("hn", SoaType.PRIVATE_STATE,
-                                   draw(character_sets)))
-        head = "hn"
+        head = StateOfAffairs("hn", SoaType.PRIVATE_STATE,
+                              draw(character_sets))
+        soas.append(head)
     pses = []
     for j in range(draw(st.integers(0, 3))):
         under = draw(st.sets(st.sampled_from([c.id for c in clauses]),
@@ -161,7 +161,7 @@ def test_active_characters_were_subjective_before(fs, context):
     if interp.subjective or not interp.characters:
         return
     assert interp.characters <= context.previous_scs
-    clause = fs.clause_about(detail.chosen.id)
+    clause = fs.clause_about(detail.chosen)
     assert clause.vp.simple_past
     assert not (clause.vp.negated or clause.vp.habitual or clause.vp.modal)
 
@@ -258,11 +258,12 @@ def psa_sentences(draw, sid):
     kind = draw(st.sampled_from([SoaType.PRIVATE_STATE_ACTION] * 4
                                 + list(SoaType)))
     soas = [StateOfAffairs("a0", kind, draw(pair_sets))]
-    clauses = [Clause("c0", "a0", frozenset(), VerbFeatures(simple_past=True))]
+    clauses = [Clause("c0", soas[0], frozenset(),
+                      VerbFeatures(simple_past=True))]
     if draw(st.booleans()):
         soas.append(StateOfAffairs("a1", draw(st.sampled_from(list(SoaType))),
                                    draw(pair_sets)))
-        clauses.append(Clause("c1", "a1", frozenset({"c0"}),
+        clauses.append(Clause("c1", soas[1], frozenset({"c0"}),
                               VerbFeatures(simple_past=True)))
     pses = tuple(Pse(f"p{j}", category, frozenset())
                  for j, category in enumerate(draw(st.lists(
