@@ -21,6 +21,7 @@ Exit status: 0 on success, 1 on parse/validation/gold-label problems,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -71,6 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a command's objects hold no reference cycles and live until it ends,
+    # so collections would only rescan them; reference counts free them
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         registry = _load_registry(args.registry)
         if args.command == "track":
@@ -83,6 +88,9 @@ def main(argv=None) -> int:
         print(f"povtrack: error: {exc}".translate(ESCAPE_SEPARATORS),
               file=sys.stderr)
         return 1
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _load_registry(flag_value):

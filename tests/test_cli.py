@@ -1,10 +1,12 @@
 """End-to-end checks of the command-line interface."""
 
+import gc
 import json
 import re
 
 import pytest
 
+from povtrack import cli
 from povtrack.cli import main
 from conftest import fixture_path
 
@@ -286,3 +288,64 @@ def test_long_subordination_chain_tracks(tmp_path, capsys):
     path.write_bytes(chain_document(5000, cycle=False))
     code, out, err = run(capsys, "track", path)
     assert (code, out, err) == (0, "s1\tOBJECTIVE\t\n", "")
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def caller_gc(request):
+    """The collector as the caller set it; restored after the test."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+def broken_document(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"title": 5, "roster": [], "items": []}')
+    return path
+
+
+@pytest.mark.parametrize("case", ["success", "povtrack-error", "os-error"])
+def test_main_leaves_the_collector_as_the_caller_set_it(tmp_path, capsys,
+                                                        caller_gc, case):
+    argv = {"success": ["track", fixture_path("demo1")],
+            "povtrack-error": ["track", broken_document(tmp_path)],
+            "os-error": ["track", tmp_path / "no-such-file.json"]}[case]
+    code, _, _ = run(capsys, *argv)
+    assert code == (0 if case == "success" else 1)
+    assert gc.isenabled() is caller_gc
+
+
+def test_main_restores_the_collector_when_a_command_raises(monkeypatch,
+                                                           caller_gc):
+    seen = []
+
+    def explode(args, registry):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_track", explode)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["track", str(fixture_path("demo1"))])
+    assert seen == [False]
+    assert gc.isenabled() is caller_gc
+
+
+def cyclic_garbage(capsys, *argv):
+    """How many objects in reference cycles one command leaves behind."""
+    gc.collect()
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    return gc.collect()
+
+
+@pytest.mark.parametrize("command", [["track"], ["track", "--trace"],
+                                     ["eval"], ["eval", "--json"],
+                                     ["validate"]])
+def test_paused_command_leaves_garbage_independent_of_input(capsys, command):
+    # With the collector paused, garbage in cycles would pile up with
+    # the input's length; the few cycles argparse makes do not.
+    small, large = (cyclic_garbage(capsys, command[0], fixture_path(name),
+                                   *command[1:])
+                    for name in ("demo1", "minicorpus"))
+    assert small == large

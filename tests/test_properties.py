@@ -1,7 +1,7 @@
 """Randomized invariants over contexts, feature sets, and whole streams."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from povtrack import (
@@ -9,6 +9,7 @@ from povtrack import (
     Context,
     Engine,
     FeatureSet,
+    NOBODY,
     Interpretation,
     ParagraphBreak,
     Pse,
@@ -154,8 +155,58 @@ def test_identified_character_comes_from_known_sources(fs, context):
     assert interp.characters <= allowed
 
 
-@given(feature_sets(), contexts())
-def test_active_characters_were_subjective_before(fs, context):
+# A verb phrase that qualifies an actual current action, or one that
+# breaks exactly one of the four conditions on it.
+actuality_verbs = st.builds(
+    lambda broken, past_perfective, progressive: VerbFeatures(
+        simple_past=broken != "simple_past", negated=broken == "negated",
+        habitual=broken == "habitual", modal=broken == "modal",
+        past_perfective=past_perfective, progressive=progressive),
+    st.sampled_from([None, "simple_past", "negated", "habitual", "modal"]),
+    st.booleans(), st.booleans())
+
+
+def one_action(soa_type, who, vp):
+    """A sentence of one clause about an action, with nothing subjective
+    in it, so that the verdict is objective."""
+    soa = StateOfAffairs("a0", soa_type, who)
+    return FeatureSet((Clause("c0", soa, frozenset(), vp),), (soa,), (),
+                      None, None, False)
+
+
+@st.composite
+def action_cases(draw):
+    """An action sentence and a context in which its actors were
+    subjective before, or not, about equally often."""
+    who = draw(character_sets.filter(bool))
+    context = draw(contexts())
+    if draw(st.booleans()):
+        context = Context(context.last_sc, context.last_active_character,
+                          context.previous_scs | who, context.situation)
+    soa_type = draw(st.sampled_from([SoaType.ACTION,
+                                     SoaType.PRIVATE_STATE_ACTION]))
+    return one_action(soa_type, who, draw(actuality_verbs)), context
+
+
+ADA = frozenset({"Ada"})
+
+
+def ada_acts(previous_scs, **vp):
+    return (one_action(SoaType.ACTION, ADA, VerbFeatures(**vp)),
+            Context(NOBODY, NOBODY, previous_scs,
+                    TextSituation.PRESUBJECTIVE_NONACTIVE))
+
+
+@settings(max_examples=200)
+@example(ada_acts(ADA, simple_past=True))  # Ada becomes active
+@example(ada_acts(frozenset({"Bo"}), simple_past=True))  # never subjective
+@example(ada_acts(ADA))  # not in the simple past
+@example(ada_acts(ADA, simple_past=True, negated=True))
+@example(ada_acts(ADA, simple_past=True, habitual=True))
+@example(ada_acts(ADA, simple_past=True, modal=True))
+@given(st.one_of(st.tuples(feature_sets(), contexts()), action_cases()))
+def test_active_characters_were_subjective_before(case):
+    fs, context = case
     engine = Engine()
     interp, detail = engine.interpret(fs, context, context.previous_scs)
     if interp.subjective or not interp.characters:
