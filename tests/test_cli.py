@@ -344,7 +344,7 @@ def cyclic_garbage(capsys, *argv):
                                      ["validate"]])
 def test_paused_command_leaves_garbage_independent_of_input(capsys, command):
     # With the collector paused, garbage in cycles would pile up with
-    # the input's length; the few cycles argparse makes do not.
+    # the input's length; the few that argparse and json make do not.
     small, large = (cyclic_garbage(capsys, command[0], fixture_path(name),
                                    *command[1:])
                     for name in ("demo1", "minicorpus"))

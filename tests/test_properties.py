@@ -9,8 +9,8 @@ from povtrack import (
     Context,
     Engine,
     FeatureSet,
-    NOBODY,
     Interpretation,
+    NOBODY,
     ParagraphBreak,
     Pse,
     PseCategory,
