@@ -15,8 +15,8 @@ any actor who has ever been a subjective character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .model import (
     Characters,
@@ -25,7 +25,6 @@ from .model import (
     InputItem,
     Interpretation,
     NOBODY,
-    PRIVATE_SOA_TYPES,
     Pse,
     Sentence,
     SoaType,
@@ -55,8 +54,7 @@ class SignificancePolicy(Enum):
 _SP = SignificancePolicy
 
 
-@dataclass(frozen=True, slots=True)
-class InterpretationDetail:
+class InterpretationDetail(NamedTuple):
     """Everything the engine decided about one sentence, each part once;
     the trace and the fold read it."""
 
@@ -71,8 +69,7 @@ class InterpretationDetail:
     action_reason: str | None
 
 
-@dataclass(frozen=True, slots=True)
-class TrackStep:
+class TrackStep(NamedTuple):
     """One item of a pass, with the contexts before and after it."""
 
     item: InputItem
@@ -118,20 +115,10 @@ class Engine:
         first subordinated clause about a private state that is not
         itself under such a clause, then the main clause regardless.
         """
-        main = fs.main.soa
-        if self.treat_as_private_state(main, qualified):
-            return main, True
-        if fs.head_noun_private_state is not None:
-            return fs.head_noun_private_state, True
-        private_clauses = {c.id for c in fs.clauses
-                           if c.soa.type in PRIVATE_SOA_TYPES}
-        # ties broken by annotation order, so runs are reproducible
-        for clause in fs.clauses:
-            if clause is fs.main or clause.under & private_clauses:
-                continue
-            if self.treat_as_private_state(clause.soa, qualified):
-                return clause.soa, True
-        return main, False
+        for soa in fs.private_candidates:
+            if self.treat_as_private_state(soa, qualified):
+                return soa, True
+        return fs.main.soa, False
 
     # -- subjective elements -------------------------------------------
 
@@ -139,8 +126,9 @@ class Engine:
                             ) -> tuple[Pse, ...]:
         """The elements that actually express subjectivity here: those
         whose category is associated with the current situation."""
-        return tuple(pse for pse in fs.pses
-                     if context.situation in pse.category.situations)
+        return fs.pses and tuple(
+            pse for pse in fs.pses
+            if context.situation in pse.category.situations)
 
     # -- the decision --------------------------------------------------
 
@@ -157,7 +145,7 @@ class Engine:
         chosen, private = self.choose_state_of_affairs(fs, qualified)
         fired = self.subjective_elements(fs, context)
         clause = fs.clause_about(chosen)
-        considerable = tuple(
+        considerable = fired and tuple(
             pse for pse in fired
             if (clause is None or clause.id not in pse.under)
             and not pse.category.excluded)
@@ -182,12 +170,12 @@ class Engine:
             trigger = "continuing-nonprivate"
         else:
             active = self._active_character(context, chosen, clause)
-            return (Interpretation.objective_of(active),
+            return (Interpretation(False, active),
                     InterpretationDetail(chosen, private, fired, considerable,
                                          None, None, action_reason))
         who, source = self._identify(fs, context, chosen, private,
                                      considerable)
-        return (Interpretation.subjective_of(who),
+        return (Interpretation(True, who),
                 InterpretationDetail(chosen, private, fired, considerable,
                                      trigger, source, action_reason))
 

@@ -87,6 +87,8 @@ class PseCategory:
     name: str
     level: int
     excluded: bool = False
+    situations: frozenset[TextSituation] = field(init=False, repr=False,
+                                                 compare=False)
 
     def __post_init__(self) -> None:
         level = self.level
@@ -96,10 +98,7 @@ class PseCategory:
         if level not in _UP_TO_LEVEL:
             raise RegistryError(
                 f"category {self.name!r}: level must be in 1..4, got {level}")
-
-    @property
-    def situations(self) -> frozenset[TextSituation]:
-        return _UP_TO_LEVEL[self.level]
+        object.__setattr__(self, "situations", _UP_TO_LEVEL[level])
 
 
 def _default_registry() -> dict[str, PseCategory]:
@@ -221,6 +220,10 @@ class FeatureSet:
     quoted_speech: bool = False
     # the main clause, found once at construction and never compared
     main: Clause = field(init=False, repr=False, compare=False)
+    # the states of affairs that may read as private states, in the order
+    # Engine.choose_state_of_affairs prefers them
+    private_candidates: tuple[StateOfAffairs, ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for pse in self.pses:
@@ -282,25 +285,38 @@ class FeatureSet:
                 "quoted speech must be about a communicative action (main "
                 "state of affairs of type 'action')")
         object.__setattr__(self, "main", mains[0])
+        private = [c for c in self.clauses if c.soa.type in PRIVATE_SOA_TYPES]
+        ids = {c.id for c in private}
+        candidates = [c.soa for c in private
+                      if c.under and ids.isdisjoint(c.under)]
+        if head is not None:
+            candidates.insert(0, head)
+        if mains[0].soa.type in PRIVATE_SOA_TYPES:
+            candidates.insert(0, mains[0].soa)
+        object.__setattr__(self, "private_candidates", tuple(candidates))
 
     def clause_about(self, soa: StateOfAffairs) -> Clause | None:
-        """The clause a state of affairs belongs to.  None for the
-        head-noun one: a noun phrase has no clausal scope for an element
-        to sit in."""
+        """The clause a state of affairs belongs to, the main clause
+        first.  None for the head-noun one: a noun phrase has no clausal
+        scope for an element to sit in."""
         if soa is not self.head_noun_private_state:
+            if soa is self.main.soa:
+                return self.main
             for clause in self.clauses:
                 if clause.soa is soa:
                     return clause
         return None
 
 
-def _check_acyclic(clauses: dict[str, Clause]) -> None:
-    """Depth-first with an explicit stack, so that no chain is too long."""
+def _check_acyclic(clauses: dict[str, Clause], order=iter) -> None:
+    """Depth-first with an explicit stack, so that no chain is too long.
+    Only once a cycle is found is each ``under`` walked in sorted order,
+    so that the message names the same cycle under every hash seed."""
     finished: dict[str, bool] = {}  # False while on the stack
     for start in clauses:
         if start in finished:
             continue
-        stack = [(start, iter(sorted(clauses[start].under)))]
+        stack = [(start, order(clauses[start].under))]
         finished[start] = False
         while stack:
             node, parents = stack[-1]
@@ -309,9 +325,11 @@ def _check_acyclic(clauses: dict[str, Clause]) -> None:
                 stack.pop()
                 finished[node] = True
             elif parent not in finished:
-                stack.append((parent, iter(sorted(clauses[parent].under))))
+                stack.append((parent, order(clauses[parent].under)))
                 finished[parent] = False
             elif not finished[parent]:
+                if order is iter:
+                    _check_acyclic(clauses, lambda under: iter(sorted(under)))
                 cycle = " -> ".join([n for n, _ in stack] + [parent])
                 raise ValidationError(f"clause subordination cycle: {cycle}")
 

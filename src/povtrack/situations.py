@@ -1,7 +1,8 @@
 """Context transitions and expectation predicates.
 
 Two pure functions advance the tracking context: one after a sentence
-has been interpreted, one after a paragraph or scene break.  The
+has been interpreted, one after a paragraph or scene break.  Each
+returns the incoming context itself when nothing changes.  The
 expectation predicates say which of the two remembered characters (last
 subjective character, last active character) a subjective sentence may
 fall back to in the current situation.
@@ -53,12 +54,18 @@ def new_context(interpretation: Interpretation, context: Context) -> Context:
         # steps share one set until someone new becomes subjective
         if not who <= previous:
             previous = previous | who
+        elif (context.situation is _TS.CONTINUING_SUBJECTIVE
+              and who == context.last_sc):
+            return context
         return Context(who, context.last_active_character, previous,
                        _TS.CONTINUING_SUBJECTIVE)
     situation = _AFTER_OBJECTIVE.get((context.situation, bool(who)),
                                      context.situation)
-    return Context(context.last_sc, who or context.last_active_character,
-                   context.previous_scs, situation)
+    active = who or context.last_active_character
+    if (situation is context.situation
+            and active == context.last_active_character):
+        return context
+    return Context(context.last_sc, active, context.previous_scs, situation)
 
 
 def new_context_after_break(item: InputItem, context: Context) -> Context:
@@ -73,6 +80,8 @@ def new_context_after_break(item: InputItem, context: Context) -> Context:
                                                context.situation)
     else:
         raise TypeError(f"not a break item: {item!r}")
+    if situation is context.situation:
+        return context
     return Context(context.last_sc, context.last_active_character,
                    context.previous_scs, situation)
 

@@ -12,12 +12,14 @@ from povtrack import (
     DEFAULT_REGISTRY,
     Engine,
     Interpretation,
+    InterpretationDetail,
     ParseError,
     PseCategory,
     RegistryError,
     Sentence,
     SoaType,
     TextSituation,
+    TrackStep,
     ValidationError,
     VerbFeatures,
     document_from_dict,
@@ -350,6 +352,7 @@ def test_clauses_and_head_nouns_hold_their_own_states_of_affairs(name):
             assert all(id(clause.soa) in own for clause in fs.clauses)
             head = fs.head_noun_private_state
             assert head is None or id(head) in own
+            assert all(id(soa) in own for soa in fs.private_candidates)
             # rebuilding runs FeatureSet's checks again
             assert dataclasses.replace(fs) == fs
 
@@ -715,9 +718,13 @@ def test_equal_vp_objects_parse_to_one_verb_features_object():
 
 
 def model_objects(value):
-    """The objects a parsed document is built from, itself included."""
+    """The objects a parsed document, or a pass over it, is built from,
+    itself included.  A named tuple is walked by its fields."""
     yield value
-    if isinstance(value, (tuple, frozenset)):
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        for name in value._fields:
+            yield from model_objects(getattr(value, name))
+    elif isinstance(value, (tuple, frozenset)):
         for child in value:
             yield from model_objects(child)
     elif dataclasses.is_dataclass(value):
@@ -730,9 +737,15 @@ def test_no_model_object_has_a_dict():
     for path in sorted(DATA.glob("*.json")):
         doc = fixture_doc(path.stem)
         for obj in model_objects((doc, tuple(Engine().track_document(doc)))):
-            if dataclasses.is_dataclass(obj):
-                assert not hasattr(obj, "__dict__"), type(obj).__name__
-                kinds.add(type(obj).__name__)
+            if isinstance(obj, (TrackStep, InterpretationDetail)):
+                # a step record is immutable and hashable, like the model
+                with pytest.raises(AttributeError):
+                    setattr(obj, obj._fields[0], None)
+                hash(obj)
+            elif not dataclasses.is_dataclass(obj):
+                continue
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+            kinds.add(type(obj).__name__)
     assert kinds == {
         "Document", "Sentence", "ParagraphBreak", "SceneBreak", "FeatureSet",
         "Clause", "StateOfAffairs", "VerbFeatures", "Pse", "PseCategory",

@@ -4,6 +4,8 @@ import dataclasses
 from collections import Counter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from povtrack import (
     Clause,
@@ -25,6 +27,9 @@ from povtrack import (
     VerbFeatures,
     evaluate,
 )
+from povtrack.model import PRIVATE_SOA_TYPES
+from conftest import DATA, fixture_doc
+from test_properties import feature_sets
 
 TS = TextSituation
 PAST = VerbFeatures(simple_past=True)
@@ -187,6 +192,90 @@ def test_quoted_speech_chooses_communicative_action(engine):
     features = fs([soa("a1", "action", {"Zoe"})], [clause("c1", "a1")],
                   quoted_speech=True)
     assert choose(engine, features).id == "a1"
+
+
+def scanning_choice(engine, features, qualified):
+    """The choice made by scanning every clause at every step, as before
+    a feature set listed its candidates at construction; the reference
+    for ``Engine.choose_state_of_affairs``."""
+    main = features.main.soa
+    if engine.treat_as_private_state(main, qualified):
+        return main, True
+    if features.head_noun_private_state is not None:
+        return features.head_noun_private_state, True
+    private_clauses = {c.id for c in features.clauses
+                       if c.soa.type in PRIVATE_SOA_TYPES}
+    for clause in features.clauses:
+        if clause is features.main or clause.under & private_clauses:
+            continue
+        if engine.treat_as_private_state(clause.soa, qualified):
+            return clause.soa, True
+    return main, False
+
+
+def same_choice(engine, features, qualified):
+    soa, reads_private = engine.choose_state_of_affairs(features, qualified)
+    expected, expected_private = scanning_choice(engine, features, qualified)
+    assert soa is expected and reads_private is expected_private
+    return soa, reads_private
+
+
+@pytest.mark.parametrize("policy", list(SignificancePolicy))
+def test_choice_matches_the_scan_on_every_fixture(monkeypatch, policy):
+    # every call both folds of every fixture make, each with the
+    # qualified set its fold carries under the policy
+    calls = []
+    original = Engine.choose_state_of_affairs
+
+    def compared(self, features, qualified):
+        calls.append((features, qualified))
+        return original(self, features, qualified)
+
+    monkeypatch.setattr(Engine, "choose_state_of_affairs", compared)
+    engine = Engine(policy=policy)
+    sentences = 0
+    for path in sorted(DATA.glob("*.json")):
+        doc = fixture_doc(path.stem)
+        engine.track_document(doc)
+        folds = 1
+        if all(s.gold is not None for s in doc.sentences()):
+            evaluate(doc, engine)
+            folds = 3
+        sentences += folds * len(list(doc.sentences()))
+    monkeypatch.undo()
+    psa_read_private = 0
+    for features, qualified in calls:
+        soa, reads_private = same_choice(engine, features, qualified)
+        psa_read_private += (reads_private
+                             and soa.type is SoaType.PRIVATE_STATE_ACTION)
+    assert len(calls) == sentences and psa_read_private > 0
+
+
+@st.composite
+def choices(draw):
+    """A feature set whose clauses come in any order, the main one too,
+    and a qualified set of some of its characters."""
+    features = draw(feature_sets())
+    features = dataclasses.replace(features, clauses=tuple(
+        draw(st.permutations(features.clauses))))
+    names = sorted(frozenset().union(*(s.who for s in features.soas)))
+    qualified = draw(st.frozensets(st.sampled_from(names))
+                     if names else st.just(frozenset()))
+    return features, qualified
+
+
+# a private state under another comes first: it is still no candidate
+NESTED_FIRST = fs(
+    [soa("a1", "action", {"Zoe"}), soa("a2", "private-state", {"Zoe"}),
+     soa("a3", "private-state", {"Joe"})],
+    [clause("c3", "a3", under={"c2"}), clause("c1", "a1"),
+     clause("c2", "a2", under={"c1"})])
+
+
+@given(choices())
+@example((NESTED_FIRST, frozenset()))
+def test_choice_matches_the_scan(case):
+    same_choice(Engine(), *case)
 
 
 # -- private-state actions ---------------------------------------------------

@@ -58,6 +58,15 @@ FAULTY = {
     "several-mains": (sentence(clauses=[
         {"id": f"c{i}", "soa": "a1"} for i in (4, 1, 3, 2)]),
         "multiple main clauses (c1, c2, c3, c4)"),
+    # c2 closes a cycle with c5 and another with c6, and the two seeds
+    # walk {c5, c6} in different orders; the message names the first
+    # in sorted order
+    "two-cycles": (sentence(clauses=[
+        {"id": "c1", "soa": "a1"},
+        {"id": "c2", "soa": "a1", "under": ["c5", "c6"]},
+        {"id": "c5", "soa": "a1", "under": ["c2"]},
+        {"id": "c6", "soa": "a1", "under": ["c2"]}]),
+        "clause subordination cycle: c2 -> c5 -> c2"),
 }
 
 

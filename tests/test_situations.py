@@ -1,6 +1,8 @@
 """Exhaustive checks of the context transitions against a hand-derived table."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from povtrack import (
     Context,
@@ -13,6 +15,7 @@ from povtrack import (
     new_context,
     new_context_after_break,
 )
+from test_properties import character_sets, contexts
 
 ALL = list(TextSituation)
 
@@ -147,6 +150,63 @@ def test_paragraph_break_idempotent_on_fixpoints():
         twice = new_context_after_break(ParagraphBreak(), once)
         assert once == twice
         assert once.situation is situation
+
+
+def rebuilt(event, context):
+    """The context after an interpretation or a break, built afresh from
+    the tables above."""
+    if isinstance(event, Interpretation):
+        who = event.characters
+        kind = ("subjective" if event.subjective
+                else "objective-char" if who else "objective-empty")
+        situation = TextSituation(SENTENCE_TABLE[context.situation.value,
+                                                 kind])
+        if event.subjective:
+            return Context(who, context.last_active_character,
+                           context.previous_scs | who, situation)
+        return Context(context.last_sc, who or context.last_active_character,
+                       context.previous_scs, situation)
+    kind = "scene" if isinstance(event, SceneBreak) else "paragraph"
+    return Context(context.last_sc, context.last_active_character,
+                   context.previous_scs,
+                   TextSituation(BREAK_TABLE[context.situation.value, kind]))
+
+
+@st.composite
+def transitions(draw):
+    """A context and an interpretation or break, the interpretation's
+    characters often equal to (not the same set as) one in the context."""
+    context = draw(contexts())
+    who = draw(st.one_of(character_sets, st.sampled_from([
+        frozenset(list(context.last_sc)),
+        frozenset(list(context.last_active_character))])))
+    event = draw(st.sampled_from([
+        Interpretation(True, who), Interpretation(False, who),
+        ParagraphBreak(), SceneBreak()]))
+    return event, context
+
+
+JAKE = frozenset({"Jake"})
+
+
+@given(transitions())
+@example((INPUTS["subjective"], ctx(TextSituation.CONTINUING_SUBJECTIVE)))
+@example((Interpretation(True, JAKE),
+          ctx(TextSituation.CONTINUING_SUBJECTIVE)))
+@example((Interpretation(False, JAKE),
+          ctx(TextSituation.POSTSUBJECTIVE_ACTIVE)))
+@example((INPUTS["objective-empty"],
+          ctx(TextSituation.PRESUBJECTIVE_NONACTIVE)))
+@example((ParagraphBreak(), ctx(TextSituation.BROKEN_SUBJECTIVE)))
+@example((SceneBreak(), ctx(TextSituation.PRESUBJECTIVE_NONACTIVE)))
+@example((SceneBreak(), ctx(TextSituation.PRESUBJECTIVE_ACTIVE)))
+def test_a_transition_returns_its_context_exactly_when_unchanged(case):
+    event, context = case
+    out = (new_context(event, context) if isinstance(event, Interpretation)
+           else new_context_after_break(event, context))
+    expected = rebuilt(event, context)
+    assert out == expected
+    assert (out is context) == (expected == context)
 
 
 EXPECT_LAST_SC = {
