@@ -352,3 +352,10 @@ def test_clause_about_finds_a_clause_by_its_own_state_of_affairs():
     assert features.clause_about(dataclasses.replace(P1)) is None
     headed = FeatureSet((MAIN,), SOAS, head_noun_private_state=P1)
     assert headed.clause_about(P1) is None
+    # of two clauses about one state of affairs the main one comes first,
+    # and the head noun's has no clause even when the main clause is about it
+    shared = Clause("c2", A1, frozenset({"c1"}))
+    assert FeatureSet((shared, MAIN), SOAS).clause_about(A1) is MAIN
+    about_head = FeatureSet((Clause("c1", P1),), SOAS,
+                            head_noun_private_state=P1)
+    assert about_head.clause_about(P1) is None
