@@ -195,9 +195,9 @@ def test_quoted_speech_chooses_communicative_action(engine):
 
 
 def scanning_choice(engine, features, qualified):
-    """The choice made by scanning every clause at every step, as before
-    a feature set listed its candidates at construction; the reference
-    for ``Engine.choose_state_of_affairs``."""
+    """The choice made by scanning every clause at every step: the
+    reference for ``Engine.choose_state_of_affairs``, which reads the
+    candidates its feature set listed at construction."""
     main = features.main.soa
     if engine.treat_as_private_state(main, qualified):
         return main, True
