@@ -31,12 +31,7 @@ from .model import (
     ValidationError,
     VerbFeatures,
 )
-from .situations import (
-    last_active_character_expected,
-    last_subjective_character_expected,
-    new_context,
-    new_context_after_break,
-)
+from .situations import new_context, new_context_after_break
 from .engine import (
     Engine,
     InterpretationDetail,
@@ -74,8 +69,7 @@ __all__ = [
     "TrackStep", "ValidationError", "VerbFeatures",
     "classify_operation", "document_from_dict",
     "dumps_document", "evaluate", "interpretation_line",
-    "is_simple_quoted_speech", "last_active_character_expected",
-    "last_subjective_character_expected", "load_document", "load_registry",
+    "is_simple_quoted_speech", "load_document", "load_registry",
     "new_context", "new_context_after_break", "parse_document",
     "parse_registry", "render_step", "render_trace",
     "validate_gold",

@@ -128,8 +128,16 @@ class Document:
                 raise _off_roster(parenthetical, roster, f"sentence "
                                   f"{item.id}: features.parenthetical")
         ctx = self.initial_context
+        if not isinstance(ctx, Context):
+            raise ValidationError(f"preamble must be a Context, not {ctx!r}")
+        if not isinstance(ctx.situation, TextSituation):
+            raise ValidationError("preamble.situation: not a TextSituation: "
+                                  f"{ctx.situation!r}")
         for key, names in zip(_CONTEXT_SETS, (
                 ctx.last_sc, ctx.previous_scs, ctx.last_active_character)):
+            if not isinstance(names, frozenset) or not _all_names(names):
+                raise ValidationError(f"preamble.{key}: must be a frozenset "
+                                      "of non-empty strings")
             if not names <= roster:
                 raise _off_roster(names, roster, f"preamble.{key}")
         if ctx.last_sc and not ctx.last_sc <= ctx.previous_scs:

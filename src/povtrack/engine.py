@@ -33,12 +33,7 @@ from .model import (
     ValidationError,
     INITIAL_CONTEXT,
 )
-from .situations import (
-    last_active_character_expected,
-    last_subjective_character_expected,
-    new_context,
-    new_context_after_break,
-)
+from .situations import new_context, new_context_after_break
 
 
 class SignificancePolicy(Enum):
@@ -125,10 +120,10 @@ class Engine:
     def subjective_elements(self, fs: FeatureSet, context: Context
                             ) -> tuple[Pse, ...]:
         """The elements that actually express subjectivity here: those
-        whose category is associated with the current situation."""
+        whose category's level reaches the current situation's."""
+        level = context.situation.level
         return fs.pses and tuple(
-            pse for pse in fs.pses
-            if context.situation in pse.category.situations)
+            pse for pse in fs.pses if level <= pse.category.level)
 
     # -- the decision --------------------------------------------------
 
@@ -193,8 +188,8 @@ class Engine:
             if (context.situation is not TextSituation.CONTINUING_SUBJECTIVE
                     or who < context.last_sc or who > context.last_sc):
                 return who, "experiencer"
-        sc_expected = last_subjective_character_expected(context)
-        active_expected = last_active_character_expected(context)
+        sc_expected = context.situation.sc_expected
+        active_expected = context.situation.active_expected
         if sc_expected and active_expected:
             # the last subjective character wins only when the sentence
             # is about the last active character

@@ -40,36 +40,75 @@ NOBODY: Characters = frozenset()
 
 
 class TextSituation(Enum):
-    """The seven discourse states the tracker distinguishes.
+    """The seven discourse states the tracker distinguishes, each
+    declared with its row of the paper's situation table.
 
     They summarise, for the current scene, whether a subjective sentence
     has appeared, whether the local paragraph context is subjective, and
     whether a sentence with an active character has appeared earlier in
-    the current paragraph.
+    the current paragraph.  Besides its string ``value``, a member holds:
+
+    * ``level``: the association level that introduces it.  An element
+      of a category of level k is subjective in exactly the situations
+      whose level is at most k.
+    * ``sc_expected``: a subjective sentence may fall back on the last
+      subjective character, since one has appeared in the scene.
+    * ``active_expected``: it may fall back on the last active
+      character, since one appeared earlier in the paragraph and no
+      subjective sentence has since.
+    * ``after_break``, ``after_objective`` and ``after_active``: the
+      situation after a paragraph break, after an objective sentence
+      without an active character, and after one with.  A scene break
+      always leads to presubjective-nonactive, and a subjective
+      sentence to continuing-subjective.
     """
 
-    PRESUBJECTIVE_NONACTIVE = "presubjective-nonactive"
-    PRESUBJECTIVE_ACTIVE = "presubjective-active"
-    CONTINUING_SUBJECTIVE = "continuing-subjective"
-    BROKEN_SUBJECTIVE = "broken-subjective"
-    INTERRUPTED_SUBJECTIVE = "interrupted-subjective"
-    POSTSUBJECTIVE_NONACTIVE = "postsubjective-nonactive"
-    POSTSUBJECTIVE_ACTIVE = "postsubjective-active"
+    # value, level, sc_expected, active_expected,
+    # after_break, after_objective, after_active
+    PRESUBJECTIVE_NONACTIVE = (
+        "presubjective-nonactive", 4, False, False,
+        "presubjective-nonactive", "presubjective-nonactive",
+        "presubjective-active")
+    PRESUBJECTIVE_ACTIVE = (
+        "presubjective-active", 3, False, True,
+        "presubjective-nonactive", "presubjective-active",
+        "presubjective-active")
+    CONTINUING_SUBJECTIVE = (
+        "continuing-subjective", 1, True, False,
+        "broken-subjective", "interrupted-subjective",
+        "interrupted-subjective")
+    BROKEN_SUBJECTIVE = (
+        "broken-subjective", 2, True, False,
+        "broken-subjective", "postsubjective-nonactive",
+        "postsubjective-active")
+    INTERRUPTED_SUBJECTIVE = (
+        "interrupted-subjective", 2, True, False,
+        "postsubjective-nonactive", "interrupted-subjective",
+        "interrupted-subjective")
+    POSTSUBJECTIVE_NONACTIVE = (
+        "postsubjective-nonactive", 3, True, False,
+        "postsubjective-nonactive", "postsubjective-nonactive",
+        "postsubjective-active")
+    POSTSUBJECTIVE_ACTIVE = (
+        "postsubjective-active", 3, True, True,
+        "postsubjective-nonactive", "postsubjective-active",
+        "postsubjective-active")
+
+    def __new__(cls, value, level, sc_expected, active_expected, *after):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.level = level
+        member.sc_expected = sc_expected
+        member.active_expected = active_expected
+        member.after_break, member.after_objective, member.after_active = after
+        return member
 
 
-# The four association levels, weakest context requirement last.  A
-# category at level k is subjective in every situation of levels 1..k.
-_LEVEL_SITUATIONS = (
-    {TextSituation.CONTINUING_SUBJECTIVE},
-    {TextSituation.BROKEN_SUBJECTIVE, TextSituation.INTERRUPTED_SUBJECTIVE},
-    {TextSituation.PRESUBJECTIVE_ACTIVE,
-     TextSituation.POSTSUBJECTIVE_NONACTIVE,
-     TextSituation.POSTSUBJECTIVE_ACTIVE},
-    {TextSituation.PRESUBJECTIVE_NONACTIVE},
-)
-_UP_TO_LEVEL: dict[int, frozenset[TextSituation]] = {
-    level: frozenset().union(*_LEVEL_SITUATIONS[:level])
-    for level in range(1, len(_LEVEL_SITUATIONS) + 1)}
+# the successor columns name their members by value until all exist
+for _s in TextSituation:
+    _s.after_break, _s.after_objective, _s.after_active = map(
+        TextSituation, (_s.after_break, _s.after_objective, _s.after_active))
+del _s
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +116,8 @@ class PseCategory:
     """One category of potential subjective element.
 
     ``level`` is the highest association level: the category counts as a
-    subjective element exactly in the situations of levels 1..level.
+    subjective element exactly in the situations whose ``level`` is at
+    most this one.
     ``excluded`` marks categories that are never used as evidence when
     identifying the subjective character of a private-state sentence
     (they can legitimately appear, non-subordinated, in private-state
@@ -87,18 +127,15 @@ class PseCategory:
     name: str
     level: int
     excluded: bool = False
-    situations: frozenset[TextSituation] = field(init=False, repr=False,
-                                                 compare=False)
 
     def __post_init__(self) -> None:
         level = self.level
         if not isinstance(level, int) or isinstance(level, bool):
             raise RegistryError(
                 f"category {self.name!r}: level must be an integer")
-        if level not in _UP_TO_LEVEL:
+        if not 1 <= level <= 4:
             raise RegistryError(
                 f"category {self.name!r}: level must be in 1..4, got {level}")
-        object.__setattr__(self, "situations", _UP_TO_LEVEL[level])
 
 
 def _default_registry() -> dict[str, PseCategory]:

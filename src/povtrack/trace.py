@@ -20,10 +20,6 @@ from .model import (
     SoaType,
     TextSituation,
 )
-from .situations import (
-    last_active_character_expected,
-    last_subjective_character_expected,
-)
 
 SHORT = {s: s.value.replace("subjective", "subj") for s in TextSituation}
 # the sentence head escapes a backslash too, so no two texts print alike
@@ -129,10 +125,9 @@ def _render_sentence(step: TrackStep) -> list[str]:
 
 def _expected_lines(context) -> list[str]:
     entries = []
-    if last_subjective_character_expected(context) and context.last_sc:
+    if context.situation.sc_expected and context.last_sc:
         entries.append(f"        {names(context.last_sc)}, the last_subj_char")
-    if (last_active_character_expected(context)
-            and context.last_active_character):
+    if context.situation.active_expected and context.last_active_character:
         entries.append(f"        {names(context.last_active_character)}, "
                        "the last_active_char")
     if not entries:

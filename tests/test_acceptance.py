@@ -16,8 +16,6 @@ from povtrack import (
     TextSituation,
     classify_operation,
     evaluate,
-    last_active_character_expected,
-    last_subjective_character_expected,
     new_context,
     new_context_after_break,
     render_step,
@@ -181,12 +179,10 @@ def test_criterion_4_transition_table_exhaustion():
 
 def test_criterion_5_expectation_predicates():
     for situation in TS:
-        context = ctx(situation)
-        assert last_subjective_character_expected(context) == \
-            EXPECT_LAST_SC[situation.value]
-        assert last_active_character_expected(context) == \
+        assert situation.sc_expected is EXPECT_LAST_SC[situation.value]
+        assert situation.active_expected is \
             EXPECT_LAST_ACTIVE[situation.value]
-    print("\nACCEPTANCE PASS 5: expectation predicates exhaustively correct "
+    print("\nACCEPTANCE PASS 5: expectation columns exhaustively correct "
           "over all 7 situations")
 
 

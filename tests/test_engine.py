@@ -1,6 +1,7 @@
 """Unit tests for the sentence interpreter, one behavior at a time."""
 
 import dataclasses
+import enum
 from collections import Counter
 
 import pytest
@@ -787,3 +788,22 @@ def test_track_resets_expectations_at_scene_break(engine):
     # the question still fires, but the last subjective character is no
     # longer expected, so identification fails
     assert steps[2].interpretation == Interpretation.subjective_of(())
+
+
+def test_a_sweep_hashes_no_text_situation(monkeypatch):
+    # the fold reads each situation's row from the member itself;
+    # Enum.__hash__ runs in Python, so a lookup keyed by a situation
+    # would cost a call at every step
+    document = fixture_doc("minicorpus")
+    hashed = Counter()
+
+    def counting_hash(self):
+        hashed[type(self)] += 1
+        return hash(self._name_)
+
+    monkeypatch.setattr(enum.Enum, "__hash__", counting_hash)
+    for policy in SignificancePolicy:
+        engine = Engine(policy=policy)
+        engine.track_document(document)
+        evaluate(document, engine)
+    assert hashed[TextSituation] == 0

@@ -10,6 +10,7 @@ from povtrack import (
     Context,
     DEFAULT_REGISTRY,
     Document,
+    Engine,
     FeatureSet,
     INITIAL_CONTEXT,
     NOBODY,
@@ -29,7 +30,9 @@ from test_writer import oracle_dict
 
 
 def up_to(level):
-    return PseCategory("x", level).situations
+    """The text situations a category of this level is subjective in."""
+    category = PseCategory("x", level)
+    return frozenset(s for s in TextSituation if s.level <= category.level)
 
 
 def introduced_at(level):
@@ -102,9 +105,14 @@ def test_default_registry_level_membership():
 
 def test_category_situations_monotone():
     # subjective at level k implies subjective at every lower level
+    engine = Engine()
     for cat in DEFAULT_REGISTRY.values():
+        features = FeatureSet((MAIN,), SOAS, (Pse("e1", cat),))
+        fires_in = {s for s in TextSituation if engine.subjective_elements(
+            features, Context(NOBODY, NOBODY, NOBODY, s))}
         for level in range(1, cat.level + 1):
-            assert introduced_at(level) <= cat.situations
+            assert introduced_at(level) <= fires_in
+        assert fires_in == up_to(cat.level)
 
 
 def test_category_level_validated():
@@ -293,6 +301,35 @@ def test_roster_must_be_a_frozenset_of_names(roster):
         Document("t", roster, (S1,))
     assert str(caught.value) == \
         "roster must be a frozenset of non-empty strings"
+
+
+# the parser always builds a well-typed preamble; a hand-built one is
+# checked once, when its document is built
+BAD_PREAMBLES = {
+    "situation-string": (Context(NOBODY, NOBODY, NOBODY,
+                                 "continuing-subjective"),
+                         "preamble.situation: not a TextSituation: "
+                         "'continuing-subjective'"),
+    "last-sc-list": (Context(["Zoe"], NOBODY, frozenset({"Zoe"}), SITUATION),
+                     "preamble.lastSC: must be a frozenset of non-empty "
+                     "strings"),
+    "previous-scs-names": (Context(NOBODY, NOBODY, frozenset({5, "Ghost"}),
+                                   SITUATION),
+                           "preamble.previousSCs: must be a frozenset of "
+                           "non-empty strings"),
+    "last-active-none": (Context(NOBODY, None, NOBODY, SITUATION),
+                         "preamble.lastActiveCharacter: must be a frozenset "
+                         "of non-empty strings"),
+    "not-a-context": (None, "preamble must be a Context, not None"),
+}
+
+
+@pytest.mark.parametrize("context, message", BAD_PREAMBLES.values(),
+                         ids=BAD_PREAMBLES)
+def test_a_preamble_field_of_the_wrong_type_is_refused(context, message):
+    with pytest.raises(ValidationError) as caught:
+        Document("t", frozenset({"Zoe"}), (S1,), context)
+    assert str(caught.value) == message
 
 
 def test_main_clause_takes_no_part_in_eq_hash_or_replace():

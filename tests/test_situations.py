@@ -1,4 +1,8 @@
-"""Exhaustive checks of the context transitions against a hand-derived table."""
+"""Exhaustive checks of the situation rows and the context transitions
+against hand-derived tables."""
+
+import copy
+import pickle
 
 import pytest
 from hypothesis import example, given
@@ -10,8 +14,6 @@ from povtrack import (
     ParagraphBreak,
     SceneBreak,
     TextSituation,
-    last_active_character_expected,
-    last_subjective_character_expected,
     new_context,
     new_context_after_break,
 )
@@ -232,8 +234,28 @@ EXPECT_LAST_ACTIVE = {
 
 @pytest.mark.parametrize("situation", ALL)
 def test_expectation_predicates_exhaustive(situation):
-    context = ctx(situation)
-    assert (last_subjective_character_expected(context)
-            == EXPECT_LAST_SC[situation.value])
-    assert (last_active_character_expected(context)
-            == EXPECT_LAST_ACTIVE[situation.value])
+    assert situation.sc_expected is EXPECT_LAST_SC[situation.value]
+    assert situation.active_expected is EXPECT_LAST_ACTIVE[situation.value]
+
+
+@pytest.mark.parametrize("situation", ALL)
+def test_successor_columns_match_tables(situation):
+    for column, table, kind in (
+            ("after_break", BREAK_TABLE, "paragraph"),
+            ("after_objective", SENTENCE_TABLE, "objective-empty"),
+            ("after_active", SENTENCE_TABLE, "objective-char")):
+        successor = getattr(situation, column)
+        assert successor is TextSituation(table[situation.value, kind])
+
+
+@pytest.mark.parametrize("situation", ALL)
+def test_a_situation_survives_lookup_pickle_and_copy(situation):
+    assert TextSituation(situation.value) is situation
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(situation, protocol)) is situation
+    assert copy.deepcopy(situation) is situation
+    assert copy.copy(situation) is situation
+    assert isinstance(situation.value, str)
+    assert repr(situation) == \
+        f"<TextSituation.{situation.name}: {situation.value!r}>"
+    assert hash(situation) == hash(situation.name)
