@@ -50,6 +50,7 @@ from .model import (
     INITIAL_CONTEXT,
     InputItem,
     Interpretation,
+    NOBODY,
     ParagraphBreak,
     ParseError,
     PovTrackError,
@@ -120,13 +121,21 @@ class Document:
                     f"items[{i}]: duplicate sentence id {item.id!r}")
             seen.add(item.id)
             for j, soa in enumerate(item.features.soas):
-                if not soa.who <= roster:
-                    raise _off_roster(soa.who, roster, f"sentence {item.id}: "
-                                      f"features.soas[{j}].who")
+                try:
+                    if soa.who <= roster:
+                        continue
+                except TypeError:  # not a set: a list, say
+                    pass
+                raise _off_roster(soa.who, roster, f"sentence {item.id}: "
+                                  f"features.soas[{j}].who")
             parenthetical = item.features.parenthetical
-            if parenthetical is not None and not parenthetical <= roster:
-                raise _off_roster(parenthetical, roster, f"sentence "
-                                  f"{item.id}: features.parenthetical")
+            try:
+                if parenthetical is None or parenthetical <= roster:
+                    continue
+            except TypeError:
+                pass
+            raise _off_roster(parenthetical, roster, f"sentence "
+                              f"{item.id}: features.parenthetical")
         ctx = self.initial_context
         if not isinstance(ctx, Context):
             raise ValidationError(f"preamble must be a Context, not {ctx!r}")
@@ -280,15 +289,17 @@ def _build_document(data, registry) -> Document:
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
     _object(data, {"title", "roster", "preamble", "items"}, "top level")
-    roster = _characters(data.get("roster", []), "roster")
+    # one set per distinct list of names, shared within this document only
+    sets = _Sets({(): NOBODY})
+    roster = _characters(data.get("roster", []), "roster", sets)
     raw_items = _array(data.get("items", []), "items")
-    items = tuple(_parse_item(raw, f"items[{i}]", registry)
+    items = tuple(_parse_item(raw, f"items[{i}]", registry, sets)
                   for i, raw in enumerate(raw_items))
-    initial = _parse_preamble(data.get("preamble"))
+    initial = _parse_preamble(data.get("preamble"), sets)
     return Document(data.get("title", ""), roster, items, initial)
 
 
-def _parse_preamble(raw) -> Context:
+def _parse_preamble(raw, sets) -> Context:
     if raw is None:
         return INITIAL_CONTEXT
     _object(raw, {"situation", *_CONTEXT_SETS}, "preamble")
@@ -296,12 +307,12 @@ def _parse_preamble(raw) -> Context:
         "situation", TextSituation.PRESUBJECTIVE_NONACTIVE.value),
         "preamble", "text situation")
     last_sc, previous, last_active = (
-        _characters(raw.get(key, []), f"preamble.{key}")
+        _characters(raw.get(key, []), f"preamble.{key}", sets)
         for key in _CONTEXT_SETS)
     return Context(last_sc, last_active, previous, situation)
 
 
-def _parse_item(raw, where, registry) -> InputItem:
+def _parse_item(raw, where, registry, sets) -> InputItem:
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: must be an object")
     kind = raw.get("kind")
@@ -316,7 +327,7 @@ def _parse_item(raw, where, registry) -> InputItem:
         text = raw.get("text")
         if text is not None and not isinstance(text, str):
             raise ValidationError("text must be a string")
-        features = _parse_features(raw.get("features"), registry)
+        features = _parse_features(raw.get("features"), registry, sets)
         gold = raw.get("gold")
         if gold is not None:
             _object(gold, _GOLD_KEYS, "gold")
@@ -324,7 +335,7 @@ def _parse_item(raw, where, registry) -> InputItem:
                 raise ValidationError(
                     "gold.type must be 'subjective' or 'objective'")
             gold = Interpretation(gold["type"] == "subjective", _characters(
-                gold.get("characters", []), "gold.characters"))
+                gold.get("characters", []), "gold.characters", sets))
     except ValidationError as exc:
         raise ValidationError(f"sentence {sid}: {exc}") from None
     try:
@@ -333,18 +344,20 @@ def _parse_item(raw, where, registry) -> InputItem:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _parse_features(raw, registry) -> FeatureSet:
+def _parse_features(raw, registry, sets) -> FeatureSet:
     _object(raw, _FEATURE_KEYS, "features")
-    soas = _entries(raw.get("soas", []), "features.soas", _parse_soa)
+    soas = _entries(raw.get("soas", []), "features.soas",
+                    lambda entry: _parse_soa(entry, sets))
     # an unknown id stays a string, which FeatureSet refuses
     by_id = {soa.id: soa for soa in soas}
     clauses = _entries(raw.get("clauses", []), "features.clauses",
-                       lambda entry: _parse_clause(entry, by_id))
+                       lambda entry: _parse_clause(entry, by_id, sets))
     pses = _entries(raw.get("pses", []), "features.pses",
-                    lambda entry: _parse_pse(entry, registry))
+                    lambda entry: _parse_pse(entry, registry, sets))
     parenthetical = raw.get("parenthetical")
     if parenthetical is not None:
-        parenthetical = _characters(parenthetical, "features.parenthetical")
+        parenthetical = _characters(parenthetical, "features.parenthetical",
+                                    sets)
     quoted = _flag(raw, "quotedSpeech", "features")
     head = raw.get("headNounPrivateState")
     if isinstance(head, str):
@@ -365,21 +378,21 @@ def _entries(value, where, parse) -> tuple:
     return tuple(out)
 
 
-def _parse_soa(raw) -> StateOfAffairs:
+def _parse_soa(raw, sets) -> StateOfAffairs:
     _object(raw, _SOA_KEYS, "")
     return StateOfAffairs(
         _id(raw, "", "state-of-affairs"),
         _member(_SOA_TYPES, raw.get("type", ""), "", "state-of-affairs type"),
-        _characters(raw.get("who", []), ".who"))
+        _characters(raw.get("who", []), ".who", sets))
 
 
-def _parse_clause(raw, soas) -> Clause:
+def _parse_clause(raw, soas, sets) -> Clause:
     _object(raw, _CLAUSE_KEYS, "")
     clause_id = _id(raw, "", "clause")
     soa = raw.get("soa")
     if not isinstance(soa, str):
         raise ValidationError(": soa must be a string")
-    under = _under(raw, "")
+    under = _under(raw, sets)
     vp = _object(raw.get("vp", {}), _VP_FIELDS, ".vp")
     flags = tuple(map(vp.get, _VP_KEYS, _ABSENT))
     # 1 and 0 would find the entries of True and False
@@ -390,14 +403,14 @@ def _parse_clause(raw, soas) -> Clause:
     return Clause(clause_id, soas.get(soa, soa), under, _VERB_FEATURES[flags])
 
 
-def _parse_pse(raw, registry) -> Pse:
+def _parse_pse(raw, registry, sets) -> Pse:
     _object(raw, _PSE_KEYS, "")
     pse_id = _id(raw, "", "element")
     category = raw.get("category")
     if not isinstance(category, str) or not category:
         raise ValidationError(": category must be a non-empty string")
     # an unknown name stays a name, which FeatureSet refuses
-    return Pse(pse_id, registry.get(category, category), _under(raw, ""))
+    return Pse(pse_id, registry.get(category, category), _under(raw, sets))
 
 
 # -- field readers: each checks one shape and names the place that breaks it
@@ -419,12 +432,11 @@ def _id(raw, where, what) -> str:
     return value
 
 
-def _under(raw, where) -> frozenset[str]:
+def _under(raw, sets) -> frozenset[str]:
     value = raw.get("under", [])
     if not isinstance(value, list) or not all(map(isinstance, value, _STR)):
-        raise ValidationError(f"{where}: under must be an array of clause "
-                              "ids")
-    return frozenset(value)
+        raise ValidationError(": under must be an array of clause ids")
+    return sets[tuple(value)]
 
 
 def _flag(raw, key, where, default=False) -> bool:
@@ -434,12 +446,21 @@ def _flag(raw, key, where, default=False) -> bool:
     return value
 
 
-def _characters(value, where) -> Characters:
+def _characters(value, where, sets) -> Characters:
     if not isinstance(value, list):
         raise ValidationError(f"{where}: must be an array of names")
     if not _all_names(value):
         raise ValidationError(f"{where}: names must be non-empty strings")
-    return frozenset(value)
+    return sets[tuple(value)]
+
+
+class _Sets(dict):
+    """One parse's table from a tuple of names to the one frozenset of
+    them; a tuple met for the first time gets a new set."""
+
+    def __missing__(self, names) -> frozenset[str]:
+        found = self[names] = frozenset(names)
+        return found
 
 
 def _all_names(values) -> bool:
@@ -448,8 +469,12 @@ def _all_names(values) -> bool:
 
 
 def _off_roster(names, roster, where) -> ValidationError:
-    return ValidationError(f"{where}: character(s) "
-                           f"{sorted(names - roster)} not in roster")
+    try:
+        off = sorted(names - roster)
+    except TypeError:  # a list, or a set holding a name that is no str
+        return ValidationError(f"{where}: must be a frozenset of non-empty "
+                               "strings")
+    return ValidationError(f"{where}: character(s) {off} not in roster")
 
 
 def _member(members, value, where, what):

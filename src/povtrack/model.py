@@ -48,6 +48,7 @@ class TextSituation(Enum):
     whether a sentence with an active character has appeared earlier in
     the current paragraph.  Besides its string ``value``, a member holds:
 
+    * ``short``: the name a trace prints, with "subjective" as "subj".
     * ``level``: the association level that introduces it.  An element
       of a category of level k is subjective in exactly the situations
       whose level is at most k.
@@ -97,6 +98,7 @@ class TextSituation(Enum):
     def __new__(cls, value, level, sc_expected, active_expected, *after):
         member = object.__new__(cls)
         member._value_ = value
+        member.short = value.replace("subjective", "subj")
         member.level = level
         member.sc_expected = sc_expected
         member.active_expected = active_expected
@@ -263,16 +265,18 @@ class FeatureSet:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for pse in self.pses:
+        clauses, soas, pses = self.clauses, self.soas, self.pses
+        for pse in pses:
             if not isinstance(pse.category, PseCategory):
                 raise ValidationError(f"element {pse.id!r} has unknown "
                                       f"category {pse.category!r}")
-        clauses = {clause.id: clause for clause in self.clauses}
+        # a list of one holds no duplicate, so only longer lists build sets
+        by_id = len(clauses) > 1 and {c.id: c for c in clauses}
         for what, objects, ids in (
-                ("state-of-affairs", self.soas, {soa.id for soa in self.soas}),
-                ("clause", self.clauses, clauses),
-                ("element", self.pses, {pse.id for pse in self.pses})):
-            if len(ids) < len(objects):
+                ("state-of-affairs", soas, soas[1:] and {a.id for a in soas}),
+                ("clause", clauses, by_id),
+                ("element", pses, pses[1:] and {p.id for p in pses})):
+            if ids and len(ids) < len(objects):
                 seen: set[str] = set()
                 for obj in objects:
                     if obj.id in seen:
@@ -280,37 +284,47 @@ class FeatureSet:
                             f"duplicate {what} id {obj.id!r}")
                     seen.add(obj.id)
         # by identity: hashing each state of affairs would cost more
-        soas = {id(soa) for soa in self.soas}
-        for clause in self.clauses:
-            if id(clause.soa) not in soas:
+        known = set(map(id, soas))
+        # the ids of the clauses read so far, and of all of them from the
+        # first clause that is under a clause written after it
+        mains, ids, ordered = [], set(), True
+        for clause in clauses:
+            if id(clause.soa) not in known:
                 raise ValidationError(
                     f"clause {clause.id!r} references unknown state of "
                     f"affairs {clause.soa!r}")
-            if not clause.under <= clauses.keys():
-                raise ValidationError(
-                    f"clause {clause.id!r} subordinated to unknown "
-                    f"clause(s) {sorted(clause.under - clauses.keys())}")
-        if not self.clauses:
+            if not clause.under:
+                mains.append(clause)
+            elif not clause.under <= ids:
+                if ordered:
+                    ordered, ids = False, set(by_id or (clause.id,))
+                if not clause.under <= ids:
+                    raise ValidationError(
+                        f"clause {clause.id!r} subordinated to unknown "
+                        f"clause(s) {sorted(clause.under - ids)}")
+            ids.add(clause.id)
+        if not clauses:
             raise ValidationError("at least one clause required")
-        mains = [c for c in self.clauses if not c.under]
         if not mains:
             raise ValidationError(
                 "no main clause (every clause is subordinated)")
         if len(mains) > 1:
             raise ValidationError("multiple main clauses "
                                   f"({', '.join(sorted(c.id for c in mains))})")
-        _check_acyclic(clauses)
-        for pse in self.pses:
-            if not pse.under <= clauses.keys():
+        # clauses each under only clauses written before them form no cycle
+        if not ordered:
+            _check_acyclic(by_id)
+        for pse in pses:
+            if not pse.under <= ids:
                 raise ValidationError(
                     f"element {pse.id!r} subordinated to unknown clause(s) "
-                    f"{sorted(pse.under - clauses.keys())}")
+                    f"{sorted(pse.under - ids)}")
         if self.parenthetical is not None and not self.parenthetical:
             raise ValidationError(
                 "parenthetical subject must name at least one character")
         head = self.head_noun_private_state
         if head is not None:
-            if id(head) not in soas:
+            if id(head) not in known:
                 raise ValidationError("headNounPrivateState references "
                                       f"unknown state of affairs {head!r}")
             if head.type is not SoaType.PRIVATE_STATE:
@@ -321,15 +335,15 @@ class FeatureSet:
             raise ValidationError(
                 "quoted speech must be about a communicative action (main "
                 "state of affairs of type 'action')")
-        object.__setattr__(self, "main", mains[0])
-        private = [c for c in self.clauses if c.soa.type in PRIVATE_SOA_TYPES]
-        ids = {c.id for c in private}
-        candidates = [c.soa for c in private
-                      if c.under and ids.isdisjoint(c.under)]
+        object.__setattr__(self, "main", main := mains[0])
+        candidates = [main.soa] if main.soa.type in PRIVATE_SOA_TYPES else []
         if head is not None:
-            candidates.insert(0, head)
-        if mains[0].soa.type in PRIVATE_SOA_TYPES:
-            candidates.insert(0, mains[0].soa)
+            candidates.append(head)
+        if len(clauses) > 1:
+            private = [c for c in clauses if c.soa.type in PRIVATE_SOA_TYPES]
+            private_ids = {c.id for c in private}
+            candidates += [c.soa for c in private
+                           if c.under and private_ids.isdisjoint(c.under)]
         object.__setattr__(self, "private_candidates", tuple(candidates))
 
     def clause_about(self, soa: StateOfAffairs) -> Clause | None:

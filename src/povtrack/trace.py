@@ -21,7 +21,6 @@ from .model import (
     TextSituation,
 )
 
-SHORT = {s: s.value.replace("subjective", "subj") for s in TextSituation}
 # the sentence head escapes a backslash too, so no two texts print alike
 _HEAD_ESCAPES = {**ESCAPE_SEPARATORS, ord("\\"): "\\\\"}
 # why a private-state action was read as an action, by detail.action_reason
@@ -42,9 +41,9 @@ def render_step(step: TrackStep) -> list[str]:
         return [
             f"--- {kind} break",
             "Before the break:",
-            f"    The situation is {SHORT[step.before.situation]}",
+            f"    The situation is {step.before.situation.short}",
             "After the break:",
-            f"    The situation is {SHORT[step.after.situation]}",
+            f"    The situation is {step.after.situation.short}",
         ]
     return _render_sentence(step)
 
@@ -60,7 +59,7 @@ def _render_sentence(step: TrackStep) -> list[str]:
         # escaped, the head stays one line that no reader takes for a verdict
         head += f": {item.text.translate(_HEAD_ESCAPES)}"
     lines = [head, "At the beginning of this sentence:",
-             f"    The situation is {SHORT[before.situation]}"]
+             f"    The situation is {before.situation.short}"]
     lines += _expected_lines(before)
 
     if fs.pses:
@@ -119,7 +118,7 @@ def _render_sentence(step: TrackStep) -> list[str]:
         lines.append("The sentence is not subjective")
 
     word = "still" if after.situation is before.situation else "now"
-    lines.append(f"The situation is {word} {SHORT[after.situation]}")
+    lines.append(f"The situation is {word} {after.situation.short}")
     return lines
 
 
