@@ -471,7 +471,7 @@ def _all_names(values) -> bool:
 def _off_roster(names, roster, where) -> ValidationError:
     try:
         off = sorted(names - roster)
-    except TypeError:  # a list, or a set holding a name that is no str
+    except TypeError:  # a list, or names of types that do not sort together
         return ValidationError(f"{where}: must be a frozenset of non-empty "
                                "strings")
     return ValidationError(f"{where}: character(s) {off} not in roster")

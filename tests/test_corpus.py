@@ -1,5 +1,6 @@
 """Loader, registry, and serialization behavior."""
 
+import collections
 import copy
 import dataclasses
 import json
@@ -13,6 +14,7 @@ from povtrack import (
     Engine,
     Interpretation,
     InterpretationDetail,
+    NOBODY,
     ParseError,
     PseCategory,
     RegistryError,
@@ -364,6 +366,88 @@ def test_some_fixture_has_a_head_noun():
 
 def test_two_loads_compare_equal():
     assert fixture_doc("demo2") == fixture_doc("demo2")
+
+
+def named_sets(data, doc):
+    """(names, set) for every list of names in decoded document data and
+    the set the parsed document holds for it: the roster, the preamble,
+    gold characters, each parenthetical and each who and under."""
+    yield data.get("roster", []), doc.roster
+    preamble, ctx = data.get("preamble", {}), doc.initial_context
+    for key, names in (("lastSC", ctx.last_sc),
+                       ("previousSCs", ctx.previous_scs),
+                       ("lastActiveCharacter", ctx.last_active_character)):
+        if key in preamble:
+            yield preamble[key], names
+    sentences = [item for item in data["items"] if item["kind"] == "sentence"]
+    for raw, sentence in zip(sentences, doc.sentences(), strict=True):
+        if "gold" in raw:
+            yield raw["gold"].get("characters", []), sentence.gold.characters
+        features, fs = raw["features"], sentence.features
+        if "parenthetical" in features:
+            yield features["parenthetical"], fs.parenthetical
+        for key, objects, field in (("soas", fs.soas, "who"),
+                                    ("clauses", fs.clauses, "under"),
+                                    ("pses", fs.pses, "under")):
+            for entry, obj in zip(features.get(key, []), objects, strict=True):
+                yield entry.get(field, []), getattr(obj, field)
+
+
+SHARED = ["demo1", "p18", "p31", "minicorpus", "lynette"]
+
+
+@pytest.mark.parametrize("name", SHARED)
+def test_equal_name_lists_share_one_set_within_a_parse(name):
+    data = fixture_json(name)
+    for doc in (fixture_doc(name), document_from_dict(data)):
+        seen, counts = {}, collections.Counter()
+        for names, value in named_sets(data, doc):
+            assert value == frozenset(names)
+            assert value is seen.setdefault(tuple(names), value)
+            assert names or value is NOBODY
+            counts[tuple(names)] += bool(names)
+        # some non-empty list repeats, so some set is shared
+        assert max(counts.values()) > 1
+
+
+def test_the_shared_set_fixtures_hold_each_kind_of_name_list():
+    datas = [fixture_json(name) for name in SHARED]
+    sentences = [item for data in datas for item in data["items"]
+                 if item["kind"] == "sentence"]
+    assert any("preamble" in data for data in datas)
+    assert any("gold" in item for item in sentences)
+    assert any("parenthetical" in item["features"] for item in sentences)
+
+
+def test_two_parses_of_one_text_share_no_set():
+    text = (DATA / "minicorpus.json").read_bytes()
+    data = json.loads(text)
+    first, second = parse_document(text), parse_document(text)
+    assert first == second
+    kept = {id(value) for _, value in named_sets(data, first) if value}
+    assert kept
+    assert kept.isdisjoint(id(value) for _, value in named_sets(data, second)
+                           if value)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_document_from_dict_builds_what_parse_document_builds(name):
+    text = (DATA / f"{name}.json").read_bytes()
+    assert document_from_dict(json.loads(text)) == parse_document(text)
+
+
+def test_one_text_parsed_under_two_registries_in_turn():
+    promoted = parse_registry(b'{"habitual": {"level": 3}}')
+    data = patch_features(
+        pses=[{"id": "p1", "category": "habitual", "under": []},
+              {"id": "p2", "category": "question", "under": ["c1"]}])
+    text = json.dumps(data)
+    for registry in (None, promoted, None, promoted):
+        in_force = DEFAULT_REGISTRY if registry is None else registry
+        fs = parse_document(text, registry).items[0].features
+        assert [p.category for p in fs.pses] == [
+            in_force["habitual"], in_force["question"]]
+        assert fs.pses[0].category.level == (2 if registry is None else 3)
 
 
 def test_loading_does_not_mutate_defaults():

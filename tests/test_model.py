@@ -222,6 +222,21 @@ RULES = [
     feature_rule("cycle", "clause subordination cycle: c2 -> c3 -> c2",
                  clauses=(MAIN, under("c2", A1, "c3"),
                           under("c3", A1, "c2"))),
+    # a cycle needs a clause under one written after it: the search for
+    # one is skipped only when no clause is
+    feature_rule("cycle-written-out-of-order", "clause subordination "
+                 "cycle: c3 -> c2 -> c3", clauses=(
+                     under("c3", A1, "c2"), MAIN, under("c2", A1, "c3"))),
+    feature_rule("self-cycle", "clause subordination cycle: c2 -> c2",
+                 clauses=(MAIN, under("c2", A1, "c2"))),
+    feature_rule("cycle-after-ordered-clauses", "clause subordination "
+                 "cycle: c3 -> c4 -> c3", clauses=(
+                     MAIN, under("c2", A1, "c1"), under("c3", A1, "c2", "c4"),
+                     under("c4", A1, "c3"))),
+    feature_rule("forward-under-missing", "clause 'c2' subordinated to "
+                 "unknown clause(s) ['c9']",
+                 clauses=(under("c2", A1, "c3", "c9"), MAIN,
+                          under("c3", A1, "c1"))),
     feature_rule("element-under-missing", "element 'e1' subordinated to "
                  "unknown clause(s) ['c9']",
                  pses=(Pse("e1", QUESTION, frozenset({"c9"})),)),
@@ -245,6 +260,18 @@ RULES = [
     feature_rule("duplicate-element", "duplicate element id 'e1'",
                  pses=(Pse("e1", QUESTION),
                        Pse("e1", DEFAULT_REGISTRY["exclamation"]))),
+    feature_rule("duplicate-soa-of-two", "duplicate state-of-affairs id "
+                 "'a1'", soas=(A1, StateOfAffairs("a1", SoaType.ACTION))),
+    feature_rule("duplicate-soa-of-n", "duplicate state-of-affairs id 'p1'",
+                 soas=SOAS + (StateOfAffairs("a2", SoaType.ACTION), P1)),
+    feature_rule("duplicate-clause-of-two", "duplicate clause id 'c1'",
+                 clauses=(MAIN, under("c1", A1, "c1"))),
+    feature_rule("duplicate-clause-of-n", "duplicate clause id 'c3'",
+                 clauses=(MAIN, under("c2", A1, "c1"), under("c3", A1, "c1"),
+                          under("c4", A1, "c3"), under("c3", A1, "c2"))),
+    feature_rule("duplicate-element-of-n", "duplicate element id 'e2'",
+                 pses=(Pse("e1", QUESTION), Pse("e2", QUESTION),
+                       Pse("e3", QUESTION), Pse("e2", QUESTION))),
     # a name is not a category: the parser resolves it in the registry
     feature_rule("unknown-category", "element 'e1' has unknown category "
                  "'no-such-thing'", pses=(Pse("e1", "no-such-thing"),)),
@@ -292,6 +319,60 @@ def test_broken_rule_is_refused_where_the_object_is_built(
     with pytest.raises(error) as parsed:
         parse()
     assert str(parsed.value) == place + message
+
+
+# the same clauses in the order they are under one another, and reversed:
+# the cycle search runs only on the second, and both are valid
+CHAIN = (MAIN, under("c2", P1, "c1"), under("c3", A1, "c2"),
+         under("c4", P1, "c2", "c3"))
+
+
+@pytest.mark.parametrize("clauses", [CHAIN, CHAIN[::-1]],
+                         ids=["in-order", "reversed"])
+def test_clauses_in_any_order_build_the_same_feature_set(clauses):
+    features = FeatureSet(clauses, SOAS)
+    assert features.main is MAIN
+    # c4 is under the private c2, so only c2 is a candidate
+    assert features.private_candidates == (P1,)
+    assert parse_document(document(clauses=clauses)).items[0].features == \
+        features
+
+
+@pytest.mark.parametrize("soas, clauses, pses", [
+    (ACTION, (MAIN,), (Pse("e1", QUESTION),)),
+    (SOAS, (MAIN, under("c2", P1, "c1")),
+     (Pse("e1", QUESTION), Pse("e2", QUESTION, frozenset({"c2"})))),
+], ids=["one-of-each", "two-of-each"])
+def test_lists_without_a_repeated_id_are_accepted(soas, clauses, pses):
+    features = FeatureSet(clauses, soas, pses)
+    assert (features.soas, features.clauses, features.pses) == (
+        soas, clauses, pses)
+    assert parse_document(document(clauses=clauses, soas=soas,
+                                   pses=pses)).items[0].features == features
+
+
+def off_roster(who=NOBODY, parenthetical=None):
+    soa = StateOfAffairs("a1", SoaType.ACTION, who)
+    return Document("t", frozenset({"Zoe"}), (Sentence("s1", FeatureSet(
+        (Clause("c1", soa),), (soa,), parenthetical=parenthetical)),))
+
+
+# a hand-built who or parenthetical that is a list, or holds a name that
+# is not a str, is refused as such; sorting or comparing it raised TypeError
+@pytest.mark.parametrize("build, where", [
+    (partial(off_roster, who=frozenset({5, "Ghost"})), "soas[0].who"),
+    (partial(off_roster, who=["Zoe"]), "soas[0].who"),
+    (partial(off_roster, who=["Ghost"]), "soas[0].who"),
+    (partial(off_roster, parenthetical=["Zoe"]), "parenthetical"),
+    (partial(off_roster, parenthetical=frozenset({"Ghost", None})),
+     "parenthetical"),
+], ids=["who-mixed", "who-list", "who-list-off-roster", "parenthetical-list",
+        "parenthetical-mixed"])
+def test_names_that_are_not_a_frozenset_of_strings_are_refused(build, where):
+    with pytest.raises(ValidationError) as caught:
+        build()
+    assert str(caught.value) == (f"sentence s1: features.{where}: must be "
+                                 "a frozenset of non-empty strings")
 
 
 @pytest.mark.parametrize("roster", [["Zoe"], {"Zoe"}, frozenset({""}),

@@ -1,6 +1,7 @@
 """Golden trace output and byte stability."""
 
 import dataclasses
+import enum
 
 import pytest
 
@@ -73,6 +74,23 @@ def test_break_events_record_both_situations():
         "After the break:",
         "    The situation is broken-subj",
     ]
+
+
+def test_rendering_a_trace_hashes_no_text_situation(monkeypatch):
+    # Enum.__hash__ runs in Python; each situation holds its short name
+    steps = Engine().track_document(fixture_doc("minicorpus"))
+    hashes = []
+    original = enum.Enum.__hash__
+
+    def counting(member):
+        hashes.append(member)
+        return original(member)
+
+    monkeypatch.setattr(enum.Enum, "__hash__", counting)
+    text = render_trace(steps)
+    monkeypatch.undo()
+    assert len(steps) == 51 and "The situation is continuing-subj" in text
+    assert hashes == []
 
 
 def test_failed_identification_warns():
