@@ -57,6 +57,7 @@ from .model import (
     Pse,
     PseCategory,
     RegistryError,
+    SEPARATORS,
     SceneBreak,
     Sentence,
     SoaType,
@@ -65,6 +66,7 @@ from .model import (
     ValidationError,
     VerbFeatures,
     DEFAULT_REGISTRY,
+    all_names,
 )
 
 # the "vp" flags in VerbFeatures field order
@@ -108,9 +110,7 @@ class Document:
         if not isinstance(self.title, str):
             raise ValidationError("title must be a string")
         roster, seen = self.roster, set()
-        if not isinstance(roster, frozenset) or not _all_names(roster):
-            raise ValidationError(
-                "roster must be a frozenset of non-empty strings")
+        _check_names(roster, "roster ")  # every other name set is in it
         for i, item in enumerate(self.items):
             if not isinstance(item, Sentence):
                 if not isinstance(item, (ParagraphBreak, SceneBreak)):
@@ -121,21 +121,18 @@ class Document:
                     f"items[{i}]: duplicate sentence id {item.id!r}")
             seen.add(item.id)
             for j, soa in enumerate(item.features.soas):
-                try:
-                    if soa.who <= roster:
-                        continue
-                except TypeError:  # not a set: a list, say
-                    pass
-                raise _off_roster(soa.who, roster, f"sentence {item.id}: "
-                                  f"features.soas[{j}].who")
-            parenthetical = item.features.parenthetical
-            try:
-                if parenthetical is None or parenthetical <= roster:
-                    continue
-            except TypeError:
-                pass
-            raise _off_roster(parenthetical, roster, f"sentence "
-                              f"{item.id}: features.parenthetical")
+                if not (isinstance(soa.who, frozenset) and soa.who <= roster):
+                    _check_names(soa.who, f"sentence {item.id}: "
+                                 f"features.soas[{j}].who: ", roster)
+            names = item.features.parenthetical
+            if not (names is None or isinstance(names, frozenset)
+                    and names <= roster):
+                _check_names(names, f"sentence {item.id}: "
+                             "features.parenthetical: ", roster)
+            # a gold label may name a character the roster lacks
+            names = getattr(item.gold, "characters", NOBODY)
+            if not (isinstance(names, frozenset) and names <= roster):
+                _check_names(names, f"sentence {item.id}: gold.characters: ")
         ctx = self.initial_context
         if not isinstance(ctx, Context):
             raise ValidationError(f"preamble must be a Context, not {ctx!r}")
@@ -144,11 +141,7 @@ class Document:
                                   f"{ctx.situation!r}")
         for key, names in zip(_CONTEXT_SETS, (
                 ctx.last_sc, ctx.previous_scs, ctx.last_active_character)):
-            if not isinstance(names, frozenset) or not _all_names(names):
-                raise ValidationError(f"preamble.{key}: must be a frozenset "
-                                      "of non-empty strings")
-            if not names <= roster:
-                raise _off_roster(names, roster, f"preamble.{key}")
+            _check_names(names, f"preamble.{key}: ", roster)
         if ctx.last_sc and not ctx.last_sc <= ctx.previous_scs:
             raise ValidationError("preamble: lastSC must be a subset of "
                                   "previousSCs when non-empty")
@@ -449,7 +442,7 @@ def _flag(raw, key, where, default=False) -> bool:
 def _characters(value, where, sets) -> Characters:
     if not isinstance(value, list):
         raise ValidationError(f"{where}: must be an array of names")
-    if not _all_names(value):
+    if not all_names(value):
         raise ValidationError(f"{where}: names must be non-empty strings")
     return sets[tuple(value)]
 
@@ -463,18 +456,17 @@ class _Sets(dict):
         return found
 
 
-def _all_names(values) -> bool:
-    """Whether every value is a non-empty str."""
-    return all(map(isinstance, values, _STR)) and all(values)
-
-
-def _off_roster(names, roster, where) -> ValidationError:
-    try:
-        off = sorted(names - roster)
-    except TypeError:  # a list, or names of types that do not sort together
-        return ValidationError(f"{where}: must be a frozenset of non-empty "
-                               "strings")
-    return ValidationError(f"{where}: character(s) {off} not in roster")
+def _check_names(names, where, roster=None) -> None:
+    """Refuse all but printable names; ``where`` heads each message."""
+    if not isinstance(names, frozenset) or not all_names(names):
+        raise ValidationError(f"{where}must be a frozenset of non-empty "
+                              "strings")
+    if roster is not None and not names <= roster:
+        raise ValidationError(
+            f"{where}character(s) {sorted(names - roster)} not in roster")
+    if broken := [name for name in names if not SEPARATORS.isdisjoint(name)]:
+        raise ValidationError(f"{where}name {min(broken)!r} must not hold a "
+                              "tab or line break")
 
 
 def _member(members, value, where, what):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 
 class PovTrackError(Exception):
@@ -37,6 +38,18 @@ class RegistryError(PovTrackError):
 Characters = frozenset[str]
 
 NOBODY: Characters = frozenset()
+
+# what splits a tab-separated verdict line: the tab, and every character
+# at which str.splitlines breaks a line
+SEPARATORS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+# a str.translate table writing each separator as its escape: "\t", "\u2028"
+ESCAPE_SEPARATORS = {ord(c): repr(c)[1:-1] for c in SEPARATORS}
+_STR = repeat(str)  # isinstance's second argument, for map
+
+
+def all_names(values) -> bool:
+    """Whether every value is a character name: a non-empty str."""
+    return all(map(isinstance, values, _STR)) and all(values)
 
 
 class TextSituation(Enum):
@@ -131,7 +144,11 @@ class PseCategory:
     excluded: bool = False
 
     def __post_init__(self) -> None:
-        level = self.level
+        name, level = self.name, self.level
+        # a trace prints the name on a line of its own
+        if isinstance(name, str) and not SEPARATORS.isdisjoint(name):
+            raise RegistryError(f"category name {name!r} must not hold a tab "
+                                "or line break")
         if not isinstance(level, int) or isinstance(level, bool):
             raise RegistryError(
                 f"category {self.name!r}: level must be an integer")
@@ -188,6 +205,7 @@ class SoaType(Enum):
 
 # the types a state of affairs may read as a private state under
 PRIVATE_SOA_TYPES = (SoaType.PRIVATE_STATE, SoaType.PRIVATE_STATE_ACTION)
+_UNDER = "under must be a frozenset of clause ids"
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,6 +311,8 @@ class FeatureSet:
                 raise ValidationError(
                     f"clause {clause.id!r} references unknown state of "
                     f"affairs {clause.soa!r}")
+            if not isinstance(clause.under, frozenset):
+                raise ValidationError(f"clause {clause.id!r}: {_UNDER}")
             if not clause.under:
                 mains.append(clause)
             elif not clause.under <= ids:
@@ -315,6 +335,8 @@ class FeatureSet:
         if not ordered:
             _check_acyclic(by_id)
         for pse in pses:
+            if not isinstance(pse.under, frozenset):
+                raise ValidationError(f"element {pse.id!r}: {_UNDER}")
             if not pse.under <= ids:
                 raise ValidationError(
                     f"element {pse.id!r} subordinated to unknown clause(s) "
@@ -393,24 +415,9 @@ class Interpretation:
     subjective: bool
     characters: Characters
 
-    @classmethod
-    def subjective_of(cls, who) -> "Interpretation":
-        return cls(True, frozenset(who))
-
-    @classmethod
-    def objective_of(cls, who) -> "Interpretation":
-        return cls(False, frozenset(who))
-
     @property
     def kind(self) -> str:
         return "subjective" if self.subjective else "objective"
-
-
-# what splits a tab-separated verdict line: the tab, and every character
-# at which str.splitlines breaks a line
-SEPARATORS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
-# a str.translate table writing each separator as its escape: "\t", "\u2028"
-ESCAPE_SEPARATORS = {ord(c): repr(c)[1:-1] for c in SEPARATORS}
 
 
 @dataclass(frozen=True, slots=True)

@@ -51,11 +51,11 @@ def situations(steps):
 
 
 def subjective(*who):
-    return Interpretation.subjective_of(who)
+    return Interpretation(True, frozenset(who))
 
 
 def objective(*who):
-    return Interpretation.objective_of(who)
+    return Interpretation(False, frozenset(who))
 
 
 def test_criterion_1_demo1_replay():

@@ -8,7 +8,7 @@ import pytest
 
 from povtrack import cli
 from povtrack.cli import main
-from conftest import fixture_path
+from conftest import fixture_path, renamed
 
 
 def run(capsys, *argv):
@@ -253,13 +253,25 @@ def demo1_with_first_id(sid, drop=None):
     pytest.param(demo1_with_first_id("a\nb", drop="features"),
                  "sentence a\\nb: features: must be an object",
                  id="line-forging-id-and-no-features"),
+    # a name that a verdict or trace line prints, forging an s9 line
+    pytest.param(renamed("Dennys", "Dennys\ns9\tOBJECTIVE\t"),
+                 "roster name 'Dennys\\ns9\\tOBJECTIVE\\t' must not hold",
+                 id="line-forging-roster-name"),
+    pytest.param((fixture_path("demo1").read_bytes(),
+                  b'{"x\\ns9\\tSUBJECTIVE\\tGhost": {"level": 3}}'),
+                 "registry: category name 'x\\ns9\\tSUBJECTIVE\\tGhost' "
+                 "must not hold", id="line-forging-category-name"),
 ])
 @pytest.mark.parametrize("command", ["track", "eval", "validate"])
 def test_hostile_input_exits_1_without_traceback(tmp_path, capsys, command,
                                                   data, problem):
-    path = tmp_path / "hostile.json"
+    path, flags = tmp_path / "hostile.json", []
+    if isinstance(data, tuple):  # a document, and a registry for it
+        data, registry = data
+        (tmp_path / "registry.json").write_bytes(registry)
+        flags = ["--registry", tmp_path / "registry.json"]
     path.write_bytes(data)
-    code, out, err = run(capsys, command, path)
+    code, out, err = run(capsys, command, path, *flags)
     assert (code, out) == (1, "")
     assert err.startswith("povtrack: error: ") and problem in err
     assert err.count("\n") == 1

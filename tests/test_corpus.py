@@ -76,7 +76,7 @@ def test_demo1_loads_field_by_field():
 
     first = doc.items[0]
     assert first.id == "s1"
-    assert first.gold == Interpretation.objective_of(())
+    assert first.gold == Interpretation(False, frozenset())
     assert first.features.soas[0].type is SoaType.PRIVATE_STATE_ACTION
     assert first.features.soas[0].who == {"Japheth"}
     assert first.features.clauses[0].vp.simple_past

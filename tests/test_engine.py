@@ -294,7 +294,7 @@ def wide_document(n, quoted):
                                       for i in range(1, n)]
     soas = [soa(f"a{i}", "action") for i in range(n)]
     sentence = Sentence("s1", fs(soas, clauses, quoted_speech=quoted),
-                        gold=Interpretation.objective_of(()))
+                        gold=Interpretation(False, frozenset()))
     return Document("wide", frozenset(), (sentence,))
 
 
@@ -312,7 +312,7 @@ def test_clause_lookups_do_not_grow_with_the_sentence(monkeypatch, quoted):
         document = wide_document(n, quoted)
         engine = Engine()
         assert engine.track_document(document)[0].interpretation == \
-            Interpretation.objective_of(())
+            Interpretation(False, frozenset())
         assert evaluate(document, engine).primary_count == 0
     assert calls[10_000] == calls[2]
 
@@ -381,7 +381,7 @@ def test_psa_policy_flags():
     thought = [thinks("Zoe"), Sentence("n", fs([soa("a1", "nonprivate-state")],
                                                 [clause("c1", "a1")]))]
     steps = Engine(policy=rt).track(thought)
-    assert steps[1].interpretation == Interpretation.subjective_of({"Zoe"})
+    assert steps[1].interpretation == Interpretation(True, frozenset({"Zoe"}))
     assert steps[1].detail.trigger == "continuing-nonprivate"
     assert psa_reads_private(rt, thought)
     assert not psa_reads_private(se, thought)
@@ -420,7 +420,7 @@ def test_parenthetical_sentence_is_not_a_represented_thought():
         Sentence("s2", psa_features("Zoe")),
     ]
     steps = Engine().track(items)
-    assert steps[1].interpretation == Interpretation.subjective_of({"Zoe"})
+    assert steps[1].interpretation == Interpretation(True, frozenset({"Zoe"}))
     strict = Engine(policy=SignificancePolicy.CONTAINS_REPRESENTED_THOUGHT)
     steps = strict.track(items)
     assert steps[0].detail.trigger == "parenthetical"
@@ -572,7 +572,7 @@ def test_nonprivate_state_subjective_only_while_continuing(engine):
                      previous={"Lorena"})
     assert verdict(engine, features, continuing).subjective
     assert verdict(engine, features, continuing) == \
-        Interpretation.subjective_of({"Lorena"})
+        Interpretation(True, frozenset({"Lorena"}))
     for situation in (TS.BROKEN_SUBJECTIVE, TS.POSTSUBJECTIVE_NONACTIVE,
                       TS.PRESUBJECTIVE_NONACTIVE):
         assert not verdict(engine, features, ctx(
@@ -583,7 +583,7 @@ def test_parenthetical_forces_subjective(engine):
     features = fs([soa("a1", "private-state", {"Dennys"})],
                   [clause("c1", "a1")], parenthetical=frozenset({"Dennys"}))
     interp = verdict(engine, features, ctx(TS.PRESUBJECTIVE_NONACTIVE))
-    assert interp == Interpretation.subjective_of({"Dennys"})
+    assert interp == Interpretation(True, frozenset({"Dennys"}))
 
 
 def test_quoted_question_is_objective(engine):
@@ -604,7 +604,7 @@ def test_kinship_term_in_discourse_parenthetical(engine):
     context = ctx(TS.POSTSUBJECTIVE_NONACTIVE, last_sc={"Laura"},
                   previous={"Laura"})
     assert verdict(engine, features, context) == \
-        Interpretation.subjective_of({"Laura"})
+        Interpretation(True, frozenset({"Laura"}))
 
 
 # -- identifying the subjective character -------------------------------------
@@ -665,7 +665,7 @@ def test_competition_about_last_active_goes_to_last_sc(engine):
                   [clause("c1", "a1")],
                   [pse("p1", "evidential-evidence")])
     assert verdict(engine, features, context) == \
-        Interpretation.subjective_of({"Lorena"})
+        Interpretation(True, frozenset({"Lorena"}))
 
 
 def test_competition_otherwise_goes_to_last_active(engine):
@@ -674,7 +674,7 @@ def test_competition_otherwise_goes_to_last_active(engine):
     features = fs([soa("a1", "nonprivate-state", {"Jake"})],
                   [clause("c1", "a1")], [pse("p1", "eval-noun")])
     assert verdict(engine, features, context) == \
-        Interpretation.subjective_of({"Augustus"})
+        Interpretation(True, frozenset({"Augustus"}))
 
 
 def test_identification_failure_returns_empty(engine):
@@ -741,7 +741,7 @@ def test_quoted_speech_tests_parenthetical_clause(engine):
     context = ctx(TS.POSTSUBJECTIVE_NONACTIVE, last_sc={"Newt"},
                   previous={"Newt"})
     assert verdict(engine, features, context) == \
-        Interpretation.objective_of(())
+        Interpretation(False, frozenset())
 
 
 def test_unspecified_actor_never_active(engine):
@@ -783,11 +783,12 @@ def test_track_resets_expectations_at_scene_break(engine):
                           [pse("p1", "question")])),
     ]
     steps = engine.track(items)
-    assert steps[0].interpretation == Interpretation.subjective_of({"Slick"})
+    assert steps[0].interpretation == Interpretation(True,
+                                                     frozenset({"Slick"}))
     assert steps[1].after.situation is TS.PRESUBJECTIVE_NONACTIVE
     # the question still fires, but the last subjective character is no
     # longer expected, so identification fails
-    assert steps[2].interpretation == Interpretation.subjective_of(())
+    assert steps[2].interpretation == Interpretation(True, frozenset())
 
 
 def test_a_sweep_hashes_no_text_situation(monkeypatch):

@@ -189,7 +189,7 @@ def test_classify_explicit_interpretation():
     doc = fixture_doc("minicorpus")
     idx = sentence_indices(doc)
     # reading 15.11 as Rosie's would start a new point of view
-    rosie = Interpretation.subjective_of({"Rosie"})
+    rosie = Interpretation(True, frozenset({"Rosie"}))
     assert classify_operation(doc, idx["15.11"], rosie) is \
         PovOperation.INITIATION
 
@@ -385,10 +385,10 @@ def test_operation_rows_match_scanning_classifier(name, policy):
 
 # a few labels that repeat often, so that every operation occurs
 gold_labels = interpretations | st.sampled_from([
-    Interpretation.subjective_of({NAMES[0]}),
-    Interpretation.subjective_of({NAMES[1]}),
-    Interpretation.objective_of(()),
-    Interpretation.objective_of({NAMES[0]}),
+    Interpretation(True, frozenset({NAMES[0]})),
+    Interpretation(True, frozenset({NAMES[1]})),
+    Interpretation(False, frozenset()),
+    Interpretation(False, frozenset({NAMES[0]})),
 ])
 
 

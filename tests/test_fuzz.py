@@ -22,10 +22,12 @@ from povtrack import (
     render_trace,
 )
 from povtrack.cli import main
-from conftest import DATA
+from conftest import DATA, renamed
 from test_writer import oracle_dumps
 
 FIXTURES = sorted(path.stem for path in DATA.glob("*.json"))
+# a name that, printed on a verdict line, forges a line for an s9
+LINE_BREAKING = "Dennys\ns9\tOBJECTIVE\t"
 RAW = {name: (DATA / f"{name}.json").read_bytes() for name in FIXTURES}
 DELETE = object()
 
@@ -57,7 +59,8 @@ PARSED = {name: json.loads(RAW[name]) for name in FIXTURES}
 PATHS = {name: list(paths(PARSED[name])) for name in FIXTURES}
 WORDS = sorted({word for name in FIXTURES for word in strings(PARSED[name])}
                | {s.value for s in TextSituation} | {t.value for t in SoaType}
-               | set(DEFAULT_REGISTRY) | {"", "sentence", "scene-break"})
+               | set(DEFAULT_REGISTRY) | {"", "sentence", "scene-break"}
+               | {LINE_BREAKING})
 
 scalars = (st.none() | st.booleans() | st.integers(-2, 5) | st.floats()
            | st.sampled_from(WORDS) | st.text(max_size=4))
@@ -149,6 +152,13 @@ def check(data, tmp_path):
                 contextlib.redirect_stderr(io.StringIO()):
             assert main([command, str(path)]) == (0 if ok else 1)
             out.flush()
+        if command == "track" and ok:
+            # one line per sentence, which no reader can split in two
+            lines = out.buffer.getvalue().decode().splitlines()
+            sentences = document.sentences()
+            assert len(lines) == len(sentences)
+            assert all(line.startswith(f"{s.id}\t")
+                       for line, s in zip(lines, sentences))
 
 
 fuzz = settings(max_examples=150, deadline=None,
@@ -164,6 +174,7 @@ def lone_surrogate_id():
 @fuzz
 @given(data=set_anywhere())
 @example(data=lone_surrogate_id())
+@example(data=renamed("Dennys", LINE_BREAKING))
 def test_any_path_set_to_any_value(tmp_path, data):
     check(data, tmp_path)
 

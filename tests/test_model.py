@@ -13,6 +13,7 @@ from povtrack import (
     Engine,
     FeatureSet,
     INITIAL_CONTEXT,
+    Interpretation,
     NOBODY,
     Pse,
     PseCategory,
@@ -200,6 +201,26 @@ GHOST = frozenset({"Ghost"})
 SITUATION = TextSituation.POSTSUBJECTIVE_ACTIVE
 
 
+def name_rules(separator):
+    """A roster, a gold and a category name holding ``separator``: each
+    would split a verdict or trace line that prints it."""
+    name = f"A{separator}B"
+    gold = Interpretation(True, frozenset({name}))
+    yield document_rule(f"roster-name-{name!r}", f"roster name {name!r} "
+                        "must not hold a tab or line break",
+                        roster=frozenset({"Zoe", name}))
+    yield document_rule(f"gold-name-{name!r}", f"sentence s1: "
+                        f"gold.characters: name {name!r} must not hold a "
+                        "tab or line break",
+                        items=(dataclasses.replace(S1, gold=gold),))
+    yield pytest.param(partial(PseCategory, name, 3),
+                       partial(parse_registry, json.dumps({name: {
+                           "level": 3}})),
+                       RegistryError, f"category name {name!r} must not "
+                       "hold a tab or line break", "registry: ",
+                       id=f"category-name-{name!r}")
+
+
 def level_rule(level, message):
     return pytest.param(partial(PseCategory, "x", level),
                         partial(parse_registry, json.dumps({"x": {
@@ -304,6 +325,9 @@ RULES = [
     id_rule("a\tb"),
     id_rule("s1\u2028s9"),
     id_rule("s1\x85"),
+    *name_rules("\n"),
+    *name_rules("\t"),
+    *name_rules("\u2028"),
     level_rule(0, "in 1..4, got 0"),
     level_rule(True, "an integer"),
     level_rule(2.0, "an integer"),
@@ -351,28 +375,49 @@ def test_lists_without_a_repeated_id_are_accepted(soas, clauses, pses):
                                    pses=pses)).items[0].features == features
 
 
-def off_roster(who=NOBODY, parenthetical=None):
+def off_roster(who=NOBODY, parenthetical=None, gold=None):
     soa = StateOfAffairs("a1", SoaType.ACTION, who)
     return Document("t", frozenset({"Zoe"}), (Sentence("s1", FeatureSet(
-        (Clause("c1", soa),), (soa,), parenthetical=parenthetical)),))
+        (Clause("c1", soa),), (soa,), parenthetical=parenthetical),
+        gold=gold),))
 
 
-# a hand-built who or parenthetical that is a list, or holds a name that
-# is not a str, is refused as such; sorting or comparing it raised TypeError
+# a hand-built who, parenthetical or gold label whose names are a list or
+# a set, or hold a name that is not a non-empty str, is refused as such;
+# sorting or comparing it raised TypeError, and hashing a set did
 @pytest.mark.parametrize("build, where", [
-    (partial(off_roster, who=frozenset({5, "Ghost"})), "soas[0].who"),
-    (partial(off_roster, who=["Zoe"]), "soas[0].who"),
-    (partial(off_roster, who=["Ghost"]), "soas[0].who"),
-    (partial(off_roster, parenthetical=["Zoe"]), "parenthetical"),
+    (partial(off_roster, who=frozenset({5, "Ghost"})), "features.soas[0].who"),
+    (partial(off_roster, who=["Zoe"]), "features.soas[0].who"),
+    (partial(off_roster, who=["Ghost"]), "features.soas[0].who"),
+    (partial(off_roster, who={"Zoe"}), "features.soas[0].who"),
+    (partial(off_roster, who=frozenset({""})), "features.soas[0].who"),
+    (partial(off_roster, parenthetical=["Zoe"]), "features.parenthetical"),
     (partial(off_roster, parenthetical=frozenset({"Ghost", None})),
-     "parenthetical"),
-], ids=["who-mixed", "who-list", "who-list-off-roster", "parenthetical-list",
-        "parenthetical-mixed"])
+     "features.parenthetical"),
+    (partial(off_roster, gold=Interpretation(True, ["Zoe"])),
+     "gold.characters"),
+], ids=["who-mixed", "who-list", "who-list-off-roster", "who-set",
+        "who-empty-name", "parenthetical-list", "parenthetical-mixed",
+        "gold-list"])
 def test_names_that_are_not_a_frozenset_of_strings_are_refused(build, where):
     with pytest.raises(ValidationError) as caught:
         build()
-    assert str(caught.value) == (f"sentence s1: features.{where}: must be "
+    assert str(caught.value) == (f"sentence s1: {where}: must be "
                                  "a frozenset of non-empty strings")
+
+
+# the parser always builds frozensets; a list under raised TypeError, or,
+# when empty, made a main clause that could not be hashed
+@pytest.mark.parametrize("clauses, pses, message", [
+    ((Clause("c1", A1, []),), (), "clause 'c1'"),
+    ((MAIN, Clause("c2", A1, ["c1"])), (), "clause 'c2'"),
+    ((MAIN,), (Pse("e1", QUESTION, ["c1"]),), "element 'e1'"),
+], ids=["main-clause", "subordinate-clause", "element"])
+def test_an_under_that_is_not_a_frozenset_is_refused(clauses, pses, message):
+    with pytest.raises(ValidationError) as caught:
+        FeatureSet(clauses, SOAS, pses)
+    assert str(caught.value) == (f"{message}: under must be a frozenset of "
+                                 "clause ids")
 
 
 @pytest.mark.parametrize("roster", [["Zoe"], {"Zoe"}, frozenset({""}),

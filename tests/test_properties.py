@@ -46,8 +46,8 @@ def contexts(draw):
 
 
 interpretations = st.one_of(
-    st.builds(Interpretation.subjective_of, character_sets),
-    st.builds(Interpretation.objective_of, character_sets),
+    st.builds(Interpretation, st.just(True), character_sets),
+    st.builds(Interpretation, st.just(False), character_sets),
 )
 
 verb_features = st.builds(
@@ -297,9 +297,10 @@ pair_sets = st.sampled_from([frozenset(who) for who in
                              ({"Ada"}, {"Bo"}, {"Ada", "Bo"}, ())])
 # labels repeat so that runs form, break and resume
 pair_labels = st.sampled_from(
-    [Interpretation.subjective_of(who) for who in
+    [Interpretation(True, frozenset(who)) for who in
      ({"Ada"}, {"Bo"}, {"Ada", "Bo"}, set())]
-    + [Interpretation.objective_of(()), Interpretation.objective_of({"Bo"})])
+    + [Interpretation(False, frozenset()),
+       Interpretation(False, frozenset({"Bo"}))])
 
 
 @st.composite

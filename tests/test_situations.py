@@ -59,9 +59,9 @@ BREAK_TABLE = {
 BREAK_TABLE.update({(s.value, "scene"): "presubjective-nonactive" for s in ALL})
 
 INPUTS = {
-    "subjective": Interpretation.subjective_of({"Zoe"}),
-    "objective-char": Interpretation.objective_of({"Newt"}),
-    "objective-empty": Interpretation.objective_of(()),
+    "subjective": Interpretation(True, frozenset({"Zoe"})),
+    "objective-char": Interpretation(False, frozenset({"Newt"})),
+    "objective-empty": Interpretation(False, frozenset()),
 }
 
 
@@ -87,7 +87,7 @@ def test_break_transitions_match_table(situation, kind):
 
 def test_subjective_updates_last_sc_and_previous():
     before = ctx(TextSituation.POSTSUBJECTIVE_ACTIVE)
-    out = new_context(Interpretation.subjective_of({"Call"}), before)
+    out = new_context(Interpretation(True, frozenset({"Call"})), before)
     assert out.last_sc == {"Call"}
     assert out.previous_scs == before.previous_scs | {"Call"}
     assert out.last_active_character == before.last_active_character
@@ -97,21 +97,21 @@ def test_subjective_updates_last_sc_and_previous():
                                  {"Jake", "Newt", "Zoe"}])
 def test_subjective_adding_nobody_shares_previous(who):
     before = ctx(TextSituation.POSTSUBJECTIVE_ACTIVE)
-    out = new_context(Interpretation.subjective_of(who), before)
+    out = new_context(Interpretation(True, frozenset(who)), before)
     assert out.previous_scs is before.previous_scs
 
 
 @pytest.mark.parametrize("who", [{"Call"}, {"Call", "Zoe"}])
 def test_subjective_adding_someone_enlarges_previous(who):
     before = ctx(TextSituation.CONTINUING_SUBJECTIVE)
-    out = new_context(Interpretation.subjective_of(who), before)
+    out = new_context(Interpretation(True, frozenset(who)), before)
     assert out.previous_scs == before.previous_scs | who
     assert out.previous_scs > before.previous_scs
 
 
 def test_objective_with_character_updates_last_active_only():
     before = ctx(TextSituation.BROKEN_SUBJECTIVE)
-    out = new_context(Interpretation.objective_of({"Newt"}), before)
+    out = new_context(Interpretation(False, frozenset({"Newt"})), before)
     assert out.last_active_character == {"Newt"}
     assert out.last_sc == before.last_sc
     assert out.previous_scs == before.previous_scs
@@ -119,7 +119,7 @@ def test_objective_with_character_updates_last_active_only():
 
 def test_objective_empty_keeps_last_active():
     before = ctx(TextSituation.POSTSUBJECTIVE_ACTIVE)
-    out = new_context(Interpretation.objective_of(()), before)
+    out = new_context(Interpretation(False, frozenset()), before)
     assert out.last_active_character == before.last_active_character
 
 

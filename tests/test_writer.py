@@ -111,10 +111,11 @@ characters = (st.sampled_from(HOSTILE)
               | st.characters(exclude_categories=["Cs"]))
 strings = st.text(characters, max_size=5)
 words = st.text(characters, min_size=1, max_size=5)
-sentence_ids = words.filter(SEPARATORS.isdisjoint)
+# sentence ids and names: verdict and trace lines print them
+line_words = words.filter(SEPARATORS.isdisjoint)
 # a built-in name or any other, at any level, excluded or not
 categories = st.builds(PseCategory, st.sampled_from(sorted(DEFAULT_REGISTRY))
-                       | words, st.integers(1, 4), st.booleans())
+                       | line_words, st.integers(1, 4), st.booleans())
 
 
 def subsets(draw, pool, min_size=0):
@@ -151,17 +152,18 @@ def feature_sets(draw, roster, registry):
 
 @st.composite
 def documents(draw):
-    roster = draw(st.frozensets(words, max_size=4))
+    roster = draw(st.frozensets(line_words, max_size=4))
     # one category per name, so that one registry parses the text back
     registry = draw(st.lists(categories, min_size=1, max_size=4,
                              unique_by=lambda c: c.name))
     items = []
-    for sid in draw(st.lists(sentence_ids, max_size=4, unique=True)):
+    for sid in draw(st.lists(line_words, max_size=4, unique=True)):
         items += draw(st.lists(st.sampled_from([SceneBreak(),
                                                 ParagraphBreak()]),
                                max_size=1))
         gold = draw(st.none() | st.builds(
-            Interpretation, st.booleans(), st.frozensets(words, max_size=2)))
+            Interpretation, st.booleans(),
+            st.frozensets(line_words, max_size=2)))
         items.append(Sentence(sid, draw(feature_sets(roster, registry)),
                               draw(st.none() | strings), gold))
     context = INITIAL_CONTEXT
@@ -172,21 +174,23 @@ def documents(draw):
     return Document(draw(strings), roster, tuple(items), context)
 
 
-ACTION = StateOfAffairs("a\x00", SoaType.ACTION, frozenset({HOSTILE}))
+# a name may hold all of it but the tab and the line breaks
+NAME = HOSTILE.translate(dict.fromkeys(map(ord, SEPARATORS)))
+ACTION = StateOfAffairs("a\x00", SoaType.ACTION, frozenset({NAME}))
 HEAD = StateOfAffairs("p", SoaType.PRIVATE_STATE)
 SAID = StateOfAffairs("a", SoaType.ACTION)
 EVERY_FIELD = Document(
-    "", frozenset({HOSTILE, "é"}),
+    "", frozenset({NAME, "é"}),
     (Sentence("\U0001f600\x7f\"\\", FeatureSet(
         (Clause(HOSTILE, ACTION), Clause("c2", ACTION, frozenset({HOSTILE}),
                                          VerbFeatures(True, modal=True))),
         (ACTION, HEAD),
-        (Pse(HOSTILE, PseCategory(HOSTILE, 3), frozenset({"c2"})),),
+        (Pse(HOSTILE, PseCategory(NAME, 3), frozenset({"c2"})),),
         frozenset({"é"}), HEAD), text=HOSTILE,
-        gold=Interpretation(True, frozenset({"Ghost", HOSTILE}))),
+        gold=Interpretation(True, frozenset({"Ghost", NAME}))),
      SceneBreak(), ParagraphBreak(),
      Sentence("s2", FeatureSet((Clause("c", SAID),), (SAID,)), text="")),
-    Context(frozenset({"é"}), frozenset(), frozenset({"é", HOSTILE}),
+    Context(frozenset({"é"}), frozenset(), frozenset({"é", NAME}),
             TextSituation.BROKEN_SUBJECTIVE))
 
 
