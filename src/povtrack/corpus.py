@@ -90,6 +90,11 @@ _PSE_KEYS = frozenset({"id", "category", "under"})
 # half of a UTF-16 pair, and the JSON escape that can spell one
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+# the stdlib scanner, which decodes the one JSON value at an index, and
+# the whitespace JSON allows between tokens
+_SCAN = json.JSONDecoder().scan_once
+_SPACE = json.decoder.WHITESPACE.match
+_TOP_KEYS = frozenset({"title", "roster", "preamble", "items"})
 _STR = itertools.repeat(str)  # isinstance's second argument, for map
 # what Enum(value) finds: a member by its value, or the member itself
 _SOA_TYPES, _SITUATIONS = ({key: m for m in enum for key in (m.value, m)}
@@ -130,7 +135,7 @@ class Document:
                 _check_names(names, f"sentence {item.id}: "
                              "features.parenthetical: ", roster)
             # a gold label may name a character the roster lacks
-            names = getattr(item.gold, "characters", NOBODY)
+            names = NOBODY if item.gold is None else item.gold.characters
             if not (isinstance(names, frozenset) and names <= roster):
                 _check_names(names, f"sentence {item.id}: gold.characters: ")
         ctx = self.initial_context
@@ -192,24 +197,34 @@ def _decode(raw, where, object_pairs_hook=None):
     """``json.loads``, raising ParseError for bad syntax and equally for
     bytes that are not UTF-8, too-long numbers, too-deep nesting and
     strings holding a lone surrogate, which no output could encode."""
-    text = raw
     try:
-        if isinstance(raw, (bytes, bytearray)):
-            # strictly, unlike json.loads: UTF-8 has no encoded surrogates
-            text = raw.decode(json.detect_encoding(raw))
+        text = _text(raw)
         data = json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where}invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{where}cannot decode JSON: {exc}") from None
-    # one scan for an escape that could spell a lone surrogate, and only
-    # a hit walks the decoded value; the code point itself can only be
-    # in a str the caller passed, since decoding bytes strictly refuses it
-    if _SURROGATE_ESCAPE.search(text) or (
-            text is raw and not text.isascii() and _SURROGATE.search(text)):
+    # only a possible lone surrogate walks the decoded value
+    if _may_hold_lone_surrogate(raw, text):
         _reject_lone_surrogates(data, where)
     return data
+
+
+def _text(raw):
+    """The JSON text of bytes, decoded strictly, unlike json.loads: UTF-8
+    has no encoded surrogates.  Anything else is returned as it is."""
+    if isinstance(raw, (bytes, bytearray)):
+        return raw.decode(json.detect_encoding(raw))
+    return raw
+
+
+def _may_hold_lone_surrogate(raw, text) -> bool:
+    """One scan for an escape that could spell a lone surrogate.  The
+    code point itself can only be in a str the caller passed, since
+    decoding bytes strictly refuses it."""
+    return bool(_SURROGATE_ESCAPE.search(text) or (
+        text is raw and not text.isascii() and _SURROGATE.search(text)))
 
 
 def _reject_lone_surrogates(data, where) -> None:
@@ -253,8 +268,17 @@ def parse_document(text: str | bytes,
     here, in the registry (the built-in one when none is given): the
     element holds the ``PseCategory``, and a name the registry lacks is
     refused.
+
+    The items are decoded and built one at a time, so the decoded JSON
+    of the whole document is never held at once.  Text that this reading
+    does not plainly accept (a fault, or an escape that could spell a
+    lone surrogate) is decoded whole and read again, and that reading
+    words the fault.
     """
-    return _build_document(_decode(text, ""), registry)
+    try:
+        return _parse_by_item(text, registry)
+    except (PovTrackError, ValueError, StopIteration, RecursionError):
+        return _build_document(_decode(text, ""), registry)
 
 
 def load_document(path,
@@ -273,23 +297,98 @@ def document_from_dict(data,
 
 def _build_document(data, registry) -> Document:
     """The document in decoded JSON free of lone surrogates."""
+    registry = _checked_registry(registry)
+    if not isinstance(data, dict):
+        raise ParseError("top level must be a JSON object")
+    _object(data, _TOP_KEYS, "top level")
+    # one set per distinct list of names, shared within this document only
+    sets = _Sets({(): NOBODY})
+    return _document(data, _read_items(data.get("items", []), registry, sets),
+                     sets)
+
+
+def _read_items(raw_items, registry, sets):
+    """Each item of a decoded "items" array, checked and built only when
+    asked for, so that the roster is read first."""
+    for i, raw in enumerate(_array(raw_items, "items")):
+        yield _parse_item(raw, f"items[{i}]", registry, sets)
+
+
+def _parse_by_item(raw, registry) -> Document:
+    """The document of JSON text, each item decoded and built on its own.
+    Raises ValueError, StopIteration, RecursionError or a PovTrackError
+    for anything it does not plainly accept."""
+    registry = _checked_registry(registry)
+    text = _text(raw)
+    if not isinstance(text, str) or _may_hold_lone_surrogate(raw, text):
+        raise ValueError("not plainly JSON text")
+    sets, fields, items = _Sets({(): NOBODY}), {}, ()
+    token, pos = _token(text, _SPACE(text).end())
+    while token in ("{", ",") and text.startswith('"', pos):
+        key, pos = _SCAN(text, pos)
+        colon, pos = _token(text, _SPACE(text, pos).end())
+        if colon != ":" or key not in _TOP_KEYS:
+            raise ValueError(f"not plainly a top-level field {key!r}")
+        # a field read again replaces the first, as json.loads keeps the
+        # last of duplicate keys
+        if key == "items":
+            items, pos = _scan_items(text, pos, registry, sets)
+        else:
+            fields[key], pos = _SCAN(text, pos)
+        token, pos = _token(text, _SPACE(text, pos).end())
+    if token == "{":  # an empty object
+        token, pos = _token(text, pos)
+    if token != "}" or pos < len(text):
+        raise ValueError("not plainly one JSON object")
+    return _document(fields, items, sets)
+
+
+def _scan_items(text, pos, registry, sets) -> tuple[list, int]:
+    """The items of the JSON array at ``pos``, each decoded and built on
+    its own, so that its decoded JSON is freed once it is built, and the
+    index past the array and the whitespace after it."""
+    token, pos = _token(text, pos)
+    if token != "[":
+        raise ValueError("items: not plainly an array")
+    items = []
+    if text.startswith("]", pos):
+        token, pos = _token(text, pos)
+    while token != "]":
+        raw, pos = _SCAN(text, pos)
+        items.append(_parse_item(raw, f"items[{len(items)}]", registry,
+                                 sets))
+        token, pos = _token(text, _SPACE(text, pos).end())
+        if token not in (",", "]"):
+            raise ValueError("items: not plainly an array")
+    return items, pos
+
+
+def _token(text, pos) -> tuple[str, int]:
+    """The character at ``pos`` ("" past the end), and the index past it
+    and the whitespace after it."""
+    return text[pos:pos + 1], _SPACE(text, pos + 1).end()
+
+
+def _checked_registry(registry) -> dict[str, PseCategory]:
+    """The registry to resolve category names in, the built-in one when
+    none is given.  An element keeps only the category, so each name
+    must be its category's key."""
     registry = DEFAULT_REGISTRY if registry is None else registry
-    # an element keeps only the category, so its name must be the key
     for name, category in registry.items():
         if not isinstance(category, PseCategory) or category.name != name:
             raise RegistryError(f"registry: {name!r} must map to a "
                                 f"PseCategory named {name!r}")
-    if not isinstance(data, dict):
-        raise ParseError("top level must be a JSON object")
-    _object(data, {"title", "roster", "preamble", "items"}, "top level")
-    # one set per distinct list of names, shared within this document only
-    sets = _Sets({(): NOBODY})
-    roster = _characters(data.get("roster", []), "roster", sets)
-    raw_items = _array(data.get("items", []), "items")
-    items = tuple(_parse_item(raw, f"items[{i}]", registry, sets)
-                  for i, raw in enumerate(raw_items))
-    initial = _parse_preamble(data.get("preamble"), sets)
-    return Document(data.get("title", ""), roster, items, initial)
+    return registry
+
+
+def _document(fields, items, sets) -> Document:
+    """The tail both parse paths share: the document of its decoded
+    top-level fields and its model items, in the order the checks run:
+    roster, items, preamble, title."""
+    roster = _characters(fields.get("roster", []), "roster", sets)
+    items = tuple(items)
+    initial = _parse_preamble(fields.get("preamble"), sets)
+    return Document(fields.get("title", ""), roster, items, initial)
 
 
 def _parse_preamble(raw, sets) -> Context:

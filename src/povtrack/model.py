@@ -319,9 +319,8 @@ class FeatureSet:
                 if ordered:
                     ordered, ids = False, set(by_id or (clause.id,))
                 if not clause.under <= ids:
-                    raise ValidationError(
-                        f"clause {clause.id!r} subordinated to unknown "
-                        f"clause(s) {sorted(clause.under - ids)}")
+                    raise _unknown_clauses(f"clause {clause.id!r}",
+                                           clause.under, ids)
             ids.add(clause.id)
         if not clauses:
             raise ValidationError("at least one clause required")
@@ -338,9 +337,7 @@ class FeatureSet:
             if not isinstance(pse.under, frozenset):
                 raise ValidationError(f"element {pse.id!r}: {_UNDER}")
             if not pse.under <= ids:
-                raise ValidationError(
-                    f"element {pse.id!r} subordinated to unknown clause(s) "
-                    f"{sorted(pse.under - ids)}")
+                raise _unknown_clauses(f"element {pse.id!r}", pse.under, ids)
         if self.parenthetical is not None and not self.parenthetical:
             raise ValidationError(
                 "parenthetical subject must name at least one character")
@@ -379,6 +376,16 @@ class FeatureSet:
                 if clause.soa is soa:
                     return clause
         return None
+
+
+def _unknown_clauses(owner, under, ids) -> ValidationError:
+    """The error for an ``under`` that names clauses not in ``ids``; one
+    holding an id that is not a str is refused as such, since the
+    unknown ids could not be sorted to name them."""
+    if not all(map(isinstance, under, _STR)):
+        return ValidationError(f"{owner}: {_UNDER}")
+    return ValidationError(f"{owner} subordinated to unknown clause(s) "
+                           f"{sorted(under - ids)}")
 
 
 def _check_acyclic(clauses: dict[str, Clause], order=iter) -> None:
@@ -430,6 +437,9 @@ class Sentence:
     gold: Interpretation | None = None
 
     def __post_init__(self) -> None:
+        if not (self.gold is None or isinstance(self.gold, Interpretation)):
+            raise ValidationError("gold must be an Interpretation or None, "
+                                  f"not {self.gold!r}")
         if not isinstance(self.id, str) or not self.id:
             raise ValidationError("sentence id must be a non-empty string")
         # the id heads a tab-separated verdict line, which it must not split

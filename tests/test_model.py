@@ -406,18 +406,43 @@ def test_names_that_are_not_a_frozenset_of_strings_are_refused(build, where):
                                  "a frozenset of non-empty strings")
 
 
-# the parser always builds frozensets; a list under raised TypeError, or,
-# when empty, made a main clause that could not be hashed
+# the parser always builds frozensets of str; a list under raised
+# TypeError, or, when empty, made a main clause that could not be hashed
 @pytest.mark.parametrize("clauses, pses, message", [
     ((Clause("c1", A1, []),), (), "clause 'c1'"),
     ((MAIN, Clause("c2", A1, ["c1"])), (), "clause 'c2'"),
     ((MAIN,), (Pse("e1", QUESTION, ["c1"]),), "element 'e1'"),
-], ids=["main-clause", "subordinate-clause", "element"])
+    # an unknown id beside one that is not a str: sorting the unknown ids
+    # to name them raised TypeError
+    ((MAIN, Clause("c2", A1, frozenset({5, "c9"}))), (), "clause 'c2'"),
+    ((MAIN,), (Pse("e1", QUESTION, frozenset({5, "c9"})),), "element 'e1'"),
+], ids=["main-clause", "subordinate-clause", "element",
+        "subordinate-clause-mixed-ids", "element-mixed-ids"])
 def test_an_under_that_is_not_a_frozenset_is_refused(clauses, pses, message):
     with pytest.raises(ValidationError) as caught:
         FeatureSet(clauses, SOAS, pses)
     assert str(caught.value) == (f"{message}: under must be a frozenset of "
                                  "clause ids")
+
+
+# the parser always builds an Interpretation; a hand-built label of any
+# other type was accepted, and evaluate then raised AttributeError
+BAD_GOLDS = {
+    "string": ("x", "'x'"),
+    "kind-and-names": (("subjective", frozenset({"Zoe"})),
+                       "('subjective', frozenset({'Zoe'}))"),
+    "dict": ({"type": "objective", "characters": []},
+             "{'type': 'objective', 'characters': []}"),
+    "bool": (True, "True"),
+}
+
+
+@pytest.mark.parametrize("gold, shown", BAD_GOLDS.values(), ids=BAD_GOLDS)
+def test_a_gold_that_is_not_an_interpretation_is_refused(gold, shown):
+    with pytest.raises(ValidationError) as caught:
+        Sentence("s1", FeatureSet((MAIN,), SOAS), gold=gold)
+    assert str(caught.value) == \
+        f"gold must be an Interpretation or None, not {shown}"
 
 
 @pytest.mark.parametrize("roster", [["Zoe"], {"Zoe"}, frozenset({""}),
