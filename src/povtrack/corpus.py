@@ -91,9 +91,10 @@ _PSE_KEYS = frozenset({"id", "category", "under"})
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 # the stdlib scanner, which decodes the one JSON value at an index, and
-# the whitespace JSON allows between tokens
+# the first character after the whitespace JSON allows between tokens
 _SCAN = json.JSONDecoder().scan_once
-_SPACE = json.decoder.WHITESPACE.match
+_SPACE = json.decoder.WHITESPACE.pattern
+_TOKEN = re.compile(f"{_SPACE}(.?){_SPACE}", re.DOTALL).match
 _TOP_KEYS = frozenset({"title", "roster", "preamble", "items"})
 _STR = itertools.repeat(str)  # isinstance's second argument, for map
 # what Enum(value) finds: a member by its value, or the member itself
@@ -323,10 +324,10 @@ def _parse_by_item(raw, registry) -> Document:
     if not isinstance(text, str) or _may_hold_lone_surrogate(raw, text):
         raise ValueError("not plainly JSON text")
     sets, fields, items = _Sets({(): NOBODY}), {}, ()
-    token, pos = _token(text, _SPACE(text).end())
+    token, pos = _token(text, 0)
     while token in ("{", ",") and text.startswith('"', pos):
         key, pos = _SCAN(text, pos)
-        colon, pos = _token(text, _SPACE(text, pos).end())
+        colon, pos = _token(text, pos)
         if colon != ":" or key not in _TOP_KEYS:
             raise ValueError(f"not plainly a top-level field {key!r}")
         # a field read again replaces the first, as json.loads keeps the
@@ -335,7 +336,7 @@ def _parse_by_item(raw, registry) -> Document:
             items, pos = _scan_items(text, pos, registry, sets)
         else:
             fields[key], pos = _SCAN(text, pos)
-        token, pos = _token(text, _SPACE(text, pos).end())
+        token, pos = _token(text, pos)
     if token == "{":  # an empty object
         token, pos = _token(text, pos)
     if token != "}" or pos < len(text):
@@ -357,16 +358,17 @@ def _scan_items(text, pos, registry, sets) -> tuple[list, int]:
         raw, pos = _SCAN(text, pos)
         items.append(_parse_item(raw, f"items[{len(items)}]", registry,
                                  sets))
-        token, pos = _token(text, _SPACE(text, pos).end())
+        token, pos = _token(text, pos)
         if token not in (",", "]"):
             raise ValueError("items: not plainly an array")
     return items, pos
 
 
 def _token(text, pos) -> tuple[str, int]:
-    """The character at ``pos`` ("" past the end), and the index past it
-    and the whitespace after it."""
-    return text[pos:pos + 1], _SPACE(text, pos + 1).end()
+    """The character after the whitespace at ``pos`` ("" at the end), and
+    the index past it and the whitespace after it."""
+    found = _TOKEN(text, pos)
+    return found[1], found.end()
 
 
 def _checked_registry(registry) -> dict[str, PseCategory]:
