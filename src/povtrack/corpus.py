@@ -325,7 +325,15 @@ def _parse_by_item(raw, registry) -> Document:
         raise ValueError("not plainly JSON text")
     sets, fields, items = _Sets({(): NOBODY}), {}, ()
     token, pos = _token(text, 0)
-    while token in ("{", ",") and text.startswith('"', pos):
+    if token != "{":
+        raise ValueError("not plainly a JSON object")
+    if text.startswith("}", pos):  # an empty object
+        token, pos = _token(text, pos)
+    else:
+        token = ","  # the first field is read as the others are
+    while token == ",":
+        if not text.startswith('"', pos):
+            raise ValueError("not plainly a field name")
         key, pos = _SCAN(text, pos)
         colon, pos = _token(text, pos)
         if colon != ":" or key not in _TOP_KEYS:
@@ -336,8 +344,6 @@ def _parse_by_item(raw, registry) -> Document:
             items, pos = _scan_items(text, pos, registry, sets)
         else:
             fields[key], pos = _SCAN(text, pos)
-        token, pos = _token(text, pos)
-    if token == "{":  # an empty object
         token, pos = _token(text, pos)
     if token != "}" or pos < len(text):
         raise ValueError("not plainly one JSON object")

@@ -146,6 +146,25 @@ FALLBACKS = {
     "fields-without-a-comma": (
         '{"title": "x" "roster": []}', ParseError, "invalid JSON at line 1, "
         "column 15: Expecting ',' delimiter"),
+    "a-close-brace-alone": ("}", ParseError, "invalid JSON at line 1, "
+                            "column 1: Expecting value"),
+    "opened-by-a-comma": (',"title": "x"}', ParseError, "invalid JSON at "
+                          "line 1, column 1: Expecting value"),
+    "an-open-brace-alone": ("{", ParseError, "invalid JSON at line 1, "
+                            "column 2: Expecting property name enclosed in "
+                            "double quotes"),
+    "fields-joined-by-an-open-brace": (
+        '{"title": "x"{"roster": []}', ParseError, "invalid JSON at line 1, "
+        "column 14: Expecting ',' delimiter"),
+    "an-empty-object-after-a-field": (
+        '{"title":"x"{}', ParseError, "invalid JSON at line 1, column 13: "
+        "Expecting ',' delimiter"),
+    "a-comma-first-in-the-object": (
+        "{,}", ParseError, "invalid JSON at line 1, column 2: Expecting "
+        "property name enclosed in double quotes"),
+    "an-array-as-a-field-name": (
+        '{"title": "x", ["a"]: 1}', ParseError, "invalid JSON at line 1, "
+        "column 16: Expecting property name enclosed in double quotes"),
     "trailing-comma-in-the-object": (
         '{"title": "x",}', ParseError, "invalid JSON at line 1, column 15: "
         "Expecting property name enclosed in double quotes"),
