@@ -40,7 +40,6 @@ from .engine import (
 )
 from .corpus import (
     Document,
-    document_from_dict,
     dumps_document,
     load_document,
     load_registry,
@@ -67,7 +66,7 @@ __all__ = [
     "RegistryError", "SceneBreak", "Sentence", "SignificancePolicy",
     "SoaType", "StateOfAffairs", "TextSituation",
     "TrackStep", "ValidationError", "VerbFeatures",
-    "classify_operation", "document_from_dict",
+    "classify_operation",
     "dumps_document", "evaluate", "interpretation_line",
     "is_simple_quoted_speech", "load_document", "load_registry",
     "new_context", "new_context_after_break", "parse_document",

@@ -97,8 +97,8 @@ _SPACE = json.decoder.WHITESPACE.pattern
 _TOKEN = re.compile(f"{_SPACE}(.?){_SPACE}", re.DOTALL).match
 _TOP_KEYS = frozenset({"title", "roster", "preamble", "items"})
 _STR = itertools.repeat(str)  # isinstance's second argument, for map
-# what Enum(value) finds: a member by its value, or the member itself
-_SOA_TYPES, _SITUATIONS = ({key: m for m in enum for key in (m.value, m)}
+# each member by its value, as Enum(value) finds it
+_SOA_TYPES, _SITUATIONS = ({m.value: m for m in enum}
                            for enum in (SoaType, TextSituation))
 
 
@@ -230,18 +230,14 @@ def _may_hold_lone_surrogate(raw, text) -> bool:
 
 def _reject_lone_surrogates(data, where) -> None:
     """Raise ParseError naming a string, or a field name, that holds a
-    lone surrogate.  Escapes that pair up decode to one character and
-    pass.  A value met again, as in a cyclic dict, is not walked twice."""
+    lone surrogate in decoded JSON.  Escapes that pair up decode to one
+    character and pass."""
     stack = [("", data)]
-    seen: set[int] = set()
     while stack:
         place, value = stack.pop()
-        if id(value) in seen:
-            continue
-        seen.add(id(value))
         if isinstance(value, dict):
             for key, child in value.items():
-                found = isinstance(key, str) and _SURROGATE.search(key)
+                found = _SURROGATE.search(key)
                 if found:
                     raise ParseError(f"{where}{place or 'top level'}: field "
                                      "name has a lone surrogate "
@@ -286,14 +282,6 @@ def load_document(path,
                   registry: dict[str, PseCategory] | None = None) -> Document:
     with open(path, "rb") as handle:
         return parse_document(handle.read(), registry)
-
-
-def document_from_dict(data,
-                       registry: dict[str, PseCategory] | None = None
-                       ) -> Document:
-    """Validate and build a document from already-decoded JSON data."""
-    _reject_lone_surrogates(data, "")
-    return _build_document(data, registry)
 
 
 def _build_document(data, registry) -> Document:

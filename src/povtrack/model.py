@@ -328,8 +328,8 @@ class FeatureSet:
             raise ValidationError(
                 "no main clause (every clause is subordinated)")
         if len(mains) > 1:
-            raise ValidationError("multiple main clauses "
-                                  f"({', '.join(sorted(c.id for c in mains))})")
+            names = ", ".join(sorted(_str_ids([c.id for c in mains])))
+            raise ValidationError(f"multiple main clauses ({names})")
         # clauses each under only clauses written before them form no cycle
         if not ordered:
             _check_acyclic(by_id)
@@ -388,6 +388,14 @@ def _unknown_clauses(owner, under, ids) -> ValidationError:
                            f"{sorted(under - ids)}")
 
 
+def _str_ids(ids):
+    """``ids``, each a str, which a message can sort and print."""
+    for cid in ids:
+        if not isinstance(cid, str):
+            raise ValidationError(f"clause id {cid!r} must be a string")
+    return ids
+
+
 def _check_acyclic(clauses: dict[str, Clause], order=iter) -> None:
     """Depth-first with an explicit stack, so that no chain is too long.
     Only once a cycle is found is each ``under`` walked in sorted order,
@@ -409,6 +417,7 @@ def _check_acyclic(clauses: dict[str, Clause], order=iter) -> None:
                 finished[parent] = False
             elif not finished[parent]:
                 if order is iter:
+                    _str_ids(clauses)
                     _check_acyclic(clauses, lambda under: iter(sorted(under)))
                 cycle = " -> ".join([n for n, _ in stack] + [parent])
                 raise ValidationError(f"clause subordination cycle: {cycle}")
@@ -437,6 +446,9 @@ class Sentence:
     gold: Interpretation | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.features, FeatureSet):
+            raise ValidationError("features must be a FeatureSet, not "
+                                  f"{self.features!r}")
         if not (self.gold is None or isinstance(self.gold, Interpretation)):
             raise ValidationError("gold must be an Interpretation or None, "
                                   f"not {self.gold!r}")

@@ -24,9 +24,9 @@ from povtrack import (
     TrackStep,
     ValidationError,
     VerbFeatures,
-    document_from_dict,
     dumps_document,
     evaluate,
+    load_document,
     parse_document,
     parse_registry,
     validate_gold,
@@ -50,6 +50,11 @@ def minimal(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def parse_data(data, registry=None):
+    """The document of decoded JSON data, read from its JSON text."""
+    return parse_document(json.dumps(data), registry)
 
 
 def patch_features(**overrides):
@@ -110,7 +115,7 @@ def test_dangling_soa_reference():
     doc = patch_features(clauses=[{"id": "c1", "soa": "missing",
                                    "under": [], "vp": {}}])
     with pytest.raises(ValidationError, match=r"s1.*missing"):
-        document_from_dict(doc)
+        parse_data(doc)
 
 
 def test_multiple_main_clauses():
@@ -120,7 +125,7 @@ def test_multiple_main_clauses():
         clauses=[{"id": "c1", "soa": "a1", "under": [], "vp": {}},
                  {"id": "c2", "soa": "a2", "under": [], "vp": {}}])
     with pytest.raises(ValidationError, match="multiple main clauses"):
-        document_from_dict(doc)
+        parse_data(doc)
 
 
 def test_no_main_clause():
@@ -130,7 +135,7 @@ def test_no_main_clause():
         clauses=[{"id": "c1", "soa": "a1", "under": ["c2"], "vp": {}},
                  {"id": "c2", "soa": "a2", "under": ["c1"], "vp": {}}])
     with pytest.raises(ValidationError, match="no main clause"):
-        document_from_dict(doc)
+        parse_data(doc)
 
 
 def test_subordination_cycle_detected():
@@ -142,7 +147,7 @@ def test_subordination_cycle_detected():
                  {"id": "c2", "soa": "a2", "under": ["c3"], "vp": {}},
                  {"id": "c3", "soa": "a3", "under": ["c2"], "vp": {}}])
     with pytest.raises(ValidationError) as caught:
-        document_from_dict(doc)
+        parse_data(doc)
     assert str(caught.value) == \
         "sentence s1: clause subordination cycle: c2 -> c3 -> c2"
 
@@ -151,24 +156,24 @@ def test_character_off_roster_rejected():
     doc = patch_features(soas=[{"id": "a1", "type": "action",
                                 "who": ["Ghost"]}])
     with pytest.raises(ValidationError, match="Ghost"):
-        document_from_dict(doc)
+        parse_data(doc)
 
 
 def test_unknown_pse_category_named_with_sentence():
     doc = patch_features(pses=[{"id": "p1", "category": "wobbly",
                                 "under": []}])
     with pytest.raises(ValidationError, match=r"s1.*p1.*wobbly"):
-        document_from_dict(doc, DEFAULT_REGISTRY)
+        parse_data(doc, DEFAULT_REGISTRY)
     # without a registry, the built-in one is checked
     with pytest.raises(ValidationError, match=r"s1.*p1.*wobbly"):
-        document_from_dict(doc)
+        parse_data(doc)
 
 
 def test_duplicate_sentence_ids_rejected():
     doc = minimal()
     doc["items"].append(json.loads(json.dumps(doc["items"][0])))
     with pytest.raises(ValidationError, match="duplicate sentence id"):
-        document_from_dict(doc)
+        parse_data(doc)
 
 
 def test_quoted_speech_must_be_communicative_action():
@@ -176,46 +181,46 @@ def test_quoted_speech_must_be_communicative_action():
         quotedSpeech=True,
         soas=[{"id": "a1", "type": "private-state", "who": ["Zoe"]}])
     with pytest.raises(ValidationError, match="communicative action"):
-        document_from_dict(doc)
+        parse_data(doc)
 
 
 def test_head_noun_must_be_private_state():
     doc = patch_features(headNounPrivateState="a1")
     with pytest.raises(ValidationError, match="private-state"):
-        document_from_dict(doc)
+        parse_data(doc)
 
 
 def test_empty_parenthetical_rejected():
     doc = patch_features(parenthetical=[])
     with pytest.raises(ValidationError, match="parenthetical"):
-        document_from_dict(doc)
+        parse_data(doc)
 
 
 def test_preamble_last_sc_must_be_subset_of_previous():
     doc = minimal(preamble={"situation": "broken-subjective",
                             "lastSC": ["Zoe"], "previousSCs": []})
     with pytest.raises(ValidationError, match="subset"):
-        document_from_dict(doc)
+        parse_data(doc)
 
 
 def test_preamble_unknown_situation():
     doc = minimal(preamble={"situation": "confused"})
     with pytest.raises(ValidationError,
                        match="unknown text situation 'confused'"):
-        document_from_dict(doc)
+        parse_data(doc)
 
 
 def test_unknown_soa_type():
     doc = patch_features(soas=[{"id": "a1", "type": "feeling", "who": []}])
     with pytest.raises(ValidationError,
                        match="unknown state-of-affairs type 'feeling'"):
-        document_from_dict(doc)
+        parse_data(doc)
 
 
 def test_unknown_item_kind():
     doc = minimal(items=[{"kind": "chapter-break"}])
     with pytest.raises(ValidationError, match="chapter-break"):
-        document_from_dict(doc)
+        parse_data(doc)
 
 
 # -- registries -----------------------------------------------------------------
@@ -239,9 +244,9 @@ def test_registry_promoting_habitual_changes_decisions():
         pses=[{"id": "p1", "category": "habitual", "under": []}])
     data["preamble"] = {"situation": "postsubjective-nonactive",
                         "lastSC": ["Zoe"], "previousSCs": ["Zoe"]}
-    default_steps = Engine().track_document(document_from_dict(data))
+    default_steps = Engine().track_document(parse_data(data))
     promoted_steps = Engine().track_document(
-        document_from_dict(data, registry))
+        parse_data(data, registry))
     assert not default_steps[0].interpretation.subjective
     assert promoted_steps[0].interpretation.subjective
 
@@ -257,7 +262,7 @@ def test_category_new_to_the_registry_fires_under_the_default_engine():
     data = patch_features(
         pses=[{"id": "p1", "category": "sound-symbolism", "under": []}])
     data["items"][0]["gold"] = {"type": "subjective", "characters": []}
-    doc = document_from_dict(data, registry)
+    doc = parse_data(data, registry)
     step, = Engine().track_document(doc)
     assert step.detail.fired == doc.items[0].features.pses
     assert step.detail.fired[0].category is registry["sound-symbolism"]
@@ -274,7 +279,7 @@ def test_registry_given_by_hand_maps_each_name_to_its_category(entry):
     # from it would not parse back
     registry = {**DEFAULT_REGISTRY, "sound": entry}
     with pytest.raises(RegistryError) as excinfo:
-        document_from_dict(minimal(), registry)
+        parse_data(minimal(), registry)
     assert str(excinfo.value) == ("registry: 'sound' must map to a "
                                   "PseCategory named 'sound'")
 
@@ -321,14 +326,14 @@ def test_validate_gold_partial_labels():
         "kind": "sentence", "id": "s2",
         "gold": {"type": "objective", "characters": []},
         "features": doc["items"][0]["features"]})
-    warnings = validate_gold(document_from_dict(doc))
+    warnings = validate_gold(parse_data(doc))
     assert len(warnings) == 1 and "s1" in warnings[0]
 
 
 def test_validate_gold_off_roster():
     doc = minimal()
     doc["items"][0]["gold"] = {"type": "subjective", "characters": ["Ghost"]}
-    warnings = validate_gold(document_from_dict(doc))
+    warnings = validate_gold(parse_data(doc))
     assert len(warnings) == 1 and "Ghost" in warnings[0]
 
 
@@ -399,7 +404,7 @@ SHARED = ["demo1", "p18", "p31", "minicorpus", "lynette"]
 @pytest.mark.parametrize("name", SHARED)
 def test_equal_name_lists_share_one_set_within_a_parse(name):
     data = fixture_json(name)
-    for doc in (fixture_doc(name), document_from_dict(data)):
+    for doc in (fixture_doc(name), parse_data(data)):
         seen, counts = {}, collections.Counter()
         for names, value in named_sets(data, doc):
             assert value == frozenset(names)
@@ -430,10 +435,11 @@ def test_two_parses_of_one_text_share_no_set():
                            if value)
 
 
+# the twin tests here build their documents through parse_data: each
+# fixture's decoded JSON, dumped again, reads as its file does
 @pytest.mark.parametrize("name", FIXTURES)
-def test_document_from_dict_builds_what_parse_document_builds(name):
-    text = (DATA / f"{name}.json").read_bytes()
-    assert document_from_dict(json.loads(text)) == parse_document(text)
+def test_a_fixture_s_decoded_json_reads_as_its_file(name):
+    assert parse_data(fixture_json(name)) == fixture_doc(name)
 
 
 def test_one_text_parsed_under_two_registries_in_turn():
@@ -512,30 +518,12 @@ def test_lone_surrogate_is_a_parse_error_naming_the_field(text, place):
         parse_document(text)
 
 
-@pytest.mark.parametrize("text, place", LONE_SURROGATES)
-def test_document_from_dict_rejects_lone_surrogates_too(text, place):
-    with pytest.raises(ParseError, match=re.escape(place)):
-        document_from_dict(json.loads(text))
-
-
-def test_document_from_dict_raises_what_parse_document_raises():
+def test_a_lone_surrogate_sentence_id_is_named():
     data = fixture_json("demo1")
     data["items"][0]["id"] = "\ud800"
-    with pytest.raises(ParseError) as from_dict:
-        document_from_dict(data)
     with pytest.raises(ParseError) as parsed:
-        parse_document(json.dumps(data))
-    assert str(from_dict.value) == str(parsed.value) == \
-        "items[0].id: lone surrogate '\\ud800'"
-
-
-def test_document_from_dict_refuses_cycles_and_non_string_keys():
-    items = []
-    items.append(items)
-    with pytest.raises(ValidationError, match=re.escape("items[0]: must be")):
-        document_from_dict({"items": items})
-    with pytest.raises(ValidationError, match="unknown field"):
-        document_from_dict({1: "x"})
+        parse_data(data)
+    assert str(parsed.value) == "items[0].id: lone surrogate '\\ud800'"
 
 
 @pytest.mark.parametrize("sid", ["a\tb\nOBJ", "s1\r", "\ns1", "\t"] + [
@@ -551,6 +539,40 @@ def test_lone_surrogate_in_registry_is_a_parse_error():
     with pytest.raises(ParseError, match=re.escape(
             "registry: top level: field name has a lone surrogate")):
         parse_registry(b'{"\\ud800": {"level": 1}}')
+
+
+# the registry reader walks its decoded JSON for lone surrogates as the
+# document reader does
+REGISTRY_SURROGATES = [
+    pytest.param(json.dumps({"hedge": {"\udc00": 1}}).encode(),
+                 "registry: hedge: field name has a lone surrogate '\\udc00'",
+                 id="nested-field-name"),
+    pytest.param(json.dumps({"hedge": {"level": "\ud800"}}).encode(),
+                 "registry: hedge.level: lone surrogate '\\ud800'",
+                 id="escape"),
+    pytest.param(
+        json.dumps({"sound": {"level": 2, "x": ["ok", "\udfff"]}}).encode(
+            "utf-16"),
+        "registry: sound.x[1]: lone surrogate '\\udfff'", id="escape-utf-16"),
+    pytest.param(json.dumps({"hedge": {"level": "\udc00\ud800"}}),
+                 "registry: hedge.level: lone surrogate '\\udc00'",
+                 id="pair-in-wrong-order"),
+    pytest.param(json.dumps({"hedge": {"level": "\udc00"}},
+                            ensure_ascii=False),
+                 "registry: hedge.level: lone surrogate '\\udc00'",
+                 id="code-point-in-str"),
+    pytest.param(json.dumps({"hedge": {"excluded": "Zo\ud83d"}}).replace(
+        "d83d", "D83D"),
+        "registry: hedge.excluded: lone surrogate '\\ud83d'",
+        id="upper-case-escape"),
+]
+
+
+@pytest.mark.parametrize("text, message", REGISTRY_SURROGATES)
+def test_a_lone_surrogate_in_a_registry_is_named(text, message):
+    with pytest.raises(ParseError) as caught:
+        parse_registry(text)
+    assert str(caught.value) == message
 
 
 def test_paired_surrogates_and_escaped_backslashes_parse():
@@ -571,7 +593,7 @@ def chain(n):
 
 
 def test_long_subordination_chain_parses():
-    doc = document_from_dict(chain(5000))
+    doc = parse_data(chain(5000))
     clauses = doc.items[0].features.clauses
     assert len(clauses) == 5000
     assert clauses[-1].under == frozenset()
@@ -584,7 +606,7 @@ def test_long_subordination_chain_cycle_detected():
         {"id": "main", "soa": "a1"})
     with pytest.raises(ValidationError,
                        match=r"cycle: c1 -> c2 -> .* -> c5000 -> c4999$"):
-        document_from_dict(doc)
+        parse_data(doc)
 
 
 # -- one message per reader branch ------------------------------------------
@@ -698,14 +720,17 @@ def with_fault(path, value):
 
 @pytest.mark.parametrize("path, value, message", MESSAGES,
                          ids=[message for _, _, message in MESSAGES])
-@pytest.mark.parametrize("entry", ["parse_document", "document_from_dict"])
-def test_each_reader_branch_keeps_its_message(entry, path, value, message):
-    doc = with_fault(path, value)
+@pytest.mark.parametrize("entry", ["parse_document", "load_document"])
+def test_each_reader_branch_keeps_its_message(entry, path, value, message,
+                                               tmp_path):
+    text = json.dumps(with_fault(path, value))
     with pytest.raises((ParseError, ValidationError)) as caught:
         if entry == "parse_document":
-            parse_document(json.dumps(doc))
+            parse_document(text)
         else:
-            document_from_dict(doc)
+            file = tmp_path / "doc.json"
+            file.write_bytes(text.encode())
+            load_document(file)
     assert str(caught.value) == message
 
 
@@ -722,7 +747,7 @@ def test_a_number_or_null_is_not_a_vp_flag(flag, value):
     doc = patch_features(clauses=[{"id": "c1", "soa": "a1",
                                    "vp": {"modal": True, flag: value}}])
     with pytest.raises(ValidationError) as caught:
-        document_from_dict(doc)
+        parse_data(doc)
     assert str(caught.value) == ("sentence s1: features.clauses[0]: "
                                  f"vp.{flag} must be a boolean")
 
@@ -731,13 +756,13 @@ def test_the_first_bad_vp_flag_is_named_in_field_order():
     doc = patch_features(clauses=[{"id": "c1", "soa": "a1", "vp": {
         "progressive": "yes", "negated": 0}}])
     with pytest.raises(ValidationError, match=r"vp\.negated must"):
-        document_from_dict(doc)
+        parse_data(doc)
 
 
 @pytest.mark.parametrize("value", [1, 0, None])
 def test_a_number_or_null_is_not_quoted_speech(value):
     with pytest.raises(ValidationError) as caught:
-        document_from_dict(patch_features(quotedSpeech=value))
+        parse_data(patch_features(quotedSpeech=value))
     assert str(caught.value) == \
         "sentence s1: features: quotedSpeech must be a boolean"
 
@@ -746,7 +771,7 @@ def test_a_number_or_null_is_not_quoted_speech(value):
 def test_an_unhashable_soa_type_is_unknown(value):
     doc = patch_features(soas=[{"id": "a1", "type": value, "who": []}])
     with pytest.raises(ValidationError) as caught:
-        document_from_dict(doc)
+        parse_data(doc)
     assert str(caught.value) == ("sentence s1: features.soas[0]: unknown "
                                  f"state-of-affairs type {value!r}")
 
@@ -776,14 +801,14 @@ def three_of_each():
 ])
 def test_a_fault_in_an_entry_names_its_index(key, field, value, message):
     doc = three_of_each()
-    document_from_dict(doc)
+    parse_data(doc)
     entries = doc["items"][0]["features"][key]
     if field is None:
         entries[2] = value
     else:
         entries[2][field] = value
     with pytest.raises(ValidationError) as caught:
-        document_from_dict(doc)
+        parse_data(doc)
     assert str(caught.value) == f"sentence s1: {message}"
 
 
@@ -794,8 +819,8 @@ def test_equal_vp_objects_parse_to_one_verb_features_object():
     clauses[1]["vp"] = {"modal": True, "negated": True, "habitual": False}
     other = minimal()
     other["items"][0]["features"]["clauses"][0]["vp"] = {}
-    parsed = document_from_dict(doc).items[0].features.clauses
-    (again,) = document_from_dict(other).items[0].features.clauses
+    parsed = parse_data(doc).items[0].features.clauses
+    (again,) = parse_data(other).items[0].features.clauses
     assert parsed[0].vp is parsed[1].vp
     assert parsed[0].vp == VerbFeatures(negated=True, modal=True)
     assert parsed[2].vp is again.vp == VerbFeatures()

@@ -445,6 +445,30 @@ def test_a_gold_that_is_not_an_interpretation_is_refused(gold, shown):
         f"gold must be an Interpretation or None, not {shown}"
 
 
+# hand-built objects the parser never builds, each of which raised
+# TypeError or AttributeError: a clause id that is not a str was sorted to
+# name it, and a Sentence's features were read as a FeatureSet
+CRASHES = {
+    "cycle-through-an-int-id": (partial(FeatureSet, (
+        Clause("m", A1), Clause(5, A1, frozenset({"c"})),
+        Clause("c", A1, frozenset({5, "m"}))), ACTION),
+        "clause id 5 must be a string"),
+    "two-mains-one-an-int-id": (partial(FeatureSet, (
+        Clause("m", A1), Clause(5, A1)), ACTION),
+        "clause id 5 must be a string"),
+    "features-a-string": (
+        lambda: Document("t", frozenset(), (Sentence("s1", "x"),)),
+        "features must be a FeatureSet, not 'x'"),
+}
+
+
+@pytest.mark.parametrize("build, message", CRASHES.values(), ids=CRASHES)
+def test_a_hand_built_object_of_the_wrong_type_is_refused(build, message):
+    with pytest.raises(ValidationError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("roster", [["Zoe"], {"Zoe"}, frozenset({""}),
                                     frozenset({5}), None])
 def test_roster_must_be_a_frozenset_of_names(roster):

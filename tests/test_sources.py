@@ -1,9 +1,12 @@
-"""The package and its tests parse as the oldest supported Python."""
+"""The package and its tests parse as the oldest supported Python, and
+the package exports each name it lists."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import povtrack
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted([*(ROOT / "src" / "povtrack").glob("*.py"),
@@ -20,3 +23,10 @@ def test_sources_are_found():
 def test_source_parses_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), str(path),
               feature_version=(3, 10))
+
+
+def test_every_name_in_all_is_exported():
+    # a stale entry makes the star import raise AttributeError
+    namespace = {}
+    exec("from povtrack import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(povtrack.__all__)
