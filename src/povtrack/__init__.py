@@ -50,7 +50,6 @@ from .corpus import (
 from .evaluation import (
     EvalReport,
     PovOperation,
-    classify_operation,
     evaluate,
     is_simple_quoted_speech,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "RegistryError", "SceneBreak", "Sentence", "SignificancePolicy",
     "SoaType", "StateOfAffairs", "TextSituation",
     "TrackStep", "ValidationError", "VerbFeatures",
-    "classify_operation",
     "dumps_document", "evaluate", "interpretation_line",
     "is_simple_quoted_speech", "load_document", "load_registry",
     "new_context", "new_context_after_break", "parse_document",

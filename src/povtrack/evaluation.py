@@ -29,7 +29,6 @@ from .model import (
     PRIVATE_SOA_TYPES,
     SceneBreak,
     Sentence,
-    ValidationError,
 )
 
 
@@ -38,49 +37,6 @@ class PovOperation(Enum):
     RESUMPTION = "resumption"
     INITIATION = "initiation"
     OBJECTIVE = "objective"
-
-
-def classify_operation(document: Document, index: int,
-                       interpretation: Interpretation | None = None
-                       ) -> PovOperation:
-    """The point-of-view operation an interpretation performs at ``index``.
-
-    Judged against the gold labels of the preceding sentences in the
-    current scene.  With no interpretation given, the sentence's own
-    gold label is classified.  Paragraph breaks are invisible here; a
-    scene break starts classification afresh.  Each call scans back
-    through the scene; ``evaluate`` carries the same state forward
-    instead.
-    """
-    if not 0 <= index < len(document.items):
-        raise ValueError(f"items[{index}] is out of range: the document "
-                         f"has {len(document.items)} items")
-    item = document.items[index]
-    if not isinstance(item, Sentence):
-        raise ValueError(f"items[{index}] is not a sentence")
-    if interpretation is None:
-        interpretation = item.gold
-        if interpretation is None:
-            raise ValidationError(f"sentence {item.id} has no gold label")
-
-    previous: Interpretation | None = None
-    last_subjective: Characters | None = None
-    if interpretation.subjective:  # an objective reading needs no look back
-        for j in range(index - 1, -1, -1):
-            earlier = document.items[j]
-            if isinstance(earlier, SceneBreak):
-                break
-            if not isinstance(earlier, Sentence):
-                continue
-            if earlier.gold is None:
-                raise ValidationError(
-                    f"sentence {earlier.id} has no gold label")
-            if previous is None:
-                previous = earlier.gold
-            if earlier.gold.subjective:
-                last_subjective = earlier.gold.characters
-                break
-    return _operation(interpretation, previous, last_subjective)
 
 
 def _operation(interpretation: Interpretation,
@@ -195,8 +151,7 @@ def evaluate(document: Document, engine: Engine | None = None) -> EvalReport:
     """Run both folds and build the full report, in one linear pass.
 
     Every sentence must carry a gold label.  Each sentence's operation
-    is classified from scene state carried along the walk, with the
-    rule ``classify_operation`` applies by scanning back.
+    is classified from scene state carried along the walk.
     """
     engine = engine or Engine()
     # each table's rows, in table order; both end with the same subset

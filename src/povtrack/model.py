@@ -288,40 +288,48 @@ class FeatureSet:
             if not isinstance(pse.category, PseCategory):
                 raise ValidationError(f"element {pse.id!r} has unknown "
                                       f"category {pse.category!r}")
-        # a list of one holds no duplicate, so only longer lists build sets
-        by_id = len(clauses) > 1 and {c.id: c for c in clauses}
-        for what, objects, ids in (
-                ("state-of-affairs", soas, soas[1:] and {a.id for a in soas}),
-                ("clause", clauses, by_id),
-                ("element", pses, pses[1:] and {p.id for p in pses})):
-            if ids and len(ids) < len(objects):
-                seen: set[str] = set()
-                for obj in objects:
-                    if obj.id in seen:
-                        raise ValidationError(
-                            f"duplicate {what} id {obj.id!r}")
-                    seen.add(obj.id)
-        # by identity: hashing each state of affairs would cost more
-        known = set(map(id, soas))
-        # the ids of the clauses read so far, and of all of them from the
-        # first clause that is under a clause written after it
-        mains, ids, ordered = [], set(), True
-        for clause in clauses:
-            if id(clause.soa) not in known:
-                raise ValidationError(
-                    f"clause {clause.id!r} references unknown state of "
-                    f"affairs {clause.soa!r}")
-            if not isinstance(clause.under, frozenset):
-                raise ValidationError(f"clause {clause.id!r}: {_UNDER}")
-            if not clause.under:
-                mains.append(clause)
-            elif not clause.under <= ids:
-                if ordered:
-                    ordered, ids = False, set(by_id or (clause.id,))
-                if not clause.under <= ids:
-                    raise _unknown_clauses(f"clause {clause.id!r}",
-                                           clause.under, ids)
-            ids.add(clause.id)
+        # an id that cannot be hashed fails a set or dict with TypeError
+        try:
+            # a list of one holds no duplicate, so only longer lists build sets
+            by_id = len(clauses) > 1 and {c.id: c for c in clauses}
+            for what, objects, ids in (
+                    ("state-of-affairs", soas,
+                     soas[1:] and {a.id for a in soas}),
+                    ("clause", clauses, by_id),
+                    ("element", pses, pses[1:] and {p.id for p in pses})):
+                if ids and len(ids) < len(objects):
+                    seen: set[str] = set()
+                    for obj in objects:
+                        if obj.id in seen:
+                            raise ValidationError(
+                                f"duplicate {what} id {obj.id!r}")
+                        seen.add(obj.id)
+            # by identity: hashing each state of affairs would cost more
+            known = set(map(id, soas))
+            # the ids of the clauses read so far, and of all of them from the
+            # first clause that is under a clause written after it
+            mains, ids, ordered = [], set(), True
+            for clause in clauses:
+                if id(clause.soa) not in known:
+                    raise ValidationError(
+                        f"clause {clause.id!r} references unknown state of "
+                        f"affairs {clause.soa!r}")
+                if not isinstance(clause.under, frozenset):
+                    raise ValidationError(f"clause {clause.id!r}: {_UNDER}")
+                if not clause.under:
+                    mains.append(clause)
+                elif not clause.under <= ids:
+                    if ordered:
+                        ordered, ids = False, set(by_id or (clause.id,))
+                    if not clause.under <= ids:
+                        raise _unknown_clauses(f"clause {clause.id!r}",
+                                               clause.under, ids)
+                ids.add(clause.id)
+        except TypeError:
+            for what, objects in (("state-of-affairs", soas),
+                                  ("clause", clauses), ("element", pses)):
+                _str_ids([obj.id for obj in objects], what)
+            raise
         if not clauses:
             raise ValidationError("at least one clause required")
         if not mains:
@@ -388,11 +396,11 @@ def _unknown_clauses(owner, under, ids) -> ValidationError:
                            f"{sorted(under - ids)}")
 
 
-def _str_ids(ids):
+def _str_ids(ids, what="clause"):
     """``ids``, each a str, which a message can sort and print."""
     for cid in ids:
         if not isinstance(cid, str):
-            raise ValidationError(f"clause id {cid!r} must be a string")
+            raise ValidationError(f"{what} id {cid!r} must be a string")
     return ids
 
 
@@ -449,6 +457,9 @@ class Sentence:
         if not isinstance(self.features, FeatureSet):
             raise ValidationError("features must be a FeatureSet, not "
                                   f"{self.features!r}")
+        if not (self.text is None or isinstance(self.text, str)):
+            raise ValidationError(f"text must be a string or None, not "
+                                  f"{self.text!r}")
         if not (self.gold is None or isinstance(self.gold, Interpretation)):
             raise ValidationError("gold must be an Interpretation or None, "
                                   f"not {self.gold!r}")

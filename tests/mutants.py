@@ -1,0 +1,177 @@
+"""A committed table of mutants: each is one edit of the source and the
+tests that must fail on it.
+
+Run it as ``python tests/mutants.py``.  Paths are taken relative to this
+file, so any working directory works.  For each entry the script copies
+``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory,
+requires the old snippet to occur exactly once in the named file,
+replaces it, and runs the named tests there with pytest in a new
+interpreter.  A mutant is killed when pytest reports a failed test (exit
+status 1); a collection or usage error is not a kill.  The unmutated
+copy runs every named test first and must pass, so that a broken
+environment cannot count as a kill.  The exit status is 1 if that run
+fails or any mutant survives.
+
+The script needs only the standard library; the tests it runs need
+pytest and hypothesis.  Its name keeps pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids; some test of them must fail
+
+
+EVALUATION = "src/povtrack/evaluation.py"
+ENGINE = "src/povtrack/engine.py"
+SITUATIONS = "src/povtrack/situations.py"
+MODEL = "src/povtrack/model.py"
+
+OPERATION_ROWS = (
+    "tests/test_evaluation.py::test_operation_rows_match_scanning_classifier",
+)
+ACTIVE = ("if vp.simple_past and not vp.negated and not vp.habitual "
+          "and not vp.modal:")
+
+MUTANTS = (
+    # the operation rule and the scene state evaluate carries for it
+    Mutant("operation: no reset at a scene break", EVALUATION,
+           "                previous = last_subjective = None\n",
+           "                pass\n", OPERATION_ROWS),
+    Mutant("operation: a reset at a paragraph break", EVALUATION,
+           "            if isinstance(item, SceneBreak):\n",
+           "            if True:\n", OPERATION_ROWS),
+    Mutant("operation: an objective label sets last_subjective",
+           EVALUATION,
+           "        if gold.subjective:\n"
+           "            last_subjective = gold.characters\n",
+           "        if True:\n"
+           "            last_subjective = gold.characters\n",
+           OPERATION_ROWS),
+    Mutant("operation: resumption read as initiation", EVALUATION,
+           "return (PovOperation.RESUMPTION if last_subjective == target",
+           "return (PovOperation.INITIATION if last_subjective == target",
+           ("tests/test_evaluation.py::"
+            "test_classify_full_minicorpus_operation_counts",)),
+    Mutant("operation: a misread's operation taken from the gold label",
+           EVALUATION,
+           "return _operation(got, previous, last_subjective).value",
+           "return _operation(gold, previous, last_subjective).value",
+           OPERATION_ROWS),
+    # the fold's run of subjective sentences under min-length-2
+    Mutant("fold: runs survive breaks under min-length-2", ENGINE,
+           "                after = new_context_after_break(item, context)\n"
+           "                live = NOBODY\n",
+           "                after = new_context_after_break(item, context)\n",
+           ("tests/test_engine.py::"
+            "test_history_runs_end_at_breaks_and_other_characters",)),
+    # each actuality condition of the active character
+    Mutant("active character: simple past not required", ENGINE, ACTIVE,
+           ACTIVE.replace("vp.simple_past and ", ""),
+           ("tests/test_engine.py::"
+            "test_active_character_requires_simple_past",)),
+    Mutant("active character: negation allowed", ENGINE, ACTIVE,
+           ACTIVE.replace(" and not vp.negated", ""),
+           ("tests/test_engine.py::test_active_character_rejects_negation",)),
+    Mutant("active character: habitual allowed", ENGINE, ACTIVE,
+           ACTIVE.replace(" and not vp.habitual", ""),
+           ("tests/test_engine.py::test_active_character_rejects_habitual",)),
+    Mutant("active character: modal allowed", ENGINE, ACTIVE,
+           ACTIVE.replace(" and not vp.modal", ""),
+           ("tests/test_engine.py::test_active_character_rejects_modal",)),
+    # a transition returns its own context when nothing changes
+    Mutant("transition: no reuse after a subjective sentence", SITUATIONS,
+           "and who == context.last_sc):\n            return context\n",
+           "and who == context.last_sc):\n            pass\n",
+           ("tests/test_situations.py::"
+            "test_a_transition_returns_its_context_exactly_when_unchanged",)),
+    Mutant("transition: no reuse after an objective sentence", SITUATIONS,
+           "and active == context.last_active_character):\n"
+           "        return context\n",
+           "and active == context.last_active_character):\n"
+           "        pass\n",
+           ("tests/test_situations.py::"
+            "test_a_transition_returns_its_context_exactly_when_unchanged",)),
+    Mutant("transition: no reuse after a break", SITUATIONS,
+           "    if situation is context.situation:\n        return context\n",
+           "    if False:\n        return context\n",
+           ("tests/test_situations.py::"
+            "test_a_transition_returns_its_context_exactly_when_unchanged",)),
+    # the cycle message names the same cycle under every hash seed
+    Mutant("cycle: message worded from the unsorted walk", MODEL,
+           "                    _check_acyclic(clauses, "
+           "lambda under: iter(sorted(under)))\n",
+           "",
+           ("tests/test_hash_seed.py::"
+            "test_outputs_are_the_same_under_two_hash_seeds",)),
+)
+
+
+def copy_tree(into: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis",
+                                  ".pytest_cache", "*.egg-info")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, into / name, ignore=skip)
+    shutil.copy(ROOT / "pyproject.toml", into / "pyproject.toml")
+
+
+def run_tests(where: Path, tests) -> int:
+    env = {**os.environ, "PYTHONPATH": str(where / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *tests],
+        cwd=where, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+
+
+def apply(mutant: Mutant, where: Path) -> None:
+    path = where / mutant.path
+    text = path.read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        raise SystemExit(f"{mutant.name}: the old snippet occurs {count} "
+                         f"times in {mutant.path}, not once")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def main() -> int:
+    every_test = sorted({test for m in MUTANTS for test in m.tests})
+    with tempfile.TemporaryDirectory() as tmp:
+        copy_tree(Path(tmp))
+        status = run_tests(Path(tmp), every_test)
+    if status != 0:
+        print(f"the unmutated copy fails its tests (pytest exit {status})")
+        return 1
+    print(f"unmutated: the tests of {len(every_test)} node ids pass")
+    survivors = 0
+    for mutant in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            copy_tree(Path(tmp))
+            apply(mutant, Path(tmp))
+            status = run_tests(Path(tmp), mutant.tests)
+        if status == 1:
+            print(f"killed    {mutant.name}")
+        else:
+            survivors += 1
+            print(f"SURVIVED  {mutant.name} (pytest exit {status})")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

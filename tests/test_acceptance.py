@@ -14,7 +14,6 @@ from povtrack import (
     Sentence,
     SignificancePolicy,
     TextSituation,
-    classify_operation,
     evaluate,
     new_context,
     new_context_after_break,
@@ -23,6 +22,7 @@ from povtrack import (
 import dataclasses
 
 from conftest import fixture_doc
+from test_evaluation import classify_operation
 from test_situations import (
     BREAK_TABLE,
     EXPECT_LAST_ACTIVE,

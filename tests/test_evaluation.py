@@ -14,15 +14,14 @@ from povtrack import (
     Interpretation,
     ParagraphBreak,
     PovOperation,
+    SceneBreak,
     Sentence,
     SignificancePolicy,
     TextSituation,
     ValidationError,
-    classify_operation,
     evaluate,
     is_simple_quoted_speech,
 )
-from povtrack import evaluation
 from povtrack.evaluation import BreakdownRow
 from conftest import DATA, fixture_doc
 from test_properties import NAMES, interpretations, streams
@@ -107,6 +106,30 @@ def test_actual_contexts_require_gold():
 # -- operation classification -----------------------------------------------------
 
 
+def classify_operation(doc, index, interpretation=None):
+    """The point-of-view operation ``interpretation``, by default the
+    gold label of ``items[index]``, performs there: the reference that
+    ``evaluate``'s carried scene state is checked against.  It scans
+    back through the scene's gold labels to the nearest subjective one;
+    paragraph breaks are invisible, and a scene break ends the scan."""
+    interpretation = interpretation or doc.items[index].gold
+    if not interpretation.subjective:
+        return PovOperation.OBJECTIVE
+    nearest = True
+    for item in reversed(doc.items[:index]):
+        if isinstance(item, SceneBreak):
+            break
+        if not isinstance(item, Sentence):
+            continue
+        if item.gold.subjective:
+            if item.gold.characters != interpretation.characters:
+                break
+            return (PovOperation.CONTINUATION if nearest
+                    else PovOperation.RESUMPTION)
+        nearest = False
+    return PovOperation.INITIATION
+
+
 def test_classify_resumption_15_11():
     doc = fixture_doc("minicorpus")
     idx = sentence_indices(doc)
@@ -154,6 +177,8 @@ def test_classify_full_minicorpus_operation_counts():
     assert counts[PovOperation.RESUMPTION] == 1
     assert counts[PovOperation.INITIATION] == 6
     assert counts[PovOperation.OBJECTIVE] == 19
+    rows = evaluate(doc, Engine()).by_operation
+    assert [row.actual for row in rows[:4]] == list(counts.values())
 
 
 def test_classification_ignores_extra_paragraph_breaks():
@@ -165,24 +190,8 @@ def test_classification_ignores_extra_paragraph_breaks():
     items.insert(target, ParagraphBreak())
     padded = dataclasses.replace(doc, items=tuple(items))
     assert classify_operation(padded, target + 2) is PovOperation.RESUMPTION
-
-
-@pytest.mark.parametrize("index", [-50, -1, 51, 52])
-def test_classify_rejects_an_index_outside_the_items(index):
-    doc = fixture_doc("minicorpus")
-    assert len(doc.items) == 51
-    with pytest.raises(ValueError,
-                       match=rf"items\[{index}\] is out of range: "
-                             "the document has 51 items"):
-        classify_operation(doc, index)
-
-
-def test_classify_rejects_a_break_index():
-    doc = fixture_doc("minicorpus")
-    index = next(i for i, item in enumerate(doc.items)
-                 if not isinstance(item, Sentence))
-    with pytest.raises(ValueError, match=rf"items\[{index}\] is not a "):
-        classify_operation(doc, index)
+    engine = Engine()
+    assert operation_rows(padded, engine) == operation_rows(doc, engine)
 
 
 def test_classify_explicit_interpretation():
@@ -344,9 +353,9 @@ def test_each_fold_decides_once_per_sentence(monkeypatch, name):
 
 
 def scanning_operation_rows(doc, engine):
-    """The by-operation rows rebuilt with the public ``classify_operation``,
-    which scans back through the scene for every sentence and again for
-    every misread one."""
+    """The by-operation rows rebuilt with the scanning ``classify_operation``
+    above, which scans back through the scene for every sentence and
+    again for every misread one."""
     rows = {op: BreakdownRow(op.value) for op in PovOperation}
     nonquoted = BreakdownRow("objective, other than simple quoted speech")
     fold = engine._fold(doc.items, doc.initial_context, gold=True)
@@ -406,17 +415,3 @@ def gold_documents(draw):
 def test_random_operation_rows_match_scanning_classifier(doc):
     engine = Engine()
     assert operation_rows(doc, engine) == scanning_operation_rows(doc, engine)
-
-
-def test_evaluate_never_calls_classify_operation(monkeypatch):
-    calls = Counter()
-    original = evaluation.classify_operation
-
-    def counted(*args):
-        calls["classify_operation"] += 1
-        return original(*args)
-
-    monkeypatch.setattr(evaluation, "classify_operation", counted)
-    for name in FIXTURES:
-        evaluate(fixture_doc(name), Engine())
-    assert calls == Counter()

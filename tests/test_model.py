@@ -459,6 +459,22 @@ CRASHES = {
     "features-a-string": (
         lambda: Document("t", frozenset(), (Sentence("s1", "x"),)),
         "features must be a FeatureSet, not 'x'"),
+    "state-of-affairs-id-a-list": (partial(FeatureSet, (Clause("m", A1),), (
+        A1, StateOfAffairs(["a2"], SoaType.ACTION))),
+        "state-of-affairs id ['a2'] must be a string"),
+    "clause-id-a-list": (partial(FeatureSet, (
+        Clause("m", A1), Clause(["c"], A1, frozenset({"m"}))), ACTION),
+        "clause id ['c'] must be a string"),
+    "lone-clause-id-a-list": (partial(FeatureSet, (Clause(["m"], A1),),
+                                      ACTION),
+                              "clause id ['m'] must be a string"),
+    "element-id-a-list": (partial(FeatureSet, (Clause("m", A1),), ACTION, (
+        Pse("e1", QUESTION), Pse(["e2"], QUESTION))),
+        "element id ['e2'] must be a string"),
+    "text-an-int": (partial(Sentence, "s1", S1.features, text=5),
+                    "text must be a string or None, not 5"),
+    "text-bytes": (partial(Sentence, "s1", S1.features, text=b"x"),
+                   "text must be a string or None, not b'x'"),
 }
 
 
