@@ -59,6 +59,7 @@ from .model import (
     RegistryError,
     SEPARATORS,
     SceneBreak,
+    SeenCharacters,
     Sentence,
     SoaType,
     StateOfAffairs,
@@ -145,10 +146,14 @@ class Document:
         if not isinstance(ctx.situation, TextSituation):
             raise ValidationError("preamble.situation: not a TextSituation: "
                                   f"{ctx.situation!r}")
+        previous = ctx.previous_scs
+        # a step's context may hold a view of its fold's log
+        if isinstance(previous, SeenCharacters):
+            previous = frozenset(previous)
         for key, names in zip(_CONTEXT_SETS, (
-                ctx.last_sc, ctx.previous_scs, ctx.last_active_character)):
+                ctx.last_sc, previous, ctx.last_active_character)):
             _check_names(names, f"preamble.{key}: ", roster)
-        if ctx.last_sc and not ctx.last_sc <= ctx.previous_scs:
+        if ctx.last_sc and not ctx.last_sc <= previous:
             raise ValidationError("preamble: lastSC must be a subset of "
                                   "previousSCs when non-empty")
 

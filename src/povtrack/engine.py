@@ -210,12 +210,14 @@ class Engine:
         ``clause`` is the chosen state of affairs' clause."""
         who = chosen.who
         if (chosen.type not in (SoaType.ACTION, SoaType.PRIVATE_STATE_ACTION)
-                or not who or not who <= context.previous_scs
-                or clause is None):
+                or not who or clause is None):
             return NOBODY
         vp = clause.vp
+        # the subset test last, since on a view of the fold's log it is a
+        # Python call; ``who <=`` would reach it by a slower reflected one
         if vp.simple_past and not vp.negated and not vp.habitual and not vp.modal:
-            return who
+            if context.previous_scs.issuperset(who):
+                return who
         return NOBODY
 
     # -- the fold --------------------------------------------------------
@@ -248,7 +250,9 @@ class Engine:
         read as a private state.
         """
         policy = self.policy
-        qualified = (context.previous_scs
+        # a frozenset, never a view: choose_state_of_affairs tests each
+        # candidate against it, which a frozenset does in C
+        qualified = (frozenset(context.previous_scs)
                      if policy is _SP.ANY_PREVIOUS_SC else NOBODY)
         live = NOBODY
         for item in items:

@@ -7,16 +7,18 @@ about, potential subjective elements, an optional narrative
 parenthetical).  The tracker never sees raw text; everything here is the
 vocabulary those annotations and the tracking state are expressed in.
 
-Character sets are plain ``frozenset[str]``.  The empty set is
-meaningful throughout: an unspecified experiencer, an objective sentence
-with no active character, or a failed identification.
+Character sets are plain ``frozenset[str]``, but for a context's
+``previous_scs``, which may be a ``SeenCharacters`` view.  The empty set
+is meaningful throughout: an unspecified experiencer, an objective
+sentence with no active character, or a failed identification.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
+from itertools import islice, repeat
 
 
 class PovTrackError(Exception):
@@ -182,13 +184,92 @@ def _default_registry() -> dict[str, PseCategory]:
 DEFAULT_REGISTRY: dict[str, PseCategory] = _default_registry()
 
 
+class SeenCharacters(Set):
+    """A read-only set: the first ``length`` names of a log that holds
+    names in the order they were first seen.  It is equal to, and hashes
+    like, the frozenset of the same names.
+
+    Views of one log share it: ``rank`` maps each logged name to its
+    place, and a name is in a view when its place is below the view's
+    length.  ``grow`` appends to the log only for its head view, the one
+    as long as the log, so no view ever changes.
+    """
+
+    __slots__ = ("_rank", "_length")
+
+    def __init__(self, rank: dict[str, int], length: int) -> None:
+        self._rank = rank
+        self._length = length
+
+    def __contains__(self, name) -> bool:
+        return self._rank.get(name, self._length) < self._length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self):
+        return islice(self._rank, self._length)
+
+    def issuperset(self, names) -> bool:
+        """As ``frozenset.issuperset`` of a set, so that a caller tests
+        either kind with one call and no reflected comparison."""
+        rank = self._rank
+        if len(rank) == self._length:  # the head: its names are the keys
+            return rank.keys() >= names
+        return all(map(self.__contains__, names))
+
+    def __or__(self, other):
+        return grow(self, other) if isinstance(other, Set) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
+
+    def __repr__(self) -> str:
+        return f"SeenCharacters({sorted(self)!r})"
+
+    @classmethod
+    def _from_iterable(cls, names) -> Characters:
+        # what the other Set operators build: a plain frozenset
+        return frozenset(names)
+
+
+# a union of at most this many names stays a frozenset: copying it costs
+# little, and the fold's subset tests on it run in C, not in a view's method
+SMALL = 32
+
+
+def grow(seen: Characters | SeenCharacters, who: Characters
+         ) -> Characters | SeenCharacters:
+    """``seen | who``: ``seen`` itself when it holds every name of
+    ``who``; else, past ``SMALL`` names, a view of a log that ends in
+    ``who``'s new names, sorted.  That log is ``seen``'s own when
+    ``seen`` is its head; an older view copies its names first, and a
+    frozenset starts a log of its names, sorted."""
+    if seen.issuperset(who):
+        return seen
+    if type(seen) is SeenCharacters:
+        rank, length = seen._rank, seen._length
+        if len(rank) > length:
+            rank = dict(islice(rank.items(), length))
+    elif len(union := seen | who) <= SMALL:
+        return union
+    else:
+        rank = {name: place for place, name in enumerate(sorted(seen))}
+    for name in sorted(who):  # not who - rank.keys(), which walks the log
+        rank.setdefault(name, len(rank))
+    return SeenCharacters(rank, len(rank))
+
+
 @dataclass(frozen=True, slots=True)
 class Context:
-    """The tracking state carried from one input item to the next."""
+    """The tracking state carried from one input item to the next.
+    ``previous_scs`` only grows within a fold, so past ``SMALL`` names
+    the fold keeps it as a view of one log (``grow``), not a new
+    frozenset per growth."""
 
     last_sc: Characters
     last_active_character: Characters
-    previous_scs: Characters
+    previous_scs: Characters | SeenCharacters
     situation: TextSituation
 
 
@@ -304,6 +385,11 @@ class FeatureSet:
                             raise ValidationError(
                                 f"duplicate {what} id {obj.id!r}")
                         seen.add(obj.id)
+            # a list of one builds no id set, so its id is checked alone
+            if len(soas) == 1 and not isinstance(soas[0].id, str):
+                _str_ids([soas[0].id], "state-of-affairs")
+            if len(pses) == 1 and not isinstance(pses[0].id, str):
+                _str_ids([pses[0].id], "element")
             # by identity: hashing each state of affairs would cost more
             known = set(map(id, soas))
             # the ids of the clauses read so far, and of all of them from the

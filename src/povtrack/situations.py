@@ -15,6 +15,7 @@ from .model import (
     ParagraphBreak,
     SceneBreak,
     TextSituation,
+    grow,
 )
 
 _TS = TextSituation
@@ -25,9 +26,9 @@ def new_context(interpretation: Interpretation, context: Context) -> Context:
     who = interpretation.characters
     if interpretation.subjective:
         previous = context.previous_scs
-        # steps share one set until someone new becomes subjective
-        if not who <= previous:
-            previous = previous | who
+        # steps share one set, or log, until someone new becomes subjective
+        if not previous.issuperset(who):
+            previous = grow(previous, who)
         elif (context.situation is _TS.CONTINUING_SUBJECTIVE
               and who == context.last_sc):
             return context

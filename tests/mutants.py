@@ -45,6 +45,11 @@ MODEL = "src/povtrack/model.py"
 OPERATION_ROWS = (
     "tests/test_evaluation.py::test_operation_rows_match_scanning_classifier",
 )
+SEEN_LOG = (
+    "tests/test_seen_log.py::test_an_older_view_grows_a_log_of_its_own",
+    "tests/test_seen_log.py::"
+    "test_resuming_from_an_older_step_changes_no_earlier_context",
+)
 ACTIVE = ("if vp.simple_past and not vp.negated and not vp.habitual "
           "and not vp.modal:")
 
@@ -112,6 +117,13 @@ MUTANTS = (
            "    if False:\n        return context\n",
            ("tests/test_situations.py::"
             "test_a_transition_returns_its_context_exactly_when_unchanged",)),
+    # each view of a fold's log keeps the names it had
+    Mutant("log: an older view appends to the shared log", MODEL,
+           "            rank = dict(islice(rank.items(), length))\n",
+           "            pass\n", SEEN_LOG),
+    Mutant("log: membership ignores the view's length", MODEL,
+           "return self._rank.get(name, self._length) < self._length",
+           "return name in self._rank", SEEN_LOG),
     # the cycle message names the same cycle under every hash seed
     Mutant("cycle: message worded from the unsorted walk", MODEL,
            "                    _check_acyclic(clauses, "

@@ -27,6 +27,7 @@ from povtrack import (
     parse_document,
     parse_registry,
 )
+from povtrack.model import SeenCharacters
 from test_writer import oracle_dict
 
 
@@ -471,6 +472,16 @@ CRASHES = {
     "element-id-a-list": (partial(FeatureSet, (Clause("m", A1),), ACTION, (
         Pse("e1", QUESTION), Pse(["e2"], QUESTION))),
         "element id ['e2'] must be a string"),
+    # a list of one builds no id set, but its id is still checked
+    "lone-state-of-affairs-id-a-list": (partial(FeatureSet, (
+        Clause("m", LISTED := StateOfAffairs(["a2"], SoaType.ACTION)),),
+        (LISTED,)), "state-of-affairs id ['a2'] must be a string"),
+    "lone-element-id-a-list": (partial(FeatureSet, (Clause("m", A1),),
+                                       ACTION, (Pse(["e2"], QUESTION),)),
+                               "element id ['e2'] must be a string"),
+    "lone-state-of-affairs-id-an-int": (partial(FeatureSet, (
+        Clause("m", NUMBERED := StateOfAffairs(5, SoaType.ACTION)),),
+        (NUMBERED,)), "state-of-affairs id 5 must be a string"),
     "text-an-int": (partial(Sentence, "s1", S1.features, text=5),
                     "text must be a string or None, not 5"),
     "text-bytes": (partial(Sentence, "s1", S1.features, text=b"x"),
@@ -508,6 +519,15 @@ BAD_PREAMBLES = {
                                    SITUATION),
                            "preamble.previousSCs: must be a frozenset of "
                            "non-empty strings"),
+    # only a step's view of its fold's log stands in for a frozenset
+    "previous-scs-a-set": (Context(NOBODY, NOBODY, {"Zoe"}, SITUATION),
+                           "preamble.previousSCs: must be a frozenset of "
+                           "non-empty strings"),
+    "previous-scs-view-names": (Context(NOBODY, NOBODY,
+                                        SeenCharacters({"": 0}, 1),
+                                        SITUATION),
+                                "preamble.previousSCs: must be a frozenset "
+                                "of non-empty strings"),
     "last-active-none": (Context(NOBODY, None, NOBODY, SITUATION),
                          "preamble.lastActiveCharacter: must be a frozenset "
                          "of non-empty strings"),

@@ -12,6 +12,7 @@ from povtrack import (
     Context,
     DEFAULT_REGISTRY,
     Document,
+    Engine,
     FeatureSet,
     INITIAL_CONTEXT,
     Interpretation,
@@ -28,6 +29,7 @@ from povtrack import (
     dumps_document,
     parse_document,
 )
+from povtrack import model
 from povtrack.model import SEPARATORS
 from conftest import DATA, fixture_doc
 
@@ -100,6 +102,22 @@ def check_written(document, registry=None):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_is_written_as_json_dumps_writes_it(name):
     check_written(fixture_doc(name))
+
+
+@pytest.mark.parametrize("small", [model.SMALL, 0],
+                         ids=["as-run", "views-only"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_a_step_context_is_a_preamble_that_round_trips(name, small,
+                                                       monkeypatch):
+    """A document resumed after any step of a pass takes that step's
+    context as its preamble, and is written and read back equal; with
+    ``SMALL`` at 0 each such context holds a view of its fold's log."""
+    monkeypatch.setattr(model, "SMALL", small)
+    document = fixture_doc(name)
+    steps = Engine().track_document(document)
+    for k, step in enumerate(steps):
+        check_written(Document(document.title, document.roster,
+                               document.items[k + 1:], step.after))
 
 
 # -- hostile documents -------------------------------------------------------
