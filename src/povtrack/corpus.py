@@ -233,11 +233,11 @@ def _may_hold_lone_surrogate(raw, text) -> bool:
         text is raw and not text.isascii() and _SURROGATE.search(text)))
 
 
-def _reject_lone_surrogates(data, where) -> None:
+def _reject_lone_surrogates(data, where, place="") -> None:
     """Raise ParseError naming a string, or a field name, that holds a
-    lone surrogate in decoded JSON.  Escapes that pair up decode to one
-    character and pass."""
-    stack = [("", data)]
+    lone surrogate in decoded JSON found at ``place`` ("" at the top).
+    Escapes that pair up decode to one character and pass."""
+    stack = [(place, data)]
     while stack:
         place, value = stack.pop()
         if isinstance(value, dict):
@@ -272,15 +272,20 @@ def parse_document(text: str | bytes,
     refused.
 
     The items are decoded and built one at a time, so the decoded JSON
-    of the whole document is never held at once.  Text that this reading
-    does not plainly accept (a fault, or an escape that could spell a
-    lone surrogate) is decoded whole and read again, and that reading
-    words the fault.
+    of the whole document is never held at once, and the first fault met
+    is raised: a bad registry first, then the faults of the text in the
+    order it is read (see ``_document``).  Only text that is not one JSON
+    object of the known fields is decoded whole, to word its fault.
     """
+    registry = _checked_registry(registry)
     try:
         return _parse_by_item(text, registry)
-    except (PovTrackError, ValueError, StopIteration, RecursionError):
-        return _build_document(_decode(text, ""), registry)
+    except (ValueError, StopIteration, RecursionError):
+        data = _decode(text, "")
+        if not isinstance(data, dict):
+            raise ParseError("top level must be a JSON object") from None
+        _object(data, _TOP_KEYS, "top level")
+        raise
 
 
 def load_document(path,
@@ -289,34 +294,17 @@ def load_document(path,
         return parse_document(handle.read(), registry)
 
 
-def _build_document(data, registry) -> Document:
-    """The document in decoded JSON free of lone surrogates."""
-    registry = _checked_registry(registry)
-    if not isinstance(data, dict):
-        raise ParseError("top level must be a JSON object")
-    _object(data, _TOP_KEYS, "top level")
-    # one set per distinct list of names, shared within this document only
-    sets = _Sets({(): NOBODY})
-    return _document(data, _read_items(data.get("items", []), registry, sets),
-                     sets)
-
-
-def _read_items(raw_items, registry, sets):
-    """Each item of a decoded "items" array, checked and built only when
-    asked for, so that the roster is read first."""
-    for i, raw in enumerate(_array(raw_items, "items")):
-        yield _parse_item(raw, f"items[{i}]", registry, sets)
-
-
 def _parse_by_item(raw, registry) -> Document:
     """The document of JSON text, each item decoded and built on its own.
-    Raises ValueError, StopIteration, RecursionError or a PovTrackError
-    for anything it does not plainly accept."""
-    registry = _checked_registry(registry)
+    A fault in a value it reads raises its PovTrackError; text that is not
+    plainly one JSON object of the known fields raises ValueError,
+    StopIteration or RecursionError."""
     text = _text(raw)
-    if not isinstance(text, str) or _may_hold_lone_surrogate(raw, text):
-        raise ValueError("not plainly JSON text")
-    sets, fields, items = _Sets({(): NOBODY}), {}, ()
+    if not isinstance(text, str):
+        raise ValueError("not JSON text")
+    # only a possible lone surrogate walks each decoded value
+    check = _may_hold_lone_surrogate(raw, text)
+    sets, fields = _Sets({(): NOBODY}), {}
     token, pos = _token(text, 0)
     if token != "{":
         raise ValueError("not plainly a JSON object")
@@ -332,34 +320,42 @@ def _parse_by_item(raw, registry) -> Document:
         if colon != ":" or key not in _TOP_KEYS:
             raise ValueError(f"not plainly a top-level field {key!r}")
         # a field read again replaces the first, as json.loads keeps the
-        # last of duplicate keys
-        if key == "items":
-            items, pos = _scan_items(text, pos, registry, sets)
+        # last of duplicate keys; "items" other than an array is refused
+        # once all the fields are read
+        if key == "items" and text.startswith("[", pos):
+            fields[key], pos = _scan_items(text, pos, registry, sets, check)
         else:
             fields[key], pos = _SCAN(text, pos)
+            if check:
+                _reject_lone_surrogates(fields[key], "", key)
         token, pos = _token(text, pos)
     if token != "}" or pos < len(text):
         raise ValueError("not plainly one JSON object")
-    return _document(fields, items, sets)
+    return _document(fields, sets)
 
 
-def _scan_items(text, pos, registry, sets) -> tuple[list, int]:
-    """The items of the JSON array at ``pos``, each decoded and built on
-    its own, so that its decoded JSON is freed once it is built, and the
-    index past the array and the whitespace after it."""
-    token, pos = _token(text, pos)
-    if token != "[":
-        raise ValueError("items: not plainly an array")
-    items = []
+def _scan_items(text, pos, registry, sets, check) -> tuple[list, int]:
+    """The items of the JSON array at ``pos``, and the index past the
+    array and the whitespace after it.  Each item is decoded on its own,
+    walked by ``check`` for a lone surrogate and built once the next is
+    read: its decoded JSON is freed soon after, and a stray bracket that
+    cuts it short is met as the syntax fault that follows it."""
+    token, pos = _token(text, pos)  # the "["
+    items, held = [], []
     if text.startswith("]", pos):
         token, pos = _token(text, pos)
     while token != "]":
         raw, pos = _SCAN(text, pos)
-        items.append(_parse_item(raw, f"items[{len(items)}]", registry,
-                                 sets))
         token, pos = _token(text, pos)
         if token not in (",", "]"):
             raise ValueError("items: not plainly an array")
+        held.append(raw)
+        # the item before this one, or every item at the "]"
+        while len(held) > (token == ","):
+            raw, where = held.pop(0), f"items[{len(items)}]"
+            if check:
+                _reject_lone_surrogates(raw, "", where)
+            items.append(_parse_item(raw, where, registry, sets))
     return items, pos
 
 
@@ -382,12 +378,13 @@ def _checked_registry(registry) -> dict[str, PseCategory]:
     return registry
 
 
-def _document(fields, items, sets) -> Document:
-    """The tail both parse paths share: the document of its decoded
-    top-level fields and its model items, in the order the checks run:
-    roster, items, preamble, title."""
+def _document(fields, sets) -> Document:
+    """The document of its top-level fields, decoded but for the items,
+    which are built, and each item's faults raised, as they are read.
+    The other checks run in this order: roster, "items" is an array,
+    preamble, title, then those of ``Document``."""
     roster = _characters(fields.get("roster", []), "roster", sets)
-    items = tuple(items)
+    items = tuple(_array(fields.get("items", []), "items"))
     initial = _parse_preamble(fields.get("preamble"), sets)
     return Document(fields.get("title", ""), roster, items, initial)
 

@@ -41,6 +41,7 @@ EVALUATION = "src/povtrack/evaluation.py"
 ENGINE = "src/povtrack/engine.py"
 SITUATIONS = "src/povtrack/situations.py"
 MODEL = "src/povtrack/model.py"
+CORPUS = "src/povtrack/corpus.py"
 
 OPERATION_ROWS = (
     "tests/test_evaluation.py::test_operation_rows_match_scanning_classifier",
@@ -49,6 +50,10 @@ SEEN_LOG = (
     "tests/test_seen_log.py::test_an_older_view_grows_a_log_of_its_own",
     "tests/test_seen_log.py::"
     "test_resuming_from_an_older_step_changes_no_earlier_context",
+)
+LONE_SURROGATES = (
+    "tests/test_corpus.py::"
+    "test_lone_surrogate_is_a_parse_error_naming_the_field",
 )
 ACTIVE = ("if vp.simple_past and not vp.negated and not vp.habitual "
           "and not vp.modal:")
@@ -131,6 +136,14 @@ MUTANTS = (
            "",
            ("tests/test_hash_seed.py::"
             "test_outputs_are_the_same_under_two_hash_seeds",)),
+    # a parse walks each decoded value for a lone surrogate
+    Mutant("parse: an item not walked for a lone surrogate", CORPUS,
+           '                _reject_lone_surrogates(raw, "", where)\n',
+           "                pass\n", LONE_SURROGATES),
+    Mutant("parse: a top-level field not walked for a lone surrogate",
+           CORPUS,
+           '                _reject_lone_surrogates(fields[key], "", key)\n',
+           "                pass\n", LONE_SURROGATES),
 )
 
 

@@ -509,6 +509,20 @@ LONE_SURROGATES = [
         json.dumps(with_string(["items", 0, "features", "x\udbff"], 1)).encode(),
         "items[0].features: field name has a lone surrogate '\\udbff'",
         id="field-name"),
+    pytest.param(
+        json.dumps(with_string(["roster", 0], "\ud800")).encode(),
+        "roster[0]: lone surrogate '\\ud800'", id="roster-name"),
+    pytest.param(
+        json.dumps(with_string(["preamble"], {"lastSC": ["\udc00"]})),
+        "preamble.lastSC[0]: lone surrogate '\\udc00'", id="preamble"),
+    pytest.param(
+        json.dumps(with_string(["items"], minimal()["items"] + [
+            {"kind": "scene-break", "x": "\udfff"}])).encode(),
+        "items[1].x: lone surrogate '\\udfff'", id="a-later-item"),
+    pytest.param(
+        json.dumps(minimal(**{"n\ud800": 1})).encode(),
+        "top level: field name has a lone surrogate '\\ud800'",
+        id="top-level-field-name"),
 ]
 
 

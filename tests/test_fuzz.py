@@ -108,10 +108,11 @@ def unknown_keys(draw):
 
 
 @st.composite
-def corrupt_bytes(draw):
-    """A fixture's file with a few bytes replaced, inserted or deleted."""
+def corrupt_bytes(draw, edits=st.integers(1, 3)):
+    """A fixture's file with a few bytes replaced, inserted or deleted,
+    as many edits as ``edits`` draws."""
     data = bytearray(RAW[draw(st.sampled_from(FIXTURES))])
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(edits)):
         position = draw(st.integers(0, len(data) - 1))
         edit = draw(st.sampled_from(["replace", "insert", "delete"]))
         if edit == "delete":

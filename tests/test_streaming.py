@@ -1,7 +1,8 @@
-"""parse_document decodes a document one item at a time.  Whatever it
-accepts must equal the document built from the whole decoded JSON, and
-whatever it does not plainly accept is decoded whole, so each fault is
-reported as it is by that reading."""
+"""parse_document decodes a document one item at a time and words each
+fault it meets itself.  The oracle here is the reading it replaced:
+decode the whole text, then build the document from the decoded JSON.
+The two must accept the same documents, and word every single fault
+alike; with several faults, parse_document reports the first it meets."""
 
 import json
 import tracemalloc
@@ -12,13 +13,16 @@ from hypothesis import strategies as st
 
 import povtrack.corpus as corpus
 from povtrack import (
+    NOBODY,
     Document,
     ParseError,
     PovTrackError,
+    RegistryError,
     SceneBreak,
+    ValidationError,
     parse_document,
 )
-from conftest import DATA, fixture_json
+from conftest import DATA, fixture_json, renamed
 from test_fuzz import corrupt_bytes, set_anywhere
 from test_properties import NAMES, streams
 from test_writer import oracle_dict
@@ -26,18 +30,35 @@ from test_writer import oracle_dict
 FIXTURES = sorted(path.stem for path in DATA.glob("*.json"))
 
 
-def whole(text):
-    """The document of the whole decoded JSON, or the message of the
-    fault that reading reports."""
+def whole_document(data, registry=None):
+    """The oracle: the document of decoded JSON free of lone surrogates,
+    its checks run in this order: the registry, the top level, the
+    roster, "items" and each item, the preamble, the title."""
+    registry = corpus._checked_registry(registry)
+    if not isinstance(data, dict):
+        raise ParseError("top level must be a JSON object")
+    corpus._object(data, corpus._TOP_KEYS, "top level")
+    sets = corpus._Sets({(): NOBODY})
+    roster = corpus._characters(data.get("roster", []), "roster", sets)
+    items = tuple(corpus._parse_item(raw, f"items[{i}]", registry, sets)
+                  for i, raw in enumerate(corpus._array(
+                      data.get("items", []), "items")))
+    initial = corpus._parse_preamble(data.get("preamble"), sets)
+    return Document(data.get("title", ""), roster, items, initial)
+
+
+def whole(text, registry=None):
+    """The oracle's document of the whole decoded text, or the type and
+    message of the fault it reports."""
     try:
-        return corpus._build_document(corpus._decode(text, ""), None)
+        return whole_document(corpus._decode(text, ""), registry)
     except PovTrackError as exc:
         return type(exc), str(exc)
 
 
-def by_item(text):
+def by_item(text, registry=None):
     try:
-        return parse_document(text)
+        return parse_document(text, registry)
     except PovTrackError as exc:
         return type(exc), str(exc)
 
@@ -72,7 +93,7 @@ def layouts(data):
 def test_each_fixture_in_each_layout_reads_as_the_whole_decode(
         name, no_whole_decode):
     data = fixture_json(name)
-    expected = corpus._build_document(data, None)
+    expected = whole_document(data)
     for layout, text in layouts(data):
         assert parse_document(text) == expected, layout
 
@@ -81,8 +102,7 @@ def test_a_document_without_some_fields_reads_as_the_whole_decode(
         no_whole_decode):
     for text in ["{}", " { } ", '{"items": []}', '{"items": [ ]}',
                  '{"title": "t", "roster": ["Zoe"]}']:
-        assert parse_document(text) == corpus._build_document(
-            json.loads(text), None)
+        assert parse_document(text) == whole_document(json.loads(text))
 
 
 @settings(max_examples=100, deadline=None)
@@ -90,23 +110,51 @@ def test_a_document_without_some_fields_reads_as_the_whole_decode(
 def test_a_hypothesis_document_reads_as_the_whole_decode(items):
     data = oracle_dict(Document("t", frozenset(NAMES), tuple(items)))
     text = json.dumps(data)
-    assert parse_document(text) == corpus._build_document(json.loads(text),
-                                                          None)
+    assert parse_document(text) == whole_document(json.loads(text))
 
 
-# the fuzz's hostile inputs: each gives the document, or the fault, that
-# decoding it whole gives
+# the fuzz's hostile inputs with one fault: one path set to a value, or
+# one byte edited.  Each gives the oracle's document, or its fault.
 @settings(max_examples=150, deadline=None)
-@given(data=st.one_of(set_anywhere(), corrupt_bytes()))
+@given(data=st.one_of(set_anywhere(), corrupt_bytes(edits=st.just(1))))
 def test_hostile_input_reads_as_the_whole_decode(data):
     assert by_item(data) == whole(data)
+
+
+# two or three edited bytes may make two faults, which the two readings
+# may report in a different order: only acceptance must agree
+@settings(max_examples=150, deadline=None)
+@given(data=corrupt_bytes(edits=st.integers(2, 3)))
+def test_input_with_several_edits_is_accepted_as_the_whole_decode_accepts_it(
+        data):
+    expected = whole(data)
+    try:
+        document = parse_document(data)
+    except PovTrackError:
+        assert not isinstance(expected, Document)
+    else:
+        assert document == expected
 
 
 MINI = json.dumps(fixture_json("minicorpus"), indent=2)
 FIRST = MINI.index('"kind"')  # inside items[0]
 BAD_KIND = MINI.replace('"kind": "sentence"', '"kind": "x"', 1)
 ITEMS = MINI.index('"items"')
-# what the parent commit reads each of these as, pinned
+SECOND = MINI.index('"kind"', FIRST + 1)  # inside items[1]
+THIRD = MINI.index('"kind"', SECOND + 1)
+PAST_FIRST = MINI.rindex("}", 0, SECOND) + 1  # just past items[0]
+PAST_THIRD = MINI.rindex("}", 0, MINI.index('"kind"', THIRD + 1)) + 1
+OPENS_FIRST = MINI.rindex("{", 0, FIRST)
+
+
+def spaced_kind_and_nul(past):
+    """MINI with a byte of items[0]'s "sentence" replaced by a space and a
+    NUL byte inserted at ``past``, as the fuzz found it."""
+    return (MINI[:past] + "\x00" + MINI[past:]).replace(
+        '"kind": "sentence"', '"kind": " entence"', 1)
+
+
+# input read as the whole decode reads it, pinned
 FALLBACKS = {
     "trailing-data": (MINI + " x", ParseError,
                       "invalid JSON at line 1457, column 3: Extra data"),
@@ -122,11 +170,6 @@ FALLBACKS = {
     "trailing-comma-in-items": (MINI.replace("}\n  ]\n}", "},\n  ]\n}"),
                                 ParseError, "invalid JSON at line 1456, "
                                 "column 3: Expecting value"),
-    # a validation fault in items[0] and a syntax fault after it: the
-    # syntax fault is reported
-    "item-fault-then-syntax": (BAD_KIND.replace("}\n  ]\n}", "}\n  ]\n"),
-                               ParseError, "invalid JSON at line 1457, "
-                               "column 1: Expecting ',' delimiter"),
     "item-fault": (BAD_KIND, corpus.ValidationError,
                    "items[0]: unknown kind 'x'"),
     "unknown-field": (MINI[:ITEMS] + '"notes": 1, ' + MINI[ITEMS:],
@@ -168,6 +211,20 @@ FALLBACKS = {
     "trailing-comma-in-the-object": (
         '{"title": "x",}', ParseError, "invalid JSON at line 1, column 15: "
         "Expecting property name enclosed in double quotes"),
+    # an item cut short by one byte, a fault that the reading meets only
+    # in what follows it
+    "an-item-without-its-open-brace": (
+        MINI[:OPENS_FIRST] + MINI[OPENS_FIRST + 1:], ParseError,
+        "invalid JSON at line 13, column 13: Expecting ',' delimiter"),
+    "an-item-closed-early": (
+        MINI.replace('"kind": "sentence",', '"kind": "sentence"},', 1),
+        ParseError, "invalid JSON at line 14, column 11: Expecting ',' "
+        "delimiter"),
+    # a faulty item, and a syntax fault right after it, which is met
+    # before the item is built
+    "a-nul-byte-just-after-a-faulty-item": (
+        spaced_kind_and_nul(PAST_FIRST), ParseError,
+        "invalid JSON at line 46, column 6: Expecting ',' delimiter"),
     "items-not-an-array": ('{"items": {}}', corpus.ValidationError,
                            "items: must be an array"),
     "top-level-array": ("[]", ParseError, "top level must be a JSON object"),
@@ -192,17 +249,97 @@ def test_a_fault_is_reported_as_the_whole_decode_reports_it(
     assert by_item(text) == whole(text)
 
 
+NOT_A_CATEGORY = {"hedge": "x"}
+# input with two faults, pinned: parse_document reports the first it
+# meets, and the whole decode reported the other
+TWO_FAULTS = {
+    "item-fault-then-syntax": (
+        BAD_KIND.replace("}\n  ]\n}", "}\n  ]\n"), None, ValidationError,
+        "items[0]: unknown kind 'x'"),
+    "item-fault-then-lone-surrogate": (
+        BAD_KIND.replace('"15.2"', '"\\udc00"', 1), None, ValidationError,
+        "items[0]: unknown kind 'x'"),
+    "item-fault-then-unknown-field": (
+        BAD_KIND.replace("}\n  ]\n}", '}\n  ],\n  "notes": 1\n}'), None,
+        ValidationError, "items[0]: unknown kind 'x'"),
+    "bad-roster-and-bad-item": (
+        json.dumps(dict(json.loads(BAD_KIND), roster=5), indent=2), None,
+        ValidationError, "items[0]: unknown kind 'x'"),
+    "bad-registry-and-syntax": (
+        "{", NOT_A_CATEGORY, RegistryError,
+        "registry: 'hedge' must map to a PseCategory named 'hedge'"),
+    # the NUL byte two items later: items[0] is built once items[1] is
+    # read, before the NUL is met
+    "item-fault-then-a-nul-byte": (
+        spaced_kind_and_nul(PAST_THIRD), None, ValidationError,
+        "items[0]: unknown kind ' entence'"),
+}
+
+
+@pytest.mark.parametrize("text, registry, error, message",
+                         TWO_FAULTS.values(), ids=TWO_FAULTS)
+def test_of_two_faults_the_first_met_is_reported(text, registry, error,
+                                                  message):
+    with pytest.raises(error) as caught:
+        parse_document(text, registry)
+    assert str(caught.value) == message
+    assert whole(text, registry) != (error, message)
+
+
+def with_data(edit):
+    data = fixture_json("minicorpus")
+    edit(data)
+    return json.dumps(data, indent=2)
+
+
+# a fault in an item, or one that Document finds, is worded by the
+# reading that met it
+ONE_READING = {
+    "item-fault": FALLBACKS["item-fault"][0],
+    "duplicate-sentence-id": MINI.replace('"15.2"', '"15.1"', 1),
+    "who-off-roster": with_data(lambda data: data["items"][0]["features"][
+        "soas"][0].update(who=["Nobody"])),
+    "bad-preamble": with_data(lambda data: data.update(
+        preamble={"situation": "x"})),
+}
+
+
+@pytest.mark.parametrize("text", ONE_READING.values(), ids=ONE_READING)
+def test_an_item_or_document_fault_never_decodes_the_whole_text(
+        text, no_whole_decode):
+    with pytest.raises(ValidationError) as caught:
+        parse_document(text)
+    with pytest.raises(ValidationError) as oracle:
+        whole_document(json.loads(text))
+    assert str(caught.value) == str(oracle.value)
+
+
+def test_paired_surrogate_escapes_are_read_item_by_item(no_whole_decode):
+    text = renamed("Rosie", "Rosie\U0001f600", "minicorpus").decode()
+    first = json.loads(text)["items"][0]["text"]
+    text = text.replace(json.dumps(first), json.dumps(first + "\U0001f600"))
+    assert "\\ud83d\\ude00" in text
+    document = parse_document(text)
+    assert document == whole_document(json.loads(text))
+    assert "Rosie\U0001f600" in document.roster
+    assert document.items[0].text == first + "\U0001f600"
+
+
 def test_a_duplicate_field_keeps_the_last_as_before():
     data = fixture_json("minicorpus")
     text = (json.dumps(data)[:-1] + ', "items": ' +
             json.dumps(data["items"][:3]) + "}")
     document = parse_document(text)
-    assert document == corpus._build_document(
-        dict(data, items=data["items"][:3]), None)
+    assert document == whole_document(dict(data, items=data["items"][:3]))
     assert len(document.items) == 3
     assert parse_document('{"items": [], "items": [{"kind": "scene-break"}], '
                           '"title": "a", "title": "b"}') == Document(
         "b", frozenset(), (SceneBreak(),))
+    # "items" other than an array is refused only if no later one replaces it
+    assert parse_document('{"items": 5, "items": []}') == Document(
+        "", frozenset(), ())
+    with pytest.raises(ValidationError, match="^items: must be an array$"):
+        parse_document('{"items": [], "items": 5}')
 
 
 def test_a_value_that_is_not_text_raises_what_json_loads_raises():
