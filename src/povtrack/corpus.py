@@ -36,6 +36,7 @@ defaults, and categories the file does not mention keep them.
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import json
 import re
@@ -272,10 +273,11 @@ def parse_document(text: str | bytes,
     refused.
 
     The items are decoded and built one at a time, so the decoded JSON
-    of the whole document is never held at once, and the first fault met
-    is raised: a bad registry first, then the faults of the text in the
-    order it is read (see ``_document``).  Only text that is not one JSON
-    object of the known fields is decoded whole, to word its fault.
+    of the whole document is never held at once, nor, for bytes, the
+    whole decoded text, and the first fault met is raised: a bad registry
+    first, then the faults of the text in the order it is read (see
+    ``_document``).  Only text that is not one JSON object of the known
+    fields is decoded whole, to word its fault.
     """
     registry = _checked_registry(registry)
     try:
@@ -298,72 +300,128 @@ def _parse_by_item(raw, registry) -> Document:
     """The document of JSON text, each item decoded and built on its own.
     A fault in a value it reads raises its PovTrackError; text that is not
     plainly one JSON object of the known fields raises ValueError,
-    StopIteration or RecursionError."""
-    text = _text(raw)
-    if not isinstance(text, str):
-        raise ValueError("not JSON text")
-    # only a possible lone surrogate walks each decoded value
-    check = _may_hold_lone_surrogate(raw, text)
+    StopIteration or RecursionError.  Bytes are decoded a window at a
+    time (see ``_Text``)."""
+    text = _Text(raw)
     sets, fields = _Sets({(): NOBODY}), {}
-    token, pos = _token(text, 0)
-    if token != "{":
+    if text.token() != "{":
         raise ValueError("not plainly a JSON object")
-    if text.startswith("}", pos):  # an empty object
-        token, pos = _token(text, pos)
-    else:
-        token = ","  # the first field is read as the others are
+    # the first field is read as the others are, unless the object is empty
+    token = text.token() if text.startswith("}") else ","
     while token == ",":
-        if not text.startswith('"', pos):
+        if not text.startswith('"'):
             raise ValueError("not plainly a field name")
-        key, pos = _SCAN(text, pos)
-        colon, pos = _token(text, pos)
-        if colon != ":" or key not in _TOP_KEYS:
+        key = text.scan()
+        if text.token() != ":" or key not in _TOP_KEYS:
             raise ValueError(f"not plainly a top-level field {key!r}")
         # a field read again replaces the first, as json.loads keeps the
         # last of duplicate keys; "items" other than an array is refused
         # once all the fields are read
-        if key == "items" and text.startswith("[", pos):
-            fields[key], pos = _scan_items(text, pos, registry, sets, check)
+        if key == "items" and text.startswith("["):
+            fields[key] = _scan_items(text, registry, sets)
         else:
-            fields[key], pos = _SCAN(text, pos)
-            if check:
+            fields[key] = text.scan()
+            if text.check:
                 _reject_lone_surrogates(fields[key], "", key)
-        token, pos = _token(text, pos)
-    if token != "}" or pos < len(text):
+        token = text.token()
+    if token != "}" or text.token():
         raise ValueError("not plainly one JSON object")
     return _document(fields, sets)
 
 
-def _scan_items(text, pos, registry, sets, check) -> tuple[list, int]:
-    """The items of the JSON array at ``pos``, and the index past the
-    array and the whitespace after it.  Each item is decoded on its own,
-    walked by ``check`` for a lone surrogate and built once the next is
-    read: its decoded JSON is freed soon after, and a stray bracket that
-    cuts it short is met as the syntax fault that follows it."""
-    token, pos = _token(text, pos)  # the "["
+def _scan_items(text, registry, sets) -> list:
+    """The items of the JSON array next in ``text``, read past it and the
+    whitespace after it.  Each item is decoded on its own, walked by its
+    ``text.check`` for a lone surrogate and built once the next is read:
+    its decoded JSON is freed soon after, and a stray bracket that cuts
+    it short is met as the syntax fault that follows it."""
+    token = text.token()  # the "["
     items, held = [], []
-    if text.startswith("]", pos):
-        token, pos = _token(text, pos)
+    if text.startswith("]"):
+        token = text.token()
     while token != "]":
-        raw, pos = _SCAN(text, pos)
-        token, pos = _token(text, pos)
+        held.append((text.scan(), text.check))
+        token = text.token()
         if token not in (",", "]"):
             raise ValueError("items: not plainly an array")
-        held.append(raw)
         # the item before this one, or every item at the "]"
         while len(held) > (token == ","):
-            raw, where = held.pop(0), f"items[{len(items)}]"
+            (raw, check), where = held.pop(0), f"items[{len(items)}]"
             if check:
                 _reject_lone_surrogates(raw, "", where)
             items.append(_parse_item(raw, where, registry, sets))
-    return items, pos
+    return items
 
 
-def _token(text, pos) -> tuple[str, int]:
-    """The character after the whitespace at ``pos`` ("" at the end), and
-    the index past it and the whitespace after it."""
-    found = _TOKEN(text, pos)
-    return found[1], found.end()
+# the bytes a parse decodes at a time
+_WINDOW = 1 << 16
+
+
+class _Text:
+    """JSON text read from ``pos`` on: a str whole, as it is given, or
+    bytes decoded strictly a window at a time.  A read that the window's
+    end may have cut short is retried on a wider window, and the text
+    read before it is then dropped.  ``check`` is true once the text read
+    holds an escape that could spell a lone surrogate."""
+
+    def __init__(self, raw):
+        self.pos = self.offset = 0
+        if isinstance(raw, str):
+            self.text, self.raw = raw, None
+            self.check = _may_hold_lone_surrogate(raw, raw)
+        elif isinstance(raw, (bytes, bytearray)):
+            self.text, self.raw, self.check = "", raw, False
+            self.decode = codecs.getincrementaldecoder(
+                json.detect_encoding(raw))().decode
+        else:
+            raise ValueError("not JSON text")
+
+    def _more(self) -> bool:
+        """Decode the next window after the unread text, at least twice
+        that text's length, so that a long value is read in O(n); false
+        once the input is used up."""
+        raw, start = self.raw, self.offset
+        if raw is None:
+            return False
+        self.text, self.pos = self.text[self.pos:], 0  # drop the text read
+        tail = len(self.text)
+        self.offset = end = start + max(_WINDOW, 2 * tail)
+        if end >= len(raw):
+            self.raw = None
+        # sliced, not viewed: a view would pin a bytearray's size
+        self.text += self.decode(raw[start:end], self.raw is None)
+        # from 5 characters back, so an escape cut by the window is found
+        self.check = self.check or bool(_SURROGATE_ESCAPE.search(
+            self.text, max(0, tail - 5)))
+        return True
+
+    def startswith(self, char) -> bool:
+        """Whether ``char`` is next: a token() before it settles that."""
+        return self.text.startswith(char, self.pos)
+
+    def token(self) -> str:
+        """The character after the whitespace at ``pos`` ("" at the end);
+        ``pos`` moves past it and the whitespace after it."""
+        while True:
+            found = _TOKEN(self.text, self.pos)
+            if found.end() < len(self.text) or not self._more():
+                self.pos = found.end()
+                return found[1]
+
+    def scan(self):
+        """The JSON value at ``pos``, which moves past it.  A number cut
+        by the window's end still decodes, as 1 of 1.5 or 1e+5: a value is
+        taken only with three characters after it, or at the input's end."""
+        while True:
+            try:
+                value, end = _SCAN(self.text, self.pos)
+            except (ValueError, StopIteration):
+                if not self._more():
+                    raise
+                continue
+            if end + 3 <= len(self.text) or not self._more():
+                self.pos = end
+                return value
 
 
 def _checked_registry(registry) -> dict[str, PseCategory]:

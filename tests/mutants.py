@@ -144,6 +144,23 @@ MUTANTS = (
            CORPUS,
            '                _reject_lone_surrogates(fields[key], "", key)\n',
            "                pass\n", LONE_SURROGATES),
+    # bytes decoded a window at a time read as the whole text reads
+    Mutant("window: a value taken where the window's end may cut it",
+           CORPUS,
+           "            if end + 3 <= len(self.text) or not self._more():\n",
+           "            if True:\n",
+           ("tests/test_streaming.py::"
+            "test_a_number_cut_by_a_window_is_read_whole",)),
+    Mutant("window: the surrogate escape search starts at the new text",
+           CORPUS, "self.text, max(0, tail - 5)))", "self.text, tail))",
+           ("tests/test_streaming.py::"
+            "test_a_surrogate_escape_cut_by_a_window_is_found",)),
+    Mutant("window: the text read is never dropped", CORPUS,
+           "        self.text, self.pos = self.text[self.pos:], 0"
+           "  # drop the text read\n",
+           "        pass\n",
+           ("tests/test_streaming.py::"
+            "test_a_parse_of_bytes_never_holds_the_whole_decoded_text",)),
 )
 
 

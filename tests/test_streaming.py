@@ -2,8 +2,11 @@
 fault it meets itself.  The oracle here is the reading it replaced:
 decode the whole text, then build the document from the decoded JSON.
 The two must accept the same documents, and word every single fault
-alike; with several faults, parse_document reports the first it meets."""
+alike; with several faults, parse_document reports the first it meets.
+Bytes are decoded a window at a time, and the window's size changes
+neither the document nor the fault."""
 
+import contextlib
 import json
 import tracemalloc
 
@@ -23,6 +26,7 @@ from povtrack import (
     parse_document,
 )
 from conftest import DATA, fixture_json, renamed
+from test_corpus import LONE_SURROGATES, MESSAGES, with_fault
 from test_fuzz import corrupt_bytes, set_anywhere
 from test_properties import NAMES, streams
 from test_writer import oracle_dict
@@ -367,3 +371,167 @@ def test_a_parse_holds_less_than_the_decoded_json():
 
     assert len(parse_document(text).items) == 50 * len(data["items"])
     assert peak(parse_document) < peak(json.loads)
+
+
+# -- bytes decoded a window at a time -----------------------------------------
+
+WINDOWS = [1, 2, 3, 5, 7, 64, corpus._WINDOW]
+FAULT_WINDOWS = [1, 3, corpus._WINDOW]
+ENCODINGS = ["utf-8", "utf-8-sig", "utf-16", "utf-16-le", "utf-16-be",
+             "utf-32"]
+
+
+@contextlib.contextmanager
+def window(size):
+    """Bytes parsed inside are decoded ``size`` bytes at a time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_WINDOW", size)
+        yield
+
+
+def as_bytes(text):
+    """An ASCII str as the UTF-8 bytes a window reads; other input as it
+    is, since a str's BOM or lone surrogate code point means something
+    else in bytes."""
+    return text.encode() if isinstance(text, str) and text.isascii() else text
+
+
+def at_window(size, text, registry=None):
+    with window(size):
+        return by_item(as_bytes(text), registry)
+
+
+def tiled(tiles):
+    """Every fixture's items, tiled, with the sentence ids renamed per
+    tile and a scene break between fixtures, as the novel workload is."""
+    docs = {name: fixture_json(name) for name in FIXTURES}
+    items = []
+    for tile in range(tiles):
+        for name, doc in docs.items():
+            items += [{"kind": "scene-break"}] if items else []
+            items += [dict(item, id=f"{tile}/{name}/{item['id']}")
+                      if item["kind"] == "sentence" else item
+                      for item in doc["items"]]
+    roster = sorted({name for doc in docs.values() for name in doc["roster"]})
+    return {"title": "novel", "roster": roster, "items": items}
+
+
+NOVEL = tiled(8)
+
+
+@pytest.mark.parametrize("size", WINDOWS)
+@pytest.mark.parametrize("name", FIXTURES + ["novel"])
+def test_bytes_read_a_window_at_a_time_give_the_str_s_document(
+        name, size, no_whole_decode):
+    data = NOVEL if name == "novel" else fixture_json(name)
+    text = json.dumps(data, indent=2, ensure_ascii=False)
+    expected = parse_document(text)
+    assert expected == whole_document(data)
+    if name == "novel":  # past several windows of the default size
+        assert len(text.encode()) > 4 * corpus._WINDOW
+    with window(size):
+        for encoding in ENCODINGS:
+            assert parse_document(text.encode(encoding)) == expected, encoding
+
+
+@settings(max_examples=100, deadline=None)
+@given(items=streams(), encoding=st.sampled_from(ENCODINGS),
+       size=st.one_of(st.integers(1, 80), st.just(corpus._WINDOW)))
+def test_a_hypothesis_document_read_a_window_at_a_time_reads_as_the_whole_decode(
+        items, encoding, size):
+    data = oracle_dict(Document("t", frozenset(NAMES), tuple(items)))
+    text = json.dumps(data, ensure_ascii=False)
+    with window(size):
+        assert parse_document(text.encode(encoding)) == whole_document(
+            json.loads(text))
+
+
+@pytest.mark.parametrize("size", FAULT_WINDOWS)
+@pytest.mark.parametrize("text, error, message", FALLBACKS.values(),
+                         ids=FALLBACKS)
+def test_a_fault_read_a_window_at_a_time_is_worded_alike(
+        text, error, message, size):
+    assert at_window(size, text) == (error, message)
+
+
+@pytest.mark.parametrize("size", FAULT_WINDOWS)
+@pytest.mark.parametrize("text, registry, error, message",
+                         TWO_FAULTS.values(), ids=TWO_FAULTS)
+def test_of_two_faults_read_a_window_at_a_time_the_first_met_is_reported(
+        text, registry, error, message, size):
+    assert at_window(size, text, registry) == (error, message)
+
+
+@pytest.mark.parametrize("size", FAULT_WINDOWS)
+@pytest.mark.parametrize("text, message", [
+    pytest.param(*param.values, id=param.id) for param in LONE_SURROGATES])
+def test_a_lone_surrogate_read_a_window_at_a_time_is_named_alike(
+        text, message, size):
+    assert at_window(size, text) == (ParseError, message)
+
+
+@pytest.mark.parametrize("size", FAULT_WINDOWS)
+@pytest.mark.parametrize("path, value, message", MESSAGES,
+                         ids=[message for _, _, message in MESSAGES])
+def test_each_reader_branch_read_a_window_at_a_time_keeps_its_message(
+        path, value, message, size):
+    text = json.dumps(with_fault(path, value))
+    expected = by_item(text)
+    assert expected[1] == message
+    assert at_window(size, text) == expected
+
+
+# what a window's end may cut: a number that still decodes, shorter; a
+# surrogate escape, which the search for one must find across the cut;
+# a character of several bytes, or of a UTF-16 surrogate pair
+
+@pytest.mark.parametrize("text, message", [
+    (b'{"roster": ["Zoe"], "title": 12345, "items": []}',
+     "title must be a string"),
+    (b'{"title": -0.25E-12}', "title must be a string"),
+    (b'{"title": 1e+5, "items": []}', "title must be a string"),
+    (b'{"items": [{"kind": "scene-break"}, 1.5e+7]}',
+     "items[1]: must be an object"),
+])
+def test_a_number_cut_by_a_window_is_read_whole(text, message):
+    for size in range(1, 61):
+        assert at_window(size, text) == (ValidationError, message), size
+
+
+def test_a_surrogate_escape_cut_by_a_window_is_found():
+    text = b'{"roster": ["Zoe"], "title": "Zoe \\ud800 x", "items": []}'
+    for size in range(1, 61):
+        assert at_window(size, text) == (
+            ParseError, "title: lone surrogate '\\ud800'"), size
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-16", "utf-16-le",
+                                      "utf-32"])
+def test_a_character_cut_by_a_window_decodes(encoding):
+    title = "Zo\u00eb \U0001f600 \u201cx\u201d"
+    text = json.dumps({"title": title, "roster": ["Zo\u00eb"]},
+                      ensure_ascii=False).encode(encoding)
+    for size in range(1, 61):
+        with window(size):
+            assert parse_document(text) == Document(
+                title, frozenset({"Zo\u00eb"}), ()), size
+
+
+def test_a_parse_of_bytes_never_holds_the_whole_decoded_text():
+    """Deterministic, not a timing: past a warm-up, a parse of bytes
+    holds a window of decoded text and what a parse of the same str
+    holds, never the whole decoded text."""
+    text = json.dumps(tiled(34), ensure_ascii=False, separators=(",", ":"))
+    data = text.encode()
+    assert len(data) >= 2**20
+
+    def peak(raw):
+        tracemalloc.start()
+        try:
+            parse_document(raw)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert parse_document(data) == parse_document(text)
+    assert peak(data) - peak(text) < len(data) / 4
