@@ -117,6 +117,8 @@ class Document:
     def __post_init__(self) -> None:
         if not isinstance(self.title, str):
             raise ValidationError("title must be a string")
+        if _SURROGATE.search(self.title):
+            raise ValidationError("title must not hold a lone surrogate")
         roster, seen = self.roster, set()
         _check_names(roster, "roster ")  # every other name set is in it
         for i, item in enumerate(self.items):
@@ -303,7 +305,7 @@ def _parse_by_item(raw, registry) -> Document:
     StopIteration or RecursionError.  Bytes are decoded a window at a
     time (see ``_Text``)."""
     text = _Text(raw)
-    sets, fields = _Sets({(): NOBODY}), {}
+    sets, fields = _Shared(), {}
     if text.token() != "{":
         raise ValueError("not plainly a JSON object")
     # the first field is read as the others are, unless the object is empty
@@ -482,7 +484,7 @@ def _parse_item(raw, where, registry, sets) -> InputItem:
             if gold.get("type") not in ("subjective", "objective"):
                 raise ValidationError(
                     "gold.type must be 'subjective' or 'objective'")
-            gold = Interpretation(gold["type"] == "subjective", _characters(
+            gold = sets.label(gold["type"] == "subjective", _characters(
                 gold.get("characters", []), "gold.characters", sets))
     except ValidationError as exc:
         raise ValidationError(f"sentence {sid}: {exc}") from None
@@ -529,14 +531,14 @@ def _entries(value, where, parse) -> tuple:
 def _parse_soa(raw, sets) -> StateOfAffairs:
     _object(raw, _SOA_KEYS, "")
     return StateOfAffairs(
-        _id(raw, "", "state-of-affairs"),
+        sets[_id(raw, "", "state-of-affairs")],
         _member(_SOA_TYPES, raw.get("type", ""), "", "state-of-affairs type"),
         _characters(raw.get("who", []), ".who", sets))
 
 
 def _parse_clause(raw, soas, sets) -> Clause:
     _object(raw, _CLAUSE_KEYS, "")
-    clause_id = _id(raw, "", "clause")
+    clause_id = sets[_id(raw, "", "clause")]
     soa = raw.get("soa")
     if not isinstance(soa, str):
         raise ValidationError(": soa must be a string")
@@ -553,7 +555,7 @@ def _parse_clause(raw, soas, sets) -> Clause:
 
 def _parse_pse(raw, registry, sets) -> Pse:
     _object(raw, _PSE_KEYS, "")
-    pse_id = _id(raw, "", "element")
+    pse_id = sets[_id(raw, "", "element")]
     category = raw.get("category")
     if not isinstance(category, str) or not category:
         raise ValidationError(": category must be a non-empty string")
@@ -602,17 +604,34 @@ def _characters(value, where, sets) -> Characters:
     return sets[tuple(value)]
 
 
-class _Sets(dict):
-    """One parse's table from a tuple of names to the one frozenset of
-    them; a tuple met for the first time gets a new set."""
+class _Shared(dict):
+    """One parse's table, so that the equal values it reads share one
+    object: each id or name maps to the first equal str met, and each
+    tuple of names to the one frozenset of them, built of those strs the
+    first time the tuple is met.  ``label`` gives each gold label's
+    (subjective, characters) one Interpretation."""
 
-    def __missing__(self, names) -> frozenset[str]:
-        found = self[names] = frozenset(names)
+    def __init__(self) -> None:
+        super().__init__({(): NOBODY})
+        self.labels: dict[tuple[bool, Characters], Interpretation] = {}
+
+    def __missing__(self, key):
+        # setdefault, not self[name]: a new name costs no Python call
+        found = self[key] = (key if isinstance(key, str)
+                             else frozenset(map(self.setdefault, key, key)))
+        return found
+
+    def label(self, subjective, characters) -> Interpretation:
+        key = (subjective, characters)
+        found = self.labels.get(key)
+        if found is None:
+            found = self.labels[key] = Interpretation(subjective, characters)
         return found
 
 
 def _check_names(names, where, roster=None) -> None:
-    """Refuse all but printable names; ``where`` heads each message."""
+    """Refuse all but printable, encodable names; ``where`` heads each
+    message."""
     if not isinstance(names, frozenset) or not all_names(names):
         raise ValidationError(f"{where}must be a frozenset of non-empty "
                               "strings")
@@ -622,6 +641,10 @@ def _check_names(names, where, roster=None) -> None:
     if broken := [name for name in names if not SEPARATORS.isdisjoint(name)]:
         raise ValidationError(f"{where}name {min(broken)!r} must not hold a "
                               "tab or line break")
+    if _SURROGATE.search("".join(names)):
+        broken = [name for name in names if _SURROGATE.search(name)]
+        raise ValidationError(f"{where}name {min(broken)!r} must not hold a "
+                              "lone surrogate")
 
 
 def _member(members, value, where, what):

@@ -47,6 +47,8 @@ class SignificancePolicy(Enum):
 
 
 _SP = SignificancePolicy
+# the verdict on every objective sentence with no active character
+_OBJECTIVE = Interpretation(False, NOBODY)
 
 
 class InterpretationDetail(NamedTuple):
@@ -165,7 +167,7 @@ class Engine:
             trigger = "continuing-nonprivate"
         else:
             active = self._active_character(context, chosen, clause)
-            return (Interpretation(False, active),
+            return (Interpretation(False, active) if active else _OBJECTIVE,
                     InterpretationDetail(chosen, private, fired, considerable,
                                          None, None, action_reason))
         who, source = self._identify(fs, context, chosen, private,

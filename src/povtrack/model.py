@@ -365,64 +365,63 @@ class FeatureSet:
 
     def __post_init__(self) -> None:
         clauses, soas, pses = self.clauses, self.soas, self.pses
+        # each id a str, which a set can hold and a message can sort
         for pse in pses:
+            if not isinstance(pse.id, str):
+                raise ValidationError(
+                    f"element id {pse.id!r} must be a string")
             if not isinstance(pse.category, PseCategory):
                 raise ValidationError(f"element {pse.id!r} has unknown "
                                       f"category {pse.category!r}")
-        # an id that cannot be hashed fails a set or dict with TypeError
-        try:
-            # a list of one holds no duplicate, so only longer lists build sets
-            by_id = len(clauses) > 1 and {c.id: c for c in clauses}
-            for what, objects, ids in (
-                    ("state-of-affairs", soas,
-                     soas[1:] and {a.id for a in soas}),
-                    ("clause", clauses, by_id),
-                    ("element", pses, pses[1:] and {p.id for p in pses})):
-                if ids and len(ids) < len(objects):
-                    seen: set[str] = set()
-                    for obj in objects:
-                        if obj.id in seen:
-                            raise ValidationError(
-                                f"duplicate {what} id {obj.id!r}")
-                        seen.add(obj.id)
-            # a list of one builds no id set, so its id is checked alone
-            if len(soas) == 1 and not isinstance(soas[0].id, str):
-                _str_ids([soas[0].id], "state-of-affairs")
-            if len(pses) == 1 and not isinstance(pses[0].id, str):
-                _str_ids([pses[0].id], "element")
-            # by identity: hashing each state of affairs would cost more
-            known = set(map(id, soas))
-            # the ids of the clauses read so far, and of all of them from the
-            # first clause that is under a clause written after it
-            mains, ids, ordered = [], set(), True
-            for clause in clauses:
-                if id(clause.soa) not in known:
-                    raise ValidationError(
-                        f"clause {clause.id!r} references unknown state of "
-                        f"affairs {clause.soa!r}")
-                if not isinstance(clause.under, frozenset):
-                    raise ValidationError(f"clause {clause.id!r}: {_UNDER}")
-                if not clause.under:
-                    mains.append(clause)
-                elif not clause.under <= ids:
-                    if ordered:
-                        ordered, ids = False, set(by_id or (clause.id,))
-                    if not clause.under <= ids:
-                        raise _unknown_clauses(f"clause {clause.id!r}",
-                                               clause.under, ids)
-                ids.add(clause.id)
-        except TypeError:
-            for what, objects in (("state-of-affairs", soas),
-                                  ("clause", clauses), ("element", pses)):
-                _str_ids([obj.id for obj in objects], what)
-            raise
+        for soa in soas:
+            if not isinstance(soa.id, str):
+                raise ValidationError(
+                    f"state-of-affairs id {soa.id!r} must be a string")
+        for clause in clauses:
+            if not isinstance(clause.id, str):
+                raise ValidationError(
+                    f"clause id {clause.id!r} must be a string")
+        # a list of one holds no duplicate, so only longer lists build sets
+        by_id = len(clauses) > 1 and {c.id: c for c in clauses}
+        for what, objects, ids in (
+                ("state-of-affairs", soas, soas[1:] and {a.id for a in soas}),
+                ("clause", clauses, by_id),
+                ("element", pses, pses[1:] and {p.id for p in pses})):
+            if ids and len(ids) < len(objects):
+                seen: set[str] = set()
+                for obj in objects:
+                    if obj.id in seen:
+                        raise ValidationError(
+                            f"duplicate {what} id {obj.id!r}")
+                    seen.add(obj.id)
+        # by identity: hashing each state of affairs would cost more
+        known = set(map(id, soas))
+        # the ids of the clauses read so far, and of all of them from the
+        # first clause that is under a clause written after it
+        mains, ids, ordered = [], set(), True
+        for clause in clauses:
+            if id(clause.soa) not in known:
+                raise ValidationError(
+                    f"clause {clause.id!r} references unknown state of "
+                    f"affairs {clause.soa!r}")
+            if not isinstance(clause.under, frozenset):
+                raise ValidationError(f"clause {clause.id!r}: {_UNDER}")
+            if not clause.under:
+                mains.append(clause)
+            elif not clause.under <= ids:
+                if ordered:
+                    ordered, ids = False, set(by_id or (clause.id,))
+                if not clause.under <= ids:
+                    raise _unknown_clauses(f"clause {clause.id!r}",
+                                           clause.under, ids)
+            ids.add(clause.id)
         if not clauses:
             raise ValidationError("at least one clause required")
         if not mains:
             raise ValidationError(
                 "no main clause (every clause is subordinated)")
         if len(mains) > 1:
-            names = ", ".join(sorted(_str_ids([c.id for c in mains])))
+            names = ", ".join(sorted(c.id for c in mains))
             raise ValidationError(f"multiple main clauses ({names})")
         # clauses each under only clauses written before them form no cycle
         if not ordered:
@@ -482,14 +481,6 @@ def _unknown_clauses(owner, under, ids) -> ValidationError:
                            f"{sorted(under - ids)}")
 
 
-def _str_ids(ids, what="clause"):
-    """``ids``, each a str, which a message can sort and print."""
-    for cid in ids:
-        if not isinstance(cid, str):
-            raise ValidationError(f"{what} id {cid!r} must be a string")
-    return ids
-
-
 def _check_acyclic(clauses: dict[str, Clause], order=iter) -> None:
     """Depth-first with an explicit stack, so that no chain is too long.
     Only once a cycle is found is each ``under`` walked in sorted order,
@@ -511,7 +502,6 @@ def _check_acyclic(clauses: dict[str, Clause], order=iter) -> None:
                 finished[parent] = False
             elif not finished[parent]:
                 if order is iter:
-                    _str_ids(clauses)
                     _check_acyclic(clauses, lambda under: iter(sorted(under)))
                 cycle = " -> ".join([n for n, _ in stack] + [parent])
                 raise ValidationError(f"clause subordination cycle: {cycle}")

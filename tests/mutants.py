@@ -131,6 +131,7 @@ MUTANTS = (
            "return name in self._rank", SEEN_LOG),
     # the cycle message names the same cycle under every hash seed
     Mutant("cycle: message worded from the unsorted walk", MODEL,
+           "                if order is iter:\n"
            "                    _check_acyclic(clauses, "
            "lambda under: iter(sorted(under)))\n",
            "",
@@ -144,6 +145,19 @@ MUTANTS = (
            CORPUS,
            '                _reject_lone_surrogates(fields[key], "", key)\n',
            "                pass\n", LONE_SURROGATES),
+    # a parse gives each distinct gold label one Interpretation, and the
+    # tracker one objective verdict with no active character
+    Mutant("shared: the gold table keyed by characters alone", CORPUS,
+           "        key = (subjective, characters)\n",
+           "        key = characters\n",
+           ("tests/test_sharing.py::"
+            "test_labels_that_differ_only_in_kind_stay_apart",)),
+    Mutant("shared: the objective verdict shared with an active character",
+           ENGINE,
+           "return (Interpretation(False, active) if active else _OBJECTIVE,",
+           "return (_OBJECTIVE,",
+           ("tests/test_engine.py::"
+            "test_progressive_aspect_does_not_disqualify",)),
     # bytes decoded a window at a time read as the whole text reads
     Mutant("window: a value taken where the window's end may cut it",
            CORPUS,

@@ -24,6 +24,7 @@ from povtrack import (
     StateOfAffairs,
     TextSituation,
     ValidationError,
+    dumps_document,
     parse_document,
     parse_registry,
 )
@@ -446,6 +447,32 @@ def test_a_gold_that_is_not_an_interpretation_is_refused(gold, shown):
         f"gold must be an Interpretation or None, not {shown}"
 
 
+# a hashable id that is not a str built a set, so it was accepted alone
+# or among others, and dumps_document could not write it
+def non_str_ids():
+    for bad in (5, ("c",), None, b"c"):
+        shown = repr(bad)
+        yield (f"lone-clause-{shown}", partial(FeatureSet, (Clause(bad, A1),),
+                                              ACTION),
+               f"clause id {shown} must be a string")
+        yield (f"second-clause-{shown}", partial(FeatureSet, (
+            MAIN, Clause(bad, A1, frozenset({"c1"}))), ACTION),
+            f"clause id {shown} must be a string")
+        lone = StateOfAffairs(bad, SoaType.ACTION)
+        yield (f"lone-state-of-affairs-{shown}",
+               partial(FeatureSet, (Clause("m", lone),), (lone,)),
+               f"state-of-affairs id {shown} must be a string")
+        yield (f"second-state-of-affairs-{shown}",
+               partial(FeatureSet, (MAIN,), (A1, lone)),
+               f"state-of-affairs id {shown} must be a string")
+        yield (f"lone-element-{shown}", partial(FeatureSet, (MAIN,), ACTION, (
+            Pse(bad, QUESTION),)), f"element id {shown} must be a string")
+        yield (f"second-element-{shown}", partial(
+            FeatureSet, (MAIN,), ACTION, (Pse("e1", QUESTION),
+                                          Pse(bad, QUESTION))),
+            f"element id {shown} must be a string")
+
+
 # hand-built objects the parser never builds, each of which raised
 # TypeError or AttributeError: a clause id that is not a str was sorted to
 # name it, and a Sentence's features were read as a FeatureSet
@@ -486,6 +513,7 @@ CRASHES = {
                     "text must be a string or None, not 5"),
     "text-bytes": (partial(Sentence, "s1", S1.features, text=b"x"),
                    "text must be a string or None, not b'x'"),
+    **{name: (build, message) for name, build, message in non_str_ids()},
 }
 
 
@@ -494,6 +522,39 @@ def test_a_hand_built_object_of_the_wrong_type_is_refused(build, message):
     with pytest.raises(ValidationError) as caught:
         build()
     assert str(caught.value) == message
+
+
+# a lone surrogate in a title or name: the parser refuses one first, with
+# its own message, but a hand-built document holding one was accepted,
+# and its dump could be neither encoded nor parsed
+SURROGATES = {
+    "title": (partial(Document, "\ud800", frozenset(), ()),
+              "title must not hold a lone surrogate"),
+    "title-within": (partial(Document, "a\udfffb", frozenset(), ()),
+                     "title must not hold a lone surrogate"),
+    "roster-name": (partial(Document, "t", frozenset({"Zoe", "Z\udc00"}),
+                            (S1,)),
+                    "roster name 'Z\\udc00' must not hold a lone surrogate"),
+    "off-roster-gold-name": (partial(Document, "t", frozenset({"Zoe"}), (
+        dataclasses.replace(S1, gold=Interpretation(True, frozenset({
+            "Zoe", "\ud83d\ude00"}))),)),
+        "sentence s1: gold.characters: name '\\ud83d\\ude00' must not "
+        "hold a lone surrogate"),
+}
+
+
+@pytest.mark.parametrize("build, message", SURROGATES.values(),
+                         ids=SURROGATES)
+def test_a_lone_surrogate_in_a_title_or_name_is_refused(build, message):
+    with pytest.raises(ValidationError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+def test_a_paired_character_in_a_title_and_name_is_kept():
+    smile = "\U0001f600"
+    document = Document(smile, frozenset({"Zoe", smile}), (S1,))
+    assert parse_document(dumps_document(document).encode()) == document
 
 
 @pytest.mark.parametrize("roster", [["Zoe"], {"Zoe"}, frozenset({""}),

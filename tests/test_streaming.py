@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import povtrack.corpus as corpus
 from povtrack import (
-    NOBODY,
     Document,
     ParseError,
     PovTrackError,
@@ -42,7 +41,7 @@ def whole_document(data, registry=None):
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
     corpus._object(data, corpus._TOP_KEYS, "top level")
-    sets = corpus._Sets({(): NOBODY})
+    sets = corpus._Shared()
     roster = corpus._characters(data.get("roster", []), "roster", sets)
     items = tuple(corpus._parse_item(raw, f"items[{i}]", registry, sets)
                   for i, raw in enumerate(corpus._array(

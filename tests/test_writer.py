@@ -227,19 +227,17 @@ def test_any_document_is_written_as_json_dumps_writes_it(document):
 # -- fields of a type the schema has no text for -----------------------------
 
 
-def sentence_with(clause_id="c1", soa=StateOfAffairs("a1", SoaType.ACTION),
-                  vp=VerbFeatures()):
+def sentence_with(soa=StateOfAffairs("a1", SoaType.ACTION), vp=VerbFeatures()):
     fine = StateOfAffairs("a1", SoaType.ACTION)
     return Document("t", frozenset(), (
         Sentence("s0", FeatureSet((Clause("c1", fine),), (fine,))),
-        Sentence("s1", FeatureSet((Clause(clause_id, soa, vp=vp),), (soa,)))))
+        Sentence("s1", FeatureSet((Clause("c1", soa, vp=vp),), (soa,)))))
 
 
 @pytest.mark.parametrize("document, problem", [
-    (sentence_with(clause_id=5), "first argument must be a string, not int"),
     (sentence_with(soa=StateOfAffairs("a1", "action")), "no attribute"),
     (sentence_with(vp=VerbFeatures(None)), "VerbFeatures"),
-], ids=["int-clause-id", "str-soa-type", "none-vp-flag"])
+], ids=["str-soa-type", "none-vp-flag"])
 def test_a_field_with_no_json_text_is_refused_naming_its_sentence(
         document, problem):
     with pytest.raises(ValidationError, match="^sentence s1: cannot be "
