@@ -66,7 +66,7 @@ from .model import (
     StateOfAffairs,
     TextSituation,
     ValidationError,
-    VerbFeatures,
+    VERB_FEATURES,
     DEFAULT_REGISTRY,
     all_names,
 )
@@ -77,9 +77,6 @@ _VP_KEYS = ("simplePast", "negated", "habitual", "modal", "pastPerfective",
 _VP_FIELDS = frozenset(_VP_KEYS)
 _ABSENT = (False,) * len(_VP_KEYS)
 _BOOLS = (bool,) * len(_VP_KEYS)
-# the 64 VerbFeatures values, each built once, by their flags in that order
-_VERB_FEATURES = {flags: VerbFeatures(*flags) for flags in itertools.product(
-    (False, True), repeat=len(_VP_KEYS))}
 _CONTEXT_SETS = ("lastSC", "previousSCs", "lastActiveCharacter")
 _BREAK_KEYS = frozenset({"kind"})
 _SENTENCE_KEYS = frozenset({"kind", "id", "text", "gold", "features"})
@@ -121,6 +118,9 @@ class Document:
             raise ValidationError("title must not hold a lone surrogate")
         roster, seen = self.roster, set()
         _check_names(roster, "roster ")  # every other name set is in it
+        if not isinstance(self.items, tuple):
+            raise ValidationError("items must be a tuple, not "
+                                  f"{type(self.items).__name__}")
         for i, item in enumerate(self.items):
             if not isinstance(item, Sentence):
                 if not isinstance(item, (ParagraphBreak, SceneBreak)):
@@ -550,7 +550,7 @@ def _parse_clause(raw, soas, sets) -> Clause:
         key = next(k for k, v in zip(_VP_KEYS, flags)
                    if not isinstance(v, bool))
         raise ValidationError(f": vp.{key} must be a boolean")
-    return Clause(clause_id, soas.get(soa, soa), under, _VERB_FEATURES[flags])
+    return Clause(clause_id, soas.get(soa, soa), under, VERB_FEATURES[flags])
 
 
 def _parse_pse(raw, registry, sets) -> Pse:
@@ -684,9 +684,7 @@ def validate_gold(document: Document) -> list[str]:
 
 def dumps_document(document: Document) -> str:
     """``json.dumps(..., indent=2, ensure_ascii=False)`` of the dict view,
-    written from the model, since that encoder indents in pure Python.  A
-    field of a type with no JSON text raises ValidationError naming its
-    sentence."""
+    written from the model, since that encoder indents in pure Python."""
     ctx = document.initial_context
     fields = [f'"title": {_string(document.title)}',
               f'"roster": {_names(document.roster, 1)}']
@@ -696,13 +694,8 @@ def dumps_document(document: Document) -> str:
             f'"situation": "{ctx.situation.value}"', *(
                 f'"{key}": {_names(names, 2)}'
                 for key, names in zip(_CONTEXT_SETS, sets))], 1, "{}"))
-    items = []
-    for item in document.items:
-        try:
-            items.append(_BREAKS.get(type(item)) or _sentence_json(item))
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ValidationError(f"sentence {item.id}: cannot be written: "
-                                  f"{exc}") from None
+    items = [_BREAKS.get(type(item)) or _sentence_json(item)
+             for item in document.items]
     fields.append(f'"items": {_json(items, 1)}')
     return _json(fields, 0, "{}")
 
@@ -730,7 +723,7 @@ _BREAKS = {kind: _json([f'"kind": "{name}"'], 2, "{}") for kind, name in (
 # the "vp" object of each of the 64 VerbFeatures values
 _VP_JSON = {vp: _json([f'"{key}": true' for key, on in zip(_VP_KEYS, flags)
                        if on], 6, "{}")
-            for flags, vp in _VERB_FEATURES.items()}
+            for flags, vp in VERB_FEATURES.items()}
 
 
 def _sentence_json(s: Sentence) -> str:

@@ -95,12 +95,13 @@ class Engine:
 
         A private state always does.  A private-state action does when
         its actors are all *qualified*: their subjective past is
-        significant under the policy.
+        significant under the policy.  ``qualified`` may be a view of a
+        fold's log, so it tests the subset by its own ``issuperset``.
         """
         if soa.type is SoaType.PRIVATE_STATE:
             return True
         return (soa.type is SoaType.PRIVATE_STATE_ACTION
-                and bool(soa.who) and soa.who <= qualified)
+                and bool(soa.who) and qualified.issuperset(soa.who))
 
     def choose_state_of_affairs(self, fs: FeatureSet, qualified: Characters
                                 ) -> tuple[StateOfAffairs, bool]:
@@ -241,27 +242,25 @@ class Engine:
         """Yield one step per item, carrying the engine's verdict.
 
         The context advances from that verdict, or from each sentence's
-        gold label when ``gold`` is set, and so does ``qualified``, the
-        set of characters whose subjective past is significant under
-        the policy.  ``live`` holds the characters of the item just
-        before when it was a subjective sentence, so under
-        ``min-length-2`` a character qualifies on the second sentence of
-        a run.  A subjective label counts as a represented thought when
-        nothing in the sentence states the private state outright: no
-        narrative parenthetical, and the chosen state of affairs is not
-        read as a private state.
+        gold label when ``gold`` is set.  Under ``any-previous-sc`` the
+        qualified characters are the context's ``previous_scs``; a
+        stricter policy grows its own ``qualified`` set.  ``live`` holds
+        the characters of the item just before when it was a subjective
+        sentence, so under ``min-length-2`` a character qualifies on the
+        second sentence of a run.  A subjective label counts as a
+        represented thought when nothing in the sentence states the
+        private state outright: no narrative parenthetical, and the
+        chosen state of affairs is not read as a private state.
         """
         policy = self.policy
-        # a frozenset, never a view: choose_state_of_affairs tests each
-        # candidate against it, which a frozenset does in C
-        qualified = (frozenset(context.previous_scs)
-                     if policy is _SP.ANY_PREVIOUS_SC else NOBODY)
-        live = NOBODY
+        own = policy is not _SP.ANY_PREVIOUS_SC
+        qualified = live = NOBODY
         for item in items:
             interpretation = detail = None
             if isinstance(item, Sentence):
                 fs = item.features
-                interpretation, detail = self.interpret(fs, context, qualified)
+                interpretation, detail = self.interpret(
+                    fs, context, qualified if own else context.previous_scs)
                 label = item.gold if gold else interpretation
                 if label is None:
                     raise ValidationError(
@@ -279,7 +278,7 @@ class Engine:
                         if not detail.fired:
                             gained = NOBODY
                     # steps share one set until someone new qualifies
-                    if not gained <= qualified:
+                    if own and not gained <= qualified:
                         qualified = qualified | gained
                     live = who
                 after = new_context(label, context)

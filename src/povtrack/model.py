@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Set
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice, repeat
+from itertools import islice, product, repeat
 
 
 class PovTrackError(Exception):
@@ -313,6 +313,13 @@ class VerbFeatures:
     progressive: bool = False
 
 
+# the 64 VerbFeatures values, each built once, by their flags in field
+# order; a parse shares them, so FeatureSet knows them by identity first
+VERB_FEATURES = {flags: VerbFeatures(*flags) for flags in product(
+    (False, True), repeat=len(VerbFeatures.__slots__))}
+_VERB_IDS = frozenset(map(id, VERB_FEATURES.values()))
+
+
 @dataclass(frozen=True, slots=True)
 class Clause:
     """One clause; ``under`` names the clauses it is subordinated to.
@@ -377,10 +384,20 @@ class FeatureSet:
             if not isinstance(soa.id, str):
                 raise ValidationError(
                     f"state-of-affairs id {soa.id!r} must be a string")
+            if not isinstance(soa.type, SoaType):
+                raise ValidationError(f"state of affairs {soa.id!r} has "
+                                      f"unknown type {soa.type!r}")
         for clause in clauses:
             if not isinstance(clause.id, str):
                 raise ValidationError(
                     f"clause id {clause.id!r} must be a string")
+            vp = clause.vp
+            if id(vp) not in _VERB_IDS and not (
+                    type(vp) is VerbFeatures and all(
+                        type(getattr(vp, flag)) is bool
+                        for flag in VerbFeatures.__slots__)):
+                raise ValidationError(f"clause {clause.id!r} has unknown "
+                                      f"verb features {vp!r}")
         # a list of one holds no duplicate, so only longer lists build sets
         by_id = len(clauses) > 1 and {c.id: c for c in clauses}
         for what, objects, ids in (

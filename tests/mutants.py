@@ -51,6 +51,12 @@ SEEN_LOG = (
     "tests/test_seen_log.py::"
     "test_resuming_from_an_older_step_changes_no_earlier_context",
 )
+QUALIFIED = (
+    "tests/test_seen_log.py::"
+    "test_the_fold_qualifies_characters_as_its_own_set_did",
+    "tests/test_seen_log.py::"
+    "test_interpret_is_given_the_steps_own_previous_scs",
+)
 LONE_SURROGATES = (
     "tests/test_corpus.py::"
     "test_lone_surrogate_is_a_parse_error_naming_the_field",
@@ -90,6 +96,13 @@ MUTANTS = (
            "                after = new_context_after_break(item, context)\n",
            ("tests/test_engine.py::"
             "test_history_runs_end_at_breaks_and_other_characters",)),
+    # under any-previous-sc the qualified set is the context's previous_scs
+    Mutant("fold: its own set passed under any-previous-sc", ENGINE,
+           "fs, context, qualified if own else context.previous_scs)",
+           "fs, context, qualified)", QUALIFIED),
+    Mutant("fold: previous_scs passed under the wrong policy", ENGINE,
+           "own = policy is not _SP.ANY_PREVIOUS_SC",
+           "own = policy is not _SP.MIN_LENGTH_2", QUALIFIED),
     # each actuality condition of the active character
     Mutant("active character: simple past not required", ENGINE, ACTIVE,
            ACTIVE.replace("vp.simple_past and ", ""),

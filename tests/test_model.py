@@ -24,6 +24,7 @@ from povtrack import (
     StateOfAffairs,
     TextSituation,
     ValidationError,
+    VerbFeatures,
     dumps_document,
     parse_document,
     parse_registry,
@@ -475,7 +476,8 @@ def non_str_ids():
 
 # hand-built objects the parser never builds, each of which raised
 # TypeError or AttributeError: a clause id that is not a str was sorted to
-# name it, and a Sentence's features were read as a FeatureSet
+# name it, a Sentence's features were read as a FeatureSet, and the writer
+# or the tracker read a state of affairs' type or a clause's vp
 CRASHES = {
     "cycle-through-an-int-id": (partial(FeatureSet, (
         Clause("m", A1), Clause(5, A1, frozenset({"c"})),
@@ -513,6 +515,27 @@ CRASHES = {
                     "text must be a string or None, not 5"),
     "text-bytes": (partial(Sentence, "s1", S1.features, text=b"x"),
                    "text must be a string or None, not b'x'"),
+    # a str type never is a SoaType, so it was also tracked as objective
+    "str-soa-type": (partial(FeatureSet, (Clause("m", TYPED := StateOfAffairs(
+        "a1", "action")),), (TYPED,)),
+        "state of affairs 'a1' has unknown type 'action'"),
+    "none-vp-flag": (partial(FeatureSet, (Clause("m", A1, vp=VerbFeatures(
+        None)),), ACTION), "clause 'm' has unknown verb features "
+        "VerbFeatures(simple_past=None, negated=False, habitual=False, "
+        "modal=False, past_perfective=False, progressive=False)"),
+    "int-vp-flag": (partial(FeatureSet, (Clause("m", A1, vp=VerbFeatures(
+        modal=1)),), ACTION), "clause 'm' has unknown verb features "
+        "VerbFeatures(simple_past=False, negated=False, habitual=False, "
+        "modal=1, past_perfective=False, progressive=False)"),
+    "none-vp": (partial(FeatureSet, (Clause("m", A1, vp=None),), ACTION),
+                "clause 'm' has unknown verb features None"),
+    # a generator was used up by the checks, so the document tracked and
+    # dumped as empty; a list made it unhashable, unequal to its dump
+    "items-a-generator": (lambda: Document(
+        "t", frozenset(), (item for item in (S1,))),
+        "items must be a tuple, not generator"),
+    "items-a-list": (partial(Document, "t", frozenset(), [S1]),
+                     "items must be a tuple, not list"),
     **{name: (build, message) for name, build, message in non_str_ids()},
 }
 

@@ -1,8 +1,11 @@
 """A fold keeps the characters seen subjective as views of one log
 (``grow``) once they are more than ``SMALL``; each view must stand for
 exactly the frozenset the union ``previous | who`` made, whatever grew
-after it.  Most tests run twice: as the fold runs, and with ``SMALL``
-at 0, so that every growth makes a view even in a small cast."""
+after it.  Under ``any-previous-sc`` the fold hands that same set to
+``interpret`` as the qualified characters; a fold that keeps a frozenset
+of its own is the oracle there.  Most tests run twice: as the fold runs,
+and with ``SMALL`` at 0, so that every growth makes a view even in a
+small cast."""
 
 import gc
 import tracemalloc
@@ -24,15 +27,20 @@ from povtrack import (
     SoaType,
     StateOfAffairs,
     TextSituation,
+    TrackStep,
+    ValidationError,
+    new_context,
+    new_context_after_break,
 )
 from povtrack import engine as engine_module
 from povtrack import model
 from povtrack.model import SeenCharacters, grow
 from conftest import DATA, fixture_doc
-from test_properties import contexts, streams
+from test_properties import character_sets, contexts, feature_sets, streams
 
 FIXTURES = sorted(path.stem for path in DATA.glob("*.json"))
 POLICIES = list(SignificancePolicy)
+_SP = SignificancePolicy
 LIMITS = (model.SMALL, 0)
 limits = pytest.mark.parametrize("limit", LIMITS,
                                  ids=["as-run", "views-only"])
@@ -174,6 +182,145 @@ def test_resuming_from_an_older_step_changes_no_earlier_context(
                                                steps[k].before, False),
                          names | names_of(resumed))
     assert_agree(steps, expected, names)
+
+
+# -- the qualified characters: previous_scs itself under any-previous-sc ------
+
+
+def own_qualified_fold(engine, items, context, gold):
+    """``Engine._fold`` as it was when it kept the qualified characters in
+    a frozenset of its own under every policy, a new union per growth."""
+    policy = engine.policy
+    qualified = (frozenset(context.previous_scs)
+                 if policy is _SP.ANY_PREVIOUS_SC else NOBODY)
+    live = NOBODY
+    for item in items:
+        interpretation = detail = None
+        if isinstance(item, Sentence):
+            fs = item.features
+            interpretation, detail = engine.interpret(fs, context, qualified)
+            label = item.gold if gold else interpretation
+            if label is None:
+                raise ValidationError(f"sentence {item.id} has no gold label")
+            if not label.subjective:
+                live = NOBODY
+            else:
+                who = gained = label.characters
+                if policy is _SP.MIN_LENGTH_2:
+                    gained = who & live
+                elif policy is _SP.CONTAINS_REPRESENTED_THOUGHT:
+                    if detail.reads_private or fs.parenthetical is not None:
+                        gained = NOBODY
+                elif policy is _SP.CONTAINS_SUBJECTIVE_ELEMENT:
+                    if not detail.fired:
+                        gained = NOBODY
+                if not gained <= qualified:
+                    qualified = qualified | gained
+                live = who
+            after = new_context(label, context)
+        else:
+            after = new_context_after_break(item, context)
+            live = NOBODY
+        yield TrackStep(item, context, after, interpretation, detail)
+        context = after
+
+
+def check_qualified(engine, items, context, gold):
+    """The fold's steps equal the own-set fold's; returns them."""
+    steps = list(engine._fold(items, context, gold))
+    assert steps == list(own_qualified_fold(engine, items, context, gold))
+    return steps
+
+
+@limits
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+@pytest.mark.parametrize("name", FIXTURES)
+def test_the_fold_qualifies_characters_as_its_own_set_did(name, policy,
+                                                          limit):
+    """``track`` and both folds of ``evaluate``, in one pass and resumed
+    from each step's context."""
+    document = fixture_doc(name)
+    engine = Engine(policy=policy)
+    items = document.items
+    golds = (False, True) if all(
+        s.gold is not None for s in document.sentences()) else (False,)
+    with small(limit):
+        for gold in golds:
+            steps = check_qualified(engine, items, document.initial_context,
+                                    gold)
+            if not gold:
+                assert engine.track(items, document.initial_context) == steps
+            for k, step in enumerate(steps):
+                check_qualified(engine, items[k:], step.before, gold)
+
+
+# more names than SMALL: a fold's first growth of them starts a log
+CROWD = frozenset(f"x{i:02}" for i in range(model.SMALL + 1))
+
+
+@settings(max_examples=80)
+@given(streams(), contexts())
+def test_the_fold_qualifies_characters_as_its_own_set_did_over_streams(
+        items, context):
+    """Past SMALL names, from a frozenset that grows into a view, and
+    from a view."""
+    for previous in (CROWD | context.previous_scs,
+                     grow(CROWD, context.previous_scs | {"Zed"})):
+        crowded = Context(context.last_sc, context.last_active_character,
+                          previous, context.situation)
+        for policy in POLICIES:
+            check_qualified(Engine(policy=policy), items, crowded, False)
+    assert type(crowded.previous_scs) is SeenCharacters
+
+
+class Recording(Engine):
+    """An engine that keeps the context and the qualified set of each
+    interpret call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def interpret(self, fs, context, qualified):
+        self.calls.append((context, qualified))
+        return super().interpret(fs, context, qualified)
+
+
+@limits
+@pytest.mark.parametrize("name", FIXTURES)
+def test_interpret_is_given_the_steps_own_previous_scs(name, limit):
+    """Under any-previous-sc the fold holds no set of its own: each
+    interpret call gets its step's ``before.previous_scs`` object."""
+    document = fixture_doc(name)
+    for gold in (False, True):
+        if gold and any(s.gold is None for s in document.sentences()):
+            continue
+        engine = Recording()
+        with small(limit):
+            steps = list(engine._fold(document.items,
+                                      document.initial_context, gold))
+        befores = [step.before for step in steps
+                   if isinstance(step.item, Sentence)]
+        assert len(engine.calls) == len(befores)
+        for (context, qualified), before in zip(engine.calls, befores):
+            assert context is before
+            assert qualified is before.previous_scs
+
+
+@settings(max_examples=150)
+@given(feature_sets(), contexts(), character_sets, character_sets)
+def test_interpret_reads_a_view_as_its_frozenset(fs, context, older_names,
+                                                  head_names):
+    with small(0):
+        older = grow(NOBODY, older_names | {"Zed"})
+        head = grow(older, head_names | {"Zoe"})  # older is no longer head
+    assert "Zoe" not in older
+    for policy in POLICIES:
+        engine = Engine(policy=policy)
+        for view in (older, head):
+            assert type(view) is SeenCharacters
+            assert (engine.interpret(fs, context, view)
+                    == engine.interpret(fs, context, frozenset(view)))
 
 
 # -- the view itself -----------------------------------------------------------

@@ -24,7 +24,6 @@ from povtrack import (
     SoaType,
     StateOfAffairs,
     TextSituation,
-    ValidationError,
     VerbFeatures,
     dumps_document,
     parse_document,
@@ -222,24 +221,3 @@ def test_any_document_is_written_as_json_dumps_writes_it(document):
         for pse in sentence.features.pses:
             registry[pse.category.name] = pse.category
     check_written(document, registry)
-
-
-# -- fields of a type the schema has no text for -----------------------------
-
-
-def sentence_with(soa=StateOfAffairs("a1", SoaType.ACTION), vp=VerbFeatures()):
-    fine = StateOfAffairs("a1", SoaType.ACTION)
-    return Document("t", frozenset(), (
-        Sentence("s0", FeatureSet((Clause("c1", fine),), (fine,))),
-        Sentence("s1", FeatureSet((Clause("c1", soa, vp=vp),), (soa,)))))
-
-
-@pytest.mark.parametrize("document, problem", [
-    (sentence_with(soa=StateOfAffairs("a1", "action")), "no attribute"),
-    (sentence_with(vp=VerbFeatures(None)), "VerbFeatures"),
-], ids=["str-soa-type", "none-vp-flag"])
-def test_a_field_with_no_json_text_is_refused_naming_its_sentence(
-        document, problem):
-    with pytest.raises(ValidationError, match="^sentence s1: cannot be "
-                       f"written: .*{problem}"):
-        dumps_document(document)
