@@ -24,9 +24,10 @@ A document is JSON text, or bytes in UTF-8 (or UTF-16/32):
             "pses":    [{"id": str, "category": str, "under": [str]}]}}]}
 
 Absent lists and "vp" are empty, absent flags false; sentence ids are
-unique per document, other ids per list.  Undecodable input (a
-string holding a lone surrogate included), or a document that is not
-an object, raises ParseError; any other fault a ValidationError
+unique per document, other ids per list.  Text that is not JSON, or
+does not decode (a string holding a lone surrogate included), raises
+ParseError worded as the json module words it; so does a document that
+is not an object.  Any other fault raises a ValidationError
 (RegistryError in a registry) that names its place.
 
 A registry file is a JSON object mapping a category name to
@@ -90,10 +91,11 @@ _PSE_KEYS = frozenset({"id", "category", "under"})
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 # the stdlib scanner, which decodes the one JSON value at an index, and
-# the first character after the whitespace JSON allows between tokens
+# the first character after the whitespace JSON allows between tokens,
+# or a trailing comma with the "]" after it, which Pythons word apart
 _SCAN = json.JSONDecoder().scan_once
 _SPACE = json.decoder.WHITESPACE.pattern
-_TOKEN = re.compile(f"{_SPACE}(.?){_SPACE}", re.DOTALL).match
+_TOKEN = re.compile(f"{_SPACE}(,{_SPACE}]|.?){_SPACE}", re.DOTALL).match
 _TOP_KEYS = frozenset({"title", "roster", "preamble", "items"})
 _STR = itertools.repeat(str)  # isinstance's second argument, for map
 # each member by its value, as Enum(value) finds it
@@ -169,7 +171,7 @@ class Document:
 
 
 def parse_registry(text: str | bytes) -> dict[str, PseCategory]:
-    data = _decode(text, "registry: ", _reject_duplicate_keys)
+    data = _Text(text, "registry: ", _REGISTRY_SCAN).value()
     if not isinstance(data, dict):
         raise RegistryError("registry: top level must be a JSON object")
     registry = dict(DEFAULT_REGISTRY)
@@ -202,38 +204,8 @@ def _reject_duplicate_keys(pairs):
     return out
 
 
-def _decode(raw, where, object_pairs_hook=None):
-    """``json.loads``, raising ParseError for bad syntax and equally for
-    bytes that are not UTF-8, too-long numbers, too-deep nesting and
-    strings holding a lone surrogate, which no output could encode."""
-    try:
-        text = _text(raw)
-        data = json.loads(text, object_pairs_hook=object_pairs_hook)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{where}invalid JSON at line {exc.lineno}, "
-                         f"column {exc.colno}: {exc.msg}") from None
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"{where}cannot decode JSON: {exc}") from None
-    # only a possible lone surrogate walks the decoded value
-    if _may_hold_lone_surrogate(raw, text):
-        _reject_lone_surrogates(data, where)
-    return data
-
-
-def _text(raw):
-    """The JSON text of bytes, decoded strictly, unlike json.loads: UTF-8
-    has no encoded surrogates.  Anything else is returned as it is."""
-    if isinstance(raw, (bytes, bytearray)):
-        return raw.decode(json.detect_encoding(raw))
-    return raw
-
-
-def _may_hold_lone_surrogate(raw, text) -> bool:
-    """One scan for an escape that could spell a lone surrogate.  The
-    code point itself can only be in a str the caller passed, since
-    decoding bytes strictly refuses it."""
-    return bool(_SURROGATE_ESCAPE.search(text) or (
-        text is raw and not text.isascii() and _SURROGATE.search(text)))
+_REGISTRY_SCAN = json.JSONDecoder(
+    object_pairs_hook=_reject_duplicate_keys).scan_once
 
 
 def _reject_lone_surrogates(data, where, place="") -> None:
@@ -274,22 +246,43 @@ def parse_document(text: str | bytes,
     element holds the ``PseCategory``, and a name the registry lacks is
     refused.
 
-    The items are decoded and built one at a time, so the decoded JSON
-    of the whole document is never held at once, nor, for bytes, the
-    whole decoded text, and the first fault met is raised: a bad registry
-    first, then the faults of the text in the order it is read (see
-    ``_document``).  Only text that is not one JSON object of the known
-    fields is decoded whole, to word its fault.
+    Items are decoded and built one at a time, so neither the document's
+    decoded JSON nor, for bytes, its decoded text is held whole (see
+    ``_Text``).  The first fault met is raised: a bad registry, the
+    text's faults as it is read, a top level other than an object of the
+    known fields (items after an unknown one are decoded, not built), then
+    the roster, "items" not an array, the preamble, title and ``Document``.
     """
     registry = _checked_registry(registry)
-    try:
-        return _parse_by_item(text, registry)
-    except (ValueError, StopIteration, RecursionError):
-        data = _decode(text, "")
-        if not isinstance(data, dict):
-            raise ParseError("top level must be a JSON object") from None
-        _object(data, _TOP_KEYS, "top level")
-        raise
+    text, sets, fields = _Text(text, ""), _Shared(), {}
+    if text.first != "{":
+        text.value()
+        raise ParseError("top level must be a JSON object")
+    head = ""  # the scanner's stand-in for the object before the token
+    token = text.token() if text.startswith("}") else ","
+    while token == ",":
+        if not text.startswith('"'):
+            text.fault(head)
+        key = text.scan()
+        if text.token() != ":":
+            text.fault('{""')
+        # a field read again replaces the first, as in the json module
+        if key == "items" and text.startswith("[") and (
+                fields.keys() <= _TOP_KEYS):
+            fields[key] = _scan_items(text, registry, sets)
+        else:
+            fields[key] = value = text.scan()
+            if text.check:
+                _reject_lone_surrogates({key: value}, "")
+        token, head = text.token(), '{"":null'
+    if token != "}":
+        text.fault(head)
+    text.end()
+    _object(fields, _TOP_KEYS, "top level")
+    roster = _characters(fields.get("roster", []), "roster", sets)
+    items = tuple(_array(fields.get("items", []), "items"))
+    initial = _parse_preamble(fields.get("preamble"), sets)
+    return Document(fields.get("title", ""), roster, items, initial)
 
 
 def load_document(path,
@@ -298,54 +291,19 @@ def load_document(path,
         return parse_document(handle.read(), registry)
 
 
-def _parse_by_item(raw, registry) -> Document:
-    """The document of JSON text, each item decoded and built on its own.
-    A fault in a value it reads raises its PovTrackError; text that is not
-    plainly one JSON object of the known fields raises ValueError,
-    StopIteration or RecursionError.  Bytes are decoded a window at a
-    time (see ``_Text``)."""
-    text = _Text(raw)
-    sets, fields = _Shared(), {}
-    if text.token() != "{":
-        raise ValueError("not plainly a JSON object")
-    # the first field is read as the others are, unless the object is empty
-    token = text.token() if text.startswith("}") else ","
-    while token == ",":
-        if not text.startswith('"'):
-            raise ValueError("not plainly a field name")
-        key = text.scan()
-        if text.token() != ":" or key not in _TOP_KEYS:
-            raise ValueError(f"not plainly a top-level field {key!r}")
-        # a field read again replaces the first, as json.loads keeps the
-        # last of duplicate keys; "items" other than an array is refused
-        # once all the fields are read
-        if key == "items" and text.startswith("["):
-            fields[key] = _scan_items(text, registry, sets)
-        else:
-            fields[key] = text.scan()
-            if text.check:
-                _reject_lone_surrogates(fields[key], "", key)
-        token = text.token()
-    if token != "}" or text.token():
-        raise ValueError("not plainly one JSON object")
-    return _document(fields, sets)
-
-
 def _scan_items(text, registry, sets) -> list:
     """The items of the JSON array next in ``text``, read past it and the
-    whitespace after it.  Each item is decoded on its own, walked by its
-    ``text.check`` for a lone surrogate and built once the next is read:
-    its decoded JSON is freed soon after, and a stray bracket that cuts
-    it short is met as the syntax fault that follows it."""
-    token = text.token()  # the "["
+    whitespace after it.  Each item is decoded on its own, walked for a
+    lone surrogate and built once the next is read: its decoded JSON is
+    freed soon after, and a syntax fault right after it is met first."""
+    text.token()  # the "["
     items, held = [], []
-    if text.startswith("]"):
-        token = text.token()
+    token = text.token() if text.startswith("]") else ","
     while token != "]":
         held.append((text.scan(), text.check))
         token = text.token()
         if token not in (",", "]"):
-            raise ValueError("items: not plainly an array")
+            text.fault("[null")
         # the item before this one, or every item at the "]"
         while len(held) > (token == ","):
             (raw, check), where = held.pop(0), f"items[{len(items)}]"
@@ -364,34 +322,59 @@ class _Text:
     bytes decoded strictly a window at a time.  A read that the window's
     end may have cut short is retried on a wider window, and the text
     read before it is then dropped.  ``check`` is true once the text read
-    holds an escape that could spell a lone surrogate."""
+    holds an escape that could spell a lone surrogate.  A fault raises
+    ParseError worded, and placed, as the json module words it in the
+    strictly decoded text: ``at`` is where the last token read sits, and
+    ``lines`` and ``last`` count and place the line breaks dropped."""
 
-    def __init__(self, raw):
-        self.pos = self.offset = 0
+    def __init__(self, raw, where, scanner=_SCAN):
+        self.pos = self.offset = self.lines = 0
+        self.last, self.where, self.scanner = -1, where, scanner
         if isinstance(raw, str):
             self.text, self.raw = raw, None
-            self.check = _may_hold_lone_surrogate(raw, raw)
+            self.check = bool(_SURROGATE_ESCAPE.search(raw) or (
+                not raw.isascii() and _SURROGATE.search(raw)))
         elif isinstance(raw, (bytes, bytearray)):
             self.text, self.raw, self.check = "", raw, False
-            self.decode = codecs.getincrementaldecoder(
-                json.detect_encoding(raw))().decode
+            encoding = json.detect_encoding(raw)
+            # bytes.decode places a fault from after a UTF-8 BOM
+            self.offset = self.skip = 3 if encoding == "utf-8-sig" else 0
+            self.decoder = codecs.getincrementaldecoder(
+                encoding.removesuffix("-sig"))()
         else:
-            raise ValueError("not JSON text")
+            raise TypeError("the JSON object must be str, bytes or "
+                            f"bytearray, not {type(raw).__name__}")
+        self.first = self.token()  # the json module refuses a leading BOM
+        if self.first == "\ufeff" and not self.at:
+            self.fail(json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", "", 0))
 
     def _more(self) -> bool:
         """Decode the next window after the unread text, at least twice
         that text's length, so that a long value is read in O(n); false
         once the input is used up."""
-        raw, start = self.raw, self.offset
+        raw, start, text, pos = self.raw, self.offset, self.text, self.pos
         if raw is None:
             return False
+        found = text.rfind("\n", 0, pos)
+        self.lines += found >= 0 and text.count("\n", 0, pos)
+        self.last = (self.last if found < 0 else found) - pos
         self.text, self.pos = self.text[self.pos:], 0  # drop the text read
         tail = len(self.text)
         self.offset = end = start + max(_WINDOW, 2 * tail)
         if end >= len(raw):
             self.raw = None
-        # sliced, not viewed: a view would pin a bytearray's size
-        self.text += self.decode(raw[start:end], self.raw is None)
+        try:
+            # sliced, not viewed: a view would pin a bytearray's size
+            self.text += self.decoder.decode(raw[start:end], self.raw is None)
+        except UnicodeDecodeError as exc:
+            # the decoder had held back the bytes of a character cut short
+            at = exc.start + start - len(self.decoder.getstate()[0])
+            at, size = at - self.skip, exc.end - exc.start
+            bad = (f"byte 0x{exc.object[exc.start]:02x} in position {at}"
+                   if size == 1 else f"bytes in position {at}-{at + size - 1}")
+            self.fail(ValueError(f"'{exc.encoding}' codec can't decode {bad}: "
+                                 f"{exc.reason}"))
         # from 5 characters back, so an escape cut by the window is found
         self.check = self.check or bool(_SURROGATE_ESCAPE.search(
             self.text, max(0, tail - 5)))
@@ -402,28 +385,77 @@ class _Text:
         return self.text.startswith(char, self.pos)
 
     def token(self) -> str:
-        """The character after the whitespace at ``pos`` ("" at the end);
-        ``pos`` moves past it and the whitespace after it."""
+        """The token after the whitespace at ``pos`` ("" at the end), at
+        ``at``; ``pos`` moves past it and the whitespace after it."""
         while True:
             found = _TOKEN(self.text, self.pos)
             if found.end() < len(self.text) or not self._more():
-                self.pos = found.end()
+                self.pos, self.at = found.end(), found.start(1)
                 return found[1]
 
     def scan(self):
         """The JSON value at ``pos``, which moves past it.  A number cut
         by the window's end still decodes, as 1 of 1.5 or 1e+5: a value is
-        taken only with three characters after it, or at the input's end."""
+        taken only with three characters after it, or at the input's end.
+        A fault is raised once more text could not change it."""
         while True:
             try:
-                value, end = _SCAN(self.text, self.pos)
-            except (ValueError, StopIteration):
-                if not self._more():
-                    raise
+                value, end = self.scanner(self.text, self.pos)
+            except (ValueError, StopIteration, RecursionError) as exc:
+                if self._settled(exc) or not self._more():
+                    self.fail(exc)
                 continue
             if end + 3 <= len(self.text) or not self._more():
                 self.pos = end
                 return value
+
+    def _settled(self, exc) -> bool:
+        """Whether more text would leave a fault as it is.  The scanner looks
+        9 characters past one (-Infinity), unterminated strings aside, and
+        an integer's digit count may grow if the text ends in 1, 1. or 1e-."""
+        if isinstance(exc, StopIteration):
+            return exc.value + 16 <= len(self.text)
+        if isinstance(exc, json.JSONDecodeError):
+            return (not exc.msg.startswith("Unterminated string")
+                    and exc.pos + 16 <= len(self.text))
+        return not re.search(r"[0-9](\.|[eE][-+]?)?\Z", self.text[-3:])
+
+    def value(self):
+        """The one JSON value from the last token to the text's end."""
+        self.pos = self.at
+        value = self.scan()
+        self.end()
+        if self.check:
+            _reject_lone_surrogates(value, self.where)
+        return value
+
+    def end(self) -> None:
+        if self.token():
+            self.fail(json.JSONDecodeError("Extra data", "", self.at))
+
+    def fault(self, head) -> None:
+        """Raise the fault the scanner meets in ``head``, a stand-in for
+        the container read so far that no token extends, and the text
+        from the last token on."""
+        try:
+            _SCAN(head + self.text[self.at:], 0)
+        except (ValueError, StopIteration) as exc:
+            self.fail(exc, self.at - len(head))
+        raise AssertionError(f"{head!r} and the text after it scanned")
+
+    def fail(self, exc, shift=0) -> None:
+        """Raise the ParseError of a fault the scanner raised, placed
+        ``shift`` characters on in the window."""
+        if isinstance(exc, StopIteration):
+            exc = json.JSONDecodeError("Expecting value", "", exc.value)
+        message = f"cannot decode JSON: {exc}"
+        if isinstance(exc, json.JSONDecodeError):
+            place = exc.pos + shift
+            found = self.text.rfind("\n", 0, place)
+            line = self.lines + self.text.count("\n", 0, place) + 1
+            col = place - (self.last if found < 0 else found)
+            message = f"invalid JSON at line {line}, column {col}: {exc.msg}"
+        raise ParseError(self.where + message) from None
 
 
 def _checked_registry(registry) -> dict[str, PseCategory]:
@@ -436,17 +468,6 @@ def _checked_registry(registry) -> dict[str, PseCategory]:
             raise RegistryError(f"registry: {name!r} must map to a "
                                 f"PseCategory named {name!r}")
     return registry
-
-
-def _document(fields, sets) -> Document:
-    """The document of its top-level fields, decoded but for the items,
-    which are built, and each item's faults raised, as they are read.
-    The other checks run in this order: roster, "items" is an array,
-    preamble, title, then those of ``Document``."""
-    roster = _characters(fields.get("roster", []), "roster", sets)
-    items = tuple(_array(fields.get("items", []), "items"))
-    initial = _parse_preamble(fields.get("preamble"), sets)
-    return Document(fields.get("title", ""), roster, items, initial)
 
 
 def _parse_preamble(raw, sets) -> Context:

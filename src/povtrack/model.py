@@ -460,6 +460,9 @@ class FeatureSet:
                 raise ValidationError(
                     f"headNounPrivateState {head.id!r} must be a "
                     "private-state state of affairs")
+        if type(self.quoted_speech) is not bool:
+            raise ValidationError("quoted_speech must be a bool, not "
+                                  f"{self.quoted_speech!r}")
         if self.quoted_speech and mains[0].soa.type is not SoaType.ACTION:
             raise ValidationError(
                 "quoted speech must be about a communicative action (main "
@@ -556,6 +559,9 @@ class Sentence:
         if not (self.gold is None or isinstance(self.gold, Interpretation)):
             raise ValidationError("gold must be an Interpretation or None, "
                                   f"not {self.gold!r}")
+        if self.gold is not None and type(self.gold.subjective) is not bool:
+            raise ValidationError("gold.subjective must be a bool, not "
+                                  f"{self.gold.subjective!r}")
         if not isinstance(self.id, str) or not self.id:
             raise ValidationError("sentence id must be a non-empty string")
         # the id heads a tab-separated verdict line, which it must not split

@@ -61,6 +61,9 @@ LONE_SURROGATES = (
     "tests/test_corpus.py::"
     "test_lone_surrogate_is_a_parse_error_naming_the_field",
 )
+# the check that a digit-limit fault is final
+DIGITS_SETTLED = ('        return not re.search(r"[0-9](\\.|[eE][-+]?)?\\Z", '
+                  "self.text[-3:])\n")
 ACTIVE = ("if vp.simple_past and not vp.negated and not vp.habitual "
           "and not vp.modal:")
 
@@ -156,7 +159,7 @@ MUTANTS = (
            "                pass\n", LONE_SURROGATES),
     Mutant("parse: a top-level field not walked for a lone surrogate",
            CORPUS,
-           '                _reject_lone_surrogates(fields[key], "", key)\n',
+           '                _reject_lone_surrogates({key: value}, "")\n',
            "                pass\n", LONE_SURROGATES),
     # a parse gives each distinct gold label one Interpretation, and the
     # tracker one objective verdict with no active character
@@ -188,6 +191,32 @@ MUTANTS = (
            "        pass\n",
            ("tests/test_streaming.py::"
             "test_a_parse_of_bytes_never_holds_the_whole_decoded_text",)),
+    # a fault met a window at a time is worded and placed as the whole
+    # decode words it, and only once more text could not change it
+    Mutant("window: the line breaks dropped are not counted", CORPUS,
+           '        self.lines += found >= 0 and text.count("\\n", 0, pos)\n',
+           "        pass\n",
+           ("tests/test_streaming.py::"
+            "test_a_fault_read_a_window_at_a_time_is_worded_alike",)),
+    Mutant("window: an unterminated string's fault taken as final", CORPUS,
+           '            return (not exc.msg.startswith("Unterminated string")'
+           "\n                    and exc.pos",
+           "            return (exc.pos",
+           ("tests/test_streaming.py::"
+            "test_a_string_cut_by_a_window_is_read_whole",)),
+    Mutant("window: the digit limit raised without a retry", CORPUS,
+           DIGITS_SETTLED, "        return True\n",
+           ("tests/test_streaming.py::"
+            "test_a_number_of_too_many_digits_cut_by_a_window_keeps_its_count",
+            )),
+    Mutant("window: the digit limit retried to the input's end", CORPUS,
+           DIGITS_SETTLED, "        return False\n",
+           ("tests/test_streaming.py::"
+            "test_an_early_fault_is_met_before_the_rest_is_decoded",)),
+    Mutant("fault: a stand-in for the items that a number's fraction extends",
+           CORPUS, 'text.fault("[null")', 'text.fault("[0")',
+           ("tests/test_streaming.py::"
+            "test_a_fault_is_reported_as_the_whole_decode_reports_it",)),
 )
 
 

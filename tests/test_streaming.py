@@ -1,17 +1,21 @@
-"""parse_document decodes a document one item at a time and words each
-fault it meets itself.  The oracle here is the reading it replaced:
-decode the whole text, then build the document from the decoded JSON.
-The two must accept the same documents, and word every single fault
-alike; with several faults, parse_document reports the first it meets.
-Bytes are decoded a window at a time, and the window's size changes
-neither the document nor the fault."""
+"""parse_document decodes a document one item at a time, and
+parse_registry a registry a window at a time, and each words every fault
+it meets itself.  The oracle here is the reading they replaced: decode
+the whole text with json.loads, then build the document from the decoded
+JSON.  The two must accept the same documents, and word every single
+fault alike; with several faults, parse_document reports the first it
+meets.  Bytes are decoded a window at a time, and the window's size
+changes neither the document nor the fault."""
 
 import contextlib
+import gc
 import json
+import re
+import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import povtrack.corpus as corpus
@@ -23,14 +27,33 @@ from povtrack import (
     SceneBreak,
     ValidationError,
     parse_document,
+    parse_registry,
 )
 from conftest import DATA, fixture_json, renamed
 from test_corpus import LONE_SURROGATES, MESSAGES, with_fault
-from test_fuzz import corrupt_bytes, set_anywhere
+from test_fuzz import corrupt_bytes, set_anywhere, unknown_keys
 from test_properties import NAMES, streams
 from test_writer import oracle_dict
 
 FIXTURES = sorted(path.stem for path in DATA.glob("*.json"))
+
+
+def decode(raw, where="", object_pairs_hook=None):
+    """The oracle's decode: json.loads of the text, bytes decoded
+    strictly and whole first.  Bad syntax, bytes that do not decode,
+    too-long numbers, too-deep nesting and strings holding a lone
+    surrogate raise ParseError."""
+    try:
+        text = (raw.decode(json.detect_encoding(raw))
+                if isinstance(raw, (bytes, bytearray)) else raw)
+        data = json.loads(text, object_pairs_hook=object_pairs_hook)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}invalid JSON at line {exc.lineno}, "
+                         f"column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{where}cannot decode JSON: {exc}") from None
+    corpus._reject_lone_surrogates(data, where)
+    return data
 
 
 def whole_document(data, registry=None):
@@ -54,9 +77,24 @@ def whole(text, registry=None):
     """The oracle's document of the whole decoded text, or the type and
     message of the fault it reports."""
     try:
-        return whole_document(corpus._decode(text, ""), registry)
+        return whole_document(decode(text), registry)
     except PovTrackError as exc:
         return type(exc), str(exc)
+
+
+def peak(parse, text):
+    """The tracemalloc peak of ``parse(text)``, in bytes.  Garbage left
+    by earlier tests is collected first, and the collector is paused
+    while tracing, so that the figure does not depend on when it runs."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        parse(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
 def by_item(text, registry=None):
@@ -64,14 +102,6 @@ def by_item(text, registry=None):
         return parse_document(text, registry)
     except PovTrackError as exc:
         return type(exc), str(exc)
-
-
-@pytest.fixture
-def no_whole_decode(monkeypatch):
-    """Fails any parse that falls back to decoding the whole text."""
-    def refuse(*args):
-        raise AssertionError("the whole text was decoded")
-    monkeypatch.setattr(corpus, "_decode", refuse)
 
 
 def layouts(data):
@@ -93,16 +123,14 @@ def layouts(data):
 
 
 @pytest.mark.parametrize("name", FIXTURES)
-def test_each_fixture_in_each_layout_reads_as_the_whole_decode(
-        name, no_whole_decode):
+def test_each_fixture_in_each_layout_reads_as_the_whole_decode(name):
     data = fixture_json(name)
     expected = whole_document(data)
     for layout, text in layouts(data):
         assert parse_document(text) == expected, layout
 
 
-def test_a_document_without_some_fields_reads_as_the_whole_decode(
-        no_whole_decode):
+def test_a_document_without_some_fields_reads_as_the_whole_decode():
     for text in ["{}", " { } ", '{"items": []}', '{"items": [ ]}',
                  '{"title": "t", "roster": ["Zoe"]}']:
         assert parse_document(text) == whole_document(json.loads(text))
@@ -157,6 +185,10 @@ def spaced_kind_and_nul(past):
         '"kind": "sentence"', '"kind": " entence"', 1)
 
 
+# Python 3.13 words a trailing comma itself, where older ones meet the
+# "]" or "}" after it as the fault
+TRAILING_COMMA = sys.version_info >= (3, 13)
+
 # input read as the whole decode reads it, pinned
 FALLBACKS = {
     "trailing-data": (MINI + " x", ParseError,
@@ -170,9 +202,11 @@ FALLBACKS = {
                              ParseError, "invalid JSON at line 48, column 7: "
                              "Expecting property name enclosed in double "
                              "quotes"),
-    "trailing-comma-in-items": (MINI.replace("}\n  ]\n}", "},\n  ]\n}"),
-                                ParseError, "invalid JSON at line 1456, "
-                                "column 3: Expecting value"),
+    "trailing-comma-in-items": (
+        MINI.replace("}\n  ]\n}", "},\n  ]\n}"), ParseError,
+        "invalid JSON at line 1455, column 6: Illegal trailing comma before "
+        "end of array" if TRAILING_COMMA else
+        "invalid JSON at line 1456, column 3: Expecting value"),
     "item-fault": (BAD_KIND, corpus.ValidationError,
                    "items[0]: unknown kind 'x'"),
     "unknown-field": (MINI[:ITEMS] + '"notes": 1, ' + MINI[ITEMS:],
@@ -211,9 +245,25 @@ FALLBACKS = {
     "an-array-as-a-field-name": (
         '{"title": "x", ["a"]: 1}', ParseError, "invalid JSON at line 1, "
         "column 16: Expecting property name enclosed in double quotes"),
+    # a number's fraction or exponent after an item or a field, which the
+    # stand-in for the container read so far must not take in
+    "a-fraction-after-an-item": (
+        '{"items": [{"kind": "scene-break"}.5]}', ParseError,
+        "invalid JSON at line 1, column 35: Expecting ',' delimiter"),
+    "an-exponent-after-an-item": (
+        '{"items": [{"kind": "scene-break"}e5]}', ParseError,
+        "invalid JSON at line 1, column 35: Expecting ',' delimiter"),
+    "a-fraction-after-a-field": (
+        '{"title": "x".5}', ParseError, "invalid JSON at line 1, column 14: "
+        "Expecting ',' delimiter"),
+    "an-exponent-after-a-field": (
+        '{"title": "x"E5, "roster": []}', ParseError, "invalid JSON at line "
+        "1, column 14: Expecting ',' delimiter"),
     "trailing-comma-in-the-object": (
-        '{"title": "x",}', ParseError, "invalid JSON at line 1, column 15: "
-        "Expecting property name enclosed in double quotes"),
+        '{"title": "x",}', ParseError, "invalid JSON at line 1, column 14: "
+        "Illegal trailing comma before end of object" if TRAILING_COMMA else
+        "invalid JSON at line 1, column 15: Expecting property name "
+        "enclosed in double quotes"),
     # an item cut short by one byte, a fault that the reading meets only
     # in what follows it
     "an-item-without-its-open-brace": (
@@ -308,8 +358,7 @@ ONE_READING = {
 
 
 @pytest.mark.parametrize("text", ONE_READING.values(), ids=ONE_READING)
-def test_an_item_or_document_fault_never_decodes_the_whole_text(
-        text, no_whole_decode):
+def test_an_item_or_document_fault_never_decodes_the_whole_text(text):
     with pytest.raises(ValidationError) as caught:
         parse_document(text)
     with pytest.raises(ValidationError) as oracle:
@@ -317,7 +366,7 @@ def test_an_item_or_document_fault_never_decodes_the_whole_text(
     assert str(caught.value) == str(oracle.value)
 
 
-def test_paired_surrogate_escapes_are_read_item_by_item(no_whole_decode):
+def test_paired_surrogate_escapes_are_read_item_by_item():
     text = renamed("Rosie", "Rosie\U0001f600", "minicorpus").decode()
     first = json.loads(text)["items"][0]["text"]
     text = text.replace(json.dumps(first), json.dumps(first + "\U0001f600"))
@@ -346,9 +395,13 @@ def test_a_duplicate_field_keeps_the_last_as_before():
 
 
 def test_a_value_that_is_not_text_raises_what_json_loads_raises():
-    with pytest.raises(TypeError, match="^the JSON object must be str, "
-                       "bytes or bytearray, not NoneType$"):
-        parse_document(None)
+    with pytest.raises(TypeError) as caught:
+        json.loads(None)
+    message = "the JSON object must be str, bytes or bytearray, not NoneType"
+    assert str(caught.value) == message
+    for parse in (parse_document, parse_registry):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            parse(None)
 
 
 def test_a_parse_holds_less_than_the_decoded_json():
@@ -359,17 +412,8 @@ def test_a_parse_holds_less_than_the_decoded_json():
     items = [dict(item, id=f"{item['id']}.{k}") if "id" in item else item
              for k in range(50) for item in data["items"]]
     text = json.dumps(dict(data, items=items), indent=2).encode()
-
-    def peak(parse):
-        tracemalloc.start()
-        try:
-            parse(text)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     assert len(parse_document(text).items) == 50 * len(data["items"])
-    assert peak(parse_document) < peak(json.loads)
+    assert peak(parse_document, text) < peak(json.loads, text)
 
 
 # -- bytes decoded a window at a time -----------------------------------------
@@ -420,8 +464,7 @@ NOVEL = tiled(8)
 
 @pytest.mark.parametrize("size", WINDOWS)
 @pytest.mark.parametrize("name", FIXTURES + ["novel"])
-def test_bytes_read_a_window_at_a_time_give_the_str_s_document(
-        name, size, no_whole_decode):
+def test_bytes_read_a_window_at_a_time_give_the_str_s_document(name, size):
     data = NOVEL if name == "novel" else fixture_json(name)
     text = json.dumps(data, indent=2, ensure_ascii=False)
     expected = parse_document(text)
@@ -497,6 +540,25 @@ def test_a_number_cut_by_a_window_is_read_whole(text, message):
         assert at_window(size, text) == (ValidationError, message), size
 
 
+def test_a_string_cut_by_a_window_is_read_whole():
+    """The scanner places an unterminated string at its start, which may
+    lie well inside a window that cuts the string."""
+    title = "a title longer than the characters a settled fault needs"
+    text = json.dumps({"title": title, "items": []}).encode()
+    for size in range(1, 61):
+        assert at_window(size, text) == Document(title, frozenset(), ()), size
+
+
+def test_a_number_of_too_many_digits_cut_by_a_window_keeps_its_count():
+    """The integer digit limit counts the digits the window holds, so its
+    fault is final only once the input is used up."""
+    text = b'{"title": ' + b"7" * 5000 + b', "items": []}'
+    expected = whole(text)
+    assert "value has 5000 digits" in expected[1]
+    for size in (1, 3, 64, 4096, corpus._WINDOW):
+        assert at_window(size, text) == expected, size
+
+
 def test_a_surrogate_escape_cut_by_a_window_is_found():
     text = b'{"roster": ["Zoe"], "title": "Zoe \\ud800 x", "items": []}'
     for size in range(1, 61):
@@ -523,14 +585,106 @@ def test_a_parse_of_bytes_never_holds_the_whole_decoded_text():
     text = json.dumps(tiled(34), ensure_ascii=False, separators=(",", ":"))
     data = text.encode()
     assert len(data) >= 2**20
-
-    def peak(raw):
-        tracemalloc.start()
-        try:
-            parse_document(raw)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     assert parse_document(data) == parse_document(text)
-    assert peak(data) - peak(text) < len(data) / 4
+    assert (peak(parse_document, data) - peak(parse_document, text)
+            < len(data) / 4)
+
+
+@pytest.mark.parametrize("fault", ["syntax", "digits"])
+def test_an_early_fault_is_met_before_the_rest_is_decoded(fault):
+    """Deterministic, not a timing: a syntax fault in the second item, or
+    a title of too many digits, in a document of more than a MiB is raised
+    from the first windows, as the whole decode words it, holding neither
+    the decoded text nor a copy of the bytes."""
+    data = json.dumps(tiled(34), ensure_ascii=False,
+                      separators=(",", ":")).encode()
+    assert len(data) >= 2**20
+    if fault == "syntax":
+        second = data.index(b'"kind"', data.index(b'"kind"') + 1)
+        data = data[:second] + b"x" + data[second:]
+    else:
+        data = data.replace(b'"novel"', b"7" * 5000, 1)
+    assert by_item(data)[0] is ParseError
+    assert by_item(data) == whole(data)
+    assert peak(by_item, data) < 2**20
+
+
+# single-edit hostile input, re-encoded and read a few bytes at a time.
+# Bytes that do not decode are left out: a syntax fault that the garbage
+# of a broken UTF-16 or UTF-32 makes in an earlier window is met first.
+@settings(max_examples=150, deadline=None)
+@given(data=st.one_of(set_anywhere(), unknown_keys(),
+                      corrupt_bytes(edits=st.just(1))),
+       encoding=st.sampled_from(["str", *ENCODINGS, "utf-32-be"]),
+       size=st.one_of(st.integers(1, 100), st.just(corpus._WINDOW)))
+def test_hostile_input_read_a_window_at_a_time_reads_as_the_whole_decode(
+        data, encoding, size):
+    try:
+        text = data.decode()
+        raw = text if encoding == "str" else text.encode(encoding)
+        if not isinstance(raw, str):
+            raw.decode(json.detect_encoding(raw))
+    except UnicodeDecodeError:
+        assume(False)
+    with window(size):
+        assert by_item(raw) == whole(raw)
+
+
+def registry_fault(text):
+    """The oracle's fault for a registry: one of its decode."""
+    try:
+        decode(text, "registry: ", corpus._reject_duplicate_keys)
+    except PovTrackError as exc:
+        return type(exc), str(exc)
+    raise AssertionError("the registry decodes")
+
+
+LINES = '{\n  "hedge": {\n    "level": 2\n  },\n  "question": %s\n}'
+# registry text that does not decode, each fault on a later line
+REGISTRY_FAULTS = {
+    "syntax": LINES % '{"level" 3}',
+    "trailing-comma": LINES % '{"level": 3,}',
+    "control-character": LINES % '{"level": "3',
+    "unterminated-string": '{\n  "hedge": {"level',
+    "extra-data": LINES % "{}" + "\n x",
+    "empty": "  \n ",
+    "bad-utf-8": (LINES % '{"l\xe9vel": 3}').encode("latin-1"),
+    "bad-utf-16": (LINES % "{}").encode("utf-16")[:-1],
+    "bom-in-a-str": "\ufeff" + LINES % "{}",
+    "lone-surrogate": LINES % '{"level": "\\udc00"}',
+    "lone-surrogate-field-name": LINES % '{"\\ud800x": 3}',
+    "duplicate-key": LINES % '{"level": 3, "level": 4}',
+    "duplicate-category": '{"hedge": {"level": 2},\n "hedge": {}}',
+    "nesting-too-deep": LINES % ("[" * 100_000),
+    "too-many-digits": LINES % ('{"level": ' + "3" * 5000 + "}"),
+}
+
+
+@pytest.mark.parametrize("size", FAULT_WINDOWS)
+@pytest.mark.parametrize("text", REGISTRY_FAULTS.values(),
+                         ids=REGISTRY_FAULTS)
+def test_a_registry_fault_is_worded_as_the_whole_decode_words_it(text, size):
+    expected = registry_fault(text)
+    with window(size):
+        with pytest.raises(PovTrackError) as caught:
+            parse_registry(as_bytes(text))
+    assert (type(caught.value), str(caught.value)) == expected
+
+
+def test_no_reading_decodes_the_whole_text(monkeypatch):
+    """Every document and registry, and every fault, of the tables above
+    is read without json.loads or a JSONDecoder's own decode."""
+    texts = [text for text, _, _ in FALLBACKS.values()]
+    documents = [by_item(text) for text in texts]
+    registries = [registry_fault(text) for text in REGISTRY_FAULTS.values()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the whole text was decoded")
+    for owner, name in ((json, "loads"), (json.JSONDecoder, "decode"),
+                        (json.JSONDecoder, "raw_decode")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert [by_item(text) for text in texts] == documents
+    for text, expected in zip(REGISTRY_FAULTS.values(), registries):
+        with pytest.raises(PovTrackError) as caught:
+            parse_registry(text)
+        assert (type(caught.value), str(caught.value)) == expected
