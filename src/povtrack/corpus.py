@@ -715,7 +715,10 @@ def dumps_document(document: Document) -> str:
             f'"situation": "{ctx.situation.value}"', *(
                 f'"{key}": {_names(names, 2)}'
                 for key, names in zip(_CONTEXT_SETS, sets))], 1, "{}"))
-    items = [_BREAKS.get(type(item)) or _sentence_json(item)
+    # a parse shares one frozenset between a gold label and a who, which
+    # are written at different depths, so each depth has its own table
+    at4, at6 = _Written(4), _Written(6)
+    items = [_BREAKS.get(type(item)) or _sentence_json(item, at4, at6)
              for item in document.items]
     fields.append(f'"items": {_json(items, 1)}')
     return _json(fields, 0, "{}")
@@ -739,36 +742,53 @@ def _names(names, depth) -> str:
     return _json(list(map(_string, sorted(names))), depth) if names else "[]"
 
 
+class _Written(dict):
+    """What ``_names`` writes for each name set at one depth, filled on
+    first use: a set is immutable and equal sets write equal text."""
+
+    __slots__ = ("depth",)
+
+    def __init__(self, depth) -> None:
+        self.depth = depth
+
+    def __missing__(self, names) -> str:
+        text = self[names] = _names(names, self.depth)
+        return text
+
+
 _BREAKS = {kind: _json([f'"kind": "{name}"'], 2, "{}") for kind, name in (
     (SceneBreak, "scene-break"), (ParagraphBreak, "paragraph-break"))}
 # the "vp" object of each of the 64 VerbFeatures values
 _VP_JSON = {vp: _json([f'"{key}": true' for key, on in zip(_VP_KEYS, flags)
                        if on], 6, "{}")
             for flags, vp in VERB_FEATURES.items()}
+# by identity, since hashing a frozen dataclass runs in Python
+_VP_BY_ID = {id(vp): text for vp, text in _VP_JSON.items()}
 
 
-def _sentence_json(s: Sentence) -> str:
+def _sentence_json(s: Sentence, at4: _Written, at6: _Written) -> str:
     out = f'{{{_L3}"kind": "sentence",{_L3}"id": {_string(s.id)}'
     if s.text is not None:
         out += f',{_L3}"text": {_string(s.text)}'
     if s.gold is not None:
         out += (f',{_L3}"gold": {{{_L4}"type": "{s.gold.kind}",{_L4}'
-                f'"characters": {_names(s.gold.characters, 4)}{_L3}}}')
+                f'"characters": {at4[s.gold.characters]}{_L3}}}')
     fs = s.features
     out += (f',{_L3}"features": {{{_L4}"quotedSpeech": '
             f'{"true" if fs.quoted_speech else "false"}')
     if fs.parenthetical is not None:
-        out += f',{_L4}"parenthetical": {_names(fs.parenthetical, 4)}'
+        out += f',{_L4}"parenthetical": {at4[fs.parenthetical]}'
     if fs.head_noun_private_state is not None:
         out += (f',{_L4}"headNounPrivateState": '
                 f'{_string(fs.head_noun_private_state.id)}')
     soas = [f'{{{_L6}"id": {_string(a.id)},{_L6}"type": "{a.type.value}",'
-            f'{_L6}"who": {_names(a.who, 6)}{_L5}}}' for a in fs.soas]
+            f'{_L6}"who": {at6[a.who]}{_L5}}}' for a in fs.soas]
     clauses = [f'{{{_L6}"id": {_string(c.id)},{_L6}"soa": {_string(c.soa.id)},'
-               f'{_L6}"under": {_names(c.under, 6)},{_L6}"vp": '
-               f'{_VP_JSON[c.vp]}{_L5}}}' for c in fs.clauses]
+               f'{_L6}"under": {at6[c.under]},{_L6}"vp": '
+               f'{_VP_BY_ID.get(id(c.vp)) or _VP_JSON[c.vp]}{_L5}}}'
+               for c in fs.clauses]
     pses = [f'{{{_L6}"id": {_string(p.id)},{_L6}"category": '
             f'{_string(p.category.name)},{_L6}"under": '
-            f'{_names(p.under, 6)}{_L5}}}' for p in fs.pses]
+            f'{at6[p.under]}{_L5}}}' for p in fs.pses]
     return (f'{out},{_L4}"soas": {_json(soas, 4)},{_L4}"clauses": '
             f'{_json(clauses, 4)},{_L4}"pses": {_json(pses, 4)}{_L3}}}{_L2}}}')

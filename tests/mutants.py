@@ -168,6 +168,12 @@ MUTANTS = (
            "        key = characters\n",
            ("tests/test_sharing.py::"
             "test_labels_that_differ_only_in_kind_stay_apart",)),
+    # the writer's table of written name sets is kept per depth
+    Mutant("write: the depth-4 sets written through the depth-6 table",
+           CORPUS, "    at4, at6 = _Written(4), _Written(6)\n",
+           "    at4 = at6 = _Written(6)\n",
+           ("tests/test_writer.py::"
+            "test_a_name_set_shared_across_depths_is_written_at_each_depth",)),
     Mutant("shared: the objective verdict shared with an active character",
            ENGINE,
            "return (Interpretation(False, active) if active else _OBJECTIVE,",

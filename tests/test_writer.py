@@ -119,6 +119,26 @@ def test_a_step_context_is_a_preamble_that_round_trips(name, small,
                                document.items[k + 1:], step.after))
 
 
+def test_a_name_set_shared_across_depths_is_written_at_each_depth():
+    """The writer writes each distinct name set once per depth per call.
+    A parse shares one frozenset between a gold label, a parenthetical and
+    a who, written at depths 4 and 6; an equal set that is another object
+    is written as the same text."""
+    shared = frozenset({"Zoe", "Abe"})
+    equal = frozenset(["Abe", "Zoe"])
+    assert equal == shared and equal is not shared
+    said = StateOfAffairs("a1", SoaType.ACTION, shared)
+    thought = StateOfAffairs("a2", SoaType.PRIVATE_STATE, equal)
+    first = FeatureSet((Clause("c1", said),
+                        Clause("c2", thought, frozenset({"c1"}))),
+                       (said, thought), (), shared)
+    # the second sentence writes at depth 4 the set the first wrote at 6
+    second = FeatureSet((Clause("c1", thought),), (thought,), (), equal)
+    check_written(Document("t", frozenset({"Abe", "Cy", "Zoe"}), (
+        Sentence("s1", first, gold=Interpretation(True, shared)),
+        Sentence("s2", second, gold=Interpretation(False, equal)))))
+
+
 # -- hostile documents -------------------------------------------------------
 
 # what JSON must escape, and what it may pass through as it is
