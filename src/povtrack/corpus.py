@@ -199,7 +199,7 @@ def _reject_duplicate_keys(pairs):
     out = {}
     for key, value in pairs:
         if key in out:
-            raise RegistryError(f"duplicate key {key!r}")
+            raise RegistryError(f"registry: duplicate key {key!r}")
         out[key] = value
     return out
 

@@ -43,17 +43,15 @@ SITUATIONS = "src/povtrack/situations.py"
 MODEL = "src/povtrack/model.py"
 CORPUS = "src/povtrack/corpus.py"
 
-OPERATION_ROWS = (
-    "tests/test_evaluation.py::test_operation_rows_match_scanning_classifier",
-)
+# the engine against the reference tracker on every fixture and policy
+REFERENCE = ("tests/test_reference.py::"
+             "test_the_engine_agrees_with_the_reference_on_every_fixture",)
 SEEN_LOG = (
     "tests/test_seen_log.py::test_an_older_view_grows_a_log_of_its_own",
-    "tests/test_seen_log.py::"
-    "test_resuming_from_an_older_step_changes_no_earlier_context",
+    *REFERENCE,
 )
 QUALIFIED = (
-    "tests/test_seen_log.py::"
-    "test_the_fold_qualifies_characters_as_its_own_set_did",
+    *REFERENCE,
     "tests/test_seen_log.py::"
     "test_interpret_is_given_the_steps_own_previous_scs",
 )
@@ -71,27 +69,27 @@ MUTANTS = (
     # the operation rule and the scene state evaluate carries for it
     Mutant("operation: no reset at a scene break", EVALUATION,
            "                previous = last_subjective = None\n",
-           "                pass\n", OPERATION_ROWS),
+           "                pass\n", REFERENCE),
     Mutant("operation: a reset at a paragraph break", EVALUATION,
            "            if isinstance(item, SceneBreak):\n",
-           "            if True:\n", OPERATION_ROWS),
+           "            if True:\n", REFERENCE),
     Mutant("operation: an objective label sets last_subjective",
            EVALUATION,
            "        if gold.subjective:\n"
            "            last_subjective = gold.characters\n",
            "        if True:\n"
            "            last_subjective = gold.characters\n",
-           OPERATION_ROWS),
+           REFERENCE),
     Mutant("operation: resumption read as initiation", EVALUATION,
            "return (PovOperation.RESUMPTION if last_subjective == target",
            "return (PovOperation.INITIATION if last_subjective == target",
-           ("tests/test_evaluation.py::"
-            "test_classify_full_minicorpus_operation_counts",)),
+           ("tests/test_reference.py::"
+            "test_the_reference_operations_match_the_hand_counts",)),
     Mutant("operation: a misread's operation taken from the gold label",
            EVALUATION,
            "return _operation(got, previous, last_subjective).value",
            "return _operation(gold, previous, last_subjective).value",
-           OPERATION_ROWS),
+           REFERENCE),
     # the fold's run of subjective sentences under min-length-2
     Mutant("fold: runs survive breaks under min-length-2", ENGINE,
            "                after = new_context_after_break(item, context)\n"

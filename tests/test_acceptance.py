@@ -9,7 +9,6 @@ from povtrack import (
     Engine,
     Interpretation,
     ParagraphBreak,
-    PovOperation,
     SceneBreak,
     Sentence,
     SignificancePolicy,
@@ -22,7 +21,7 @@ from povtrack import (
 import dataclasses
 
 from conftest import fixture_doc
-from test_evaluation import classify_operation
+import reference
 from test_situations import (
     BREAK_TABLE,
     EXPECT_LAST_ACTIVE,
@@ -199,8 +198,8 @@ def test_criterion_6_passage_fixtures():
         if step.interpretation is not None:
             by_id[step.item.id] = step
     assert by_id["15.11"].interpretation == subjective("Zoe")
-    assert classify_operation(doc, index_by_id["15.11"]) is \
-        PovOperation.RESUMPTION
+    assert reference.operation(doc.items, index_by_id["15.11"]) == \
+        "resumption"
     assert by_id["17.9"].interpretation == subjective("Augustus")
 
     _, steps = run("p18")

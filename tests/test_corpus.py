@@ -303,9 +303,13 @@ def test_registry_new_category_needs_level():
         parse_registry(b'{"foo": {"excluded": true}}')
 
 
-def test_registry_duplicate_category():
-    with pytest.raises(RegistryError, match="duplicate"):
-        parse_registry(b'{"question": {"level": 4}, "question": {"level": 3}}')
+@pytest.mark.parametrize("text, key", [
+    (b'{"question": {"level": 4}, "question": {"level": 3}}', "question"),
+    (b'{"a": {"level": 2, "level": 3}}', "level")])
+def test_registry_duplicate_key_names_the_registry(text, key):
+    with pytest.raises(RegistryError) as raised:
+        parse_registry(text)
+    assert str(raised.value) == f"registry: duplicate key {key!r}"
 
 
 def test_registry_unknown_field():

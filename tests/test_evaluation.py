@@ -4,17 +4,10 @@ import dataclasses
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from povtrack import (
-    Document,
     Engine,
     FeatureSet,
-    Interpretation,
-    ParagraphBreak,
-    PovOperation,
-    SceneBreak,
     Sentence,
     SignificancePolicy,
     TextSituation,
@@ -22,18 +15,11 @@ from povtrack import (
     evaluate,
     is_simple_quoted_speech,
 )
-from povtrack.evaluation import BreakdownRow
 from conftest import DATA, fixture_doc
-from test_properties import NAMES, interpretations, streams
 
 FIXTURES = sorted(p.stem for p in DATA.glob("*.json"))
 
 TS = TextSituation
-
-
-def sentence_indices(doc):
-    return {item.id: i for i, item in enumerate(doc.items)
-            if isinstance(item, Sentence)}
 
 
 def with_gold(doc, interps_by_id):
@@ -101,106 +87,6 @@ def test_actual_contexts_require_gold():
     stripped = with_gold(doc, {item.id: None for item in doc.sentences()})
     with pytest.raises(ValidationError, match="gold"):
         actual_contexts(stripped, Engine())
-
-
-# -- operation classification -----------------------------------------------------
-
-
-def classify_operation(doc, index, interpretation=None):
-    """The point-of-view operation ``interpretation``, by default the
-    gold label of ``items[index]``, performs there: the reference that
-    ``evaluate``'s carried scene state is checked against.  It scans
-    back through the scene's gold labels to the nearest subjective one;
-    paragraph breaks are invisible, and a scene break ends the scan."""
-    interpretation = interpretation or doc.items[index].gold
-    if not interpretation.subjective:
-        return PovOperation.OBJECTIVE
-    nearest = True
-    for item in reversed(doc.items[:index]):
-        if isinstance(item, SceneBreak):
-            break
-        if not isinstance(item, Sentence):
-            continue
-        if item.gold.subjective:
-            if item.gold.characters != interpretation.characters:
-                break
-            return (PovOperation.CONTINUATION if nearest
-                    else PovOperation.RESUMPTION)
-        nearest = False
-    return PovOperation.INITIATION
-
-
-def test_classify_resumption_15_11():
-    doc = fixture_doc("minicorpus")
-    idx = sentence_indices(doc)
-    assert classify_operation(doc, idx["15.11"]) is PovOperation.RESUMPTION
-
-
-def test_classify_initiation_17_9():
-    doc = fixture_doc("minicorpus")
-    idx = sentence_indices(doc)
-    assert classify_operation(doc, idx["17.9"]) is PovOperation.INITIATION
-
-
-def test_classify_continuation_15_2():
-    doc = fixture_doc("minicorpus")
-    idx = sentence_indices(doc)
-    assert classify_operation(doc, idx["15.2"]) is PovOperation.CONTINUATION
-
-
-def test_classify_objective():
-    doc = fixture_doc("minicorpus")
-    idx = sentence_indices(doc)
-    assert classify_operation(doc, idx["15.3"]) is PovOperation.OBJECTIVE
-
-
-def test_classify_first_subjective_of_scene_is_initiation():
-    doc = fixture_doc("minicorpus")
-    idx = sentence_indices(doc)
-    for sid in ("15.1", "17.1", "20.3", "d.5"):
-        assert classify_operation(doc, idx[sid]) is PovOperation.INITIATION
-
-
-def test_classify_new_character_is_initiation():
-    doc = fixture_doc("minicorpus")
-    idx = sentence_indices(doc)
-    assert classify_operation(doc, idx["20.7"]) is PovOperation.INITIATION
-
-
-def test_classify_full_minicorpus_operation_counts():
-    doc = fixture_doc("minicorpus")
-    counts = {op: 0 for op in PovOperation}
-    for i, item in enumerate(doc.items):
-        if isinstance(item, Sentence):
-            counts[classify_operation(doc, i)] += 1
-    assert counts[PovOperation.CONTINUATION] == 12
-    assert counts[PovOperation.RESUMPTION] == 1
-    assert counts[PovOperation.INITIATION] == 6
-    assert counts[PovOperation.OBJECTIVE] == 19
-    rows = evaluate(doc, Engine()).by_operation
-    assert [row.actual for row in rows[:4]] == list(counts.values())
-
-
-def test_classification_ignores_extra_paragraph_breaks():
-    doc = fixture_doc("minicorpus")
-    idx = sentence_indices(doc)
-    target = idx["15.11"]
-    items = list(doc.items)
-    items.insert(target, ParagraphBreak())
-    items.insert(target, ParagraphBreak())
-    padded = dataclasses.replace(doc, items=tuple(items))
-    assert classify_operation(padded, target + 2) is PovOperation.RESUMPTION
-    engine = Engine()
-    assert operation_rows(padded, engine) == operation_rows(doc, engine)
-
-
-def test_classify_explicit_interpretation():
-    doc = fixture_doc("minicorpus")
-    idx = sentence_indices(doc)
-    # reading 15.11 as Rosie's would start a new point of view
-    rosie = Interpretation(True, frozenset({"Rosie"}))
-    assert classify_operation(doc, idx["15.11"], rosie) is \
-        PovOperation.INITIATION
 
 
 # -- simple quoted speech -----------------------------------------------------------
@@ -347,71 +233,3 @@ def test_each_fold_decides_once_per_sentence(monkeypatch, name):
     evaluate(doc, Engine())
     assert calls == {"choose_state_of_affairs": 2 * n,
                      "subjective_elements": 2 * n, "clause_about": 2 * n}
-
-
-# -- one linear pass: the carried scene state against the scanning classifier ---------
-
-
-def scanning_operation_rows(doc, engine):
-    """The by-operation rows rebuilt with the scanning ``classify_operation``
-    above, which scans back through the scene for every sentence and
-    again for every misread one."""
-    rows = {op: BreakdownRow(op.value) for op in PovOperation}
-    nonquoted = BreakdownRow("objective, other than simple quoted speech")
-    fold = engine._fold(doc.items, doc.initial_context, gold=True)
-    for index, step in enumerate(fold):
-        if step.interpretation is None:
-            continue
-        gold, got = step.item.gold, step.interpretation
-        counted = [rows[classify_operation(doc, index)]]
-        if not gold.subjective and not is_simple_quoted_speech(step.item):
-            counted.append(nonquoted)
-        for row in counted:
-            row.actual += 1
-            if got == gold:
-                continue
-            row.primary += 1
-            if got.subjective:
-                row.wrong[classify_operation(doc, index, got).value] += 1
-            elif gold.subjective:
-                row.wrong["objective"] += 1
-            else:
-                row.wrong["objective, wrong active character"] += 1
-    return [r.to_dict() for r in (*rows.values(), nonquoted)]
-
-
-def operation_rows(doc, engine):
-    return [r.to_dict() for r in evaluate(doc, engine).by_operation]
-
-
-@pytest.mark.parametrize("policy", list(SignificancePolicy))
-@pytest.mark.parametrize("name", FIXTURES)
-def test_operation_rows_match_scanning_classifier(name, policy):
-    doc = fixture_doc(name)
-    engine = Engine(policy=policy)
-    assert operation_rows(doc, engine) == scanning_operation_rows(doc, engine)
-
-
-# a few labels that repeat often, so that every operation occurs
-gold_labels = interpretations | st.sampled_from([
-    Interpretation(True, frozenset({NAMES[0]})),
-    Interpretation(True, frozenset({NAMES[1]})),
-    Interpretation(False, frozenset()),
-    Interpretation(False, frozenset({NAMES[0]})),
-])
-
-
-@st.composite
-def gold_documents(draw):
-    """A random stream of sentences and breaks, each sentence gold-labelled."""
-    items = [dataclasses.replace(item, gold=draw(gold_labels))
-             if isinstance(item, Sentence) else item
-             for item in draw(streams())]
-    return Document("random", frozenset(NAMES), tuple(items))
-
-
-@settings(max_examples=150, deadline=None)
-@given(gold_documents())
-def test_random_operation_rows_match_scanning_classifier(doc):
-    engine = Engine()
-    assert operation_rows(doc, engine) == scanning_operation_rows(doc, engine)

@@ -1,6 +1,5 @@
 """Randomized invariants over contexts, feature sets, and whole streams."""
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +15,6 @@ from povtrack import (
     PseCategory,
     SceneBreak,
     Sentence,
-    SignificancePolicy,
     SoaType,
     StateOfAffairs,
     TextSituation,
@@ -248,49 +246,6 @@ def test_track_fold_invariants(items):
     assert steps == engine.track(items)
 
 
-class RecordOracle:
-    """The per-character record rule the fold's qualified set replaces:
-    flags that only ever turn on, the live runs (a streak of consecutive
-    subjective sentences of one character; any objective sentence, break
-    or other character's sentence ends it) and each longest run."""
-
-    def __init__(self, previously_subjective):
-        self.ever = set(previously_subjective)
-        self.thought = set()
-        self.element = set()
-        self.longest = {}
-        self.runs = {}
-
-    def note_subjective(self, characters, represented_thought,
-                        subjective_element):
-        runs = {}
-        for name in characters:
-            self.ever.add(name)
-            if represented_thought:
-                self.thought.add(name)
-            if subjective_element:
-                self.element.add(name)
-            runs[name] = self.runs.get(name, 0) + 1
-            self.longest[name] = max(self.longest.get(name, 0), runs[name])
-        self.runs = runs
-
-    def note_nonsubjective(self):
-        self.runs = {}
-
-    def satisfies(self, name, policy):
-        if policy is SignificancePolicy.ANY_PREVIOUS_SC:
-            return name in self.ever
-        if policy is SignificancePolicy.CONTAINS_REPRESENTED_THOUGHT:
-            return name in self.thought
-        if policy is SignificancePolicy.CONTAINS_SUBJECTIVE_ELEMENT:
-            return name in self.element
-        return self.longest.get(name, 0) >= 2
-
-    def psa_reads_private(self, who, context, policy):
-        return bool(who) and who <= context.previous_scs and all(
-            self.satisfies(name, policy) for name in who)
-
-
 PAIR = ("Ada", "Bo")
 # casts that name someone come first: hypothesis starts from early entries
 pair_sets = st.sampled_from([frozenset(who) for who in
@@ -342,30 +297,3 @@ def psa_streams(draw):
     context = Context(last_sc, draw(pair_sets), draw(pair_sets) | last_sc,
                       draw(situations))
     return items, context
-
-
-@pytest.mark.parametrize("policy", list(SignificancePolicy),
-                         ids=lambda p: p.value)
-@settings(max_examples=150)
-@given(psa_streams())
-def test_qualified_set_matches_per_character_records(policy, stream):
-    items, context = stream
-    for gold in (True, False):
-        oracle = RecordOracle(context.previous_scs)
-        for step in Engine(policy=policy)._fold(items, context, gold):
-            if step.detail is None:
-                oracle.note_nonsubjective()
-                continue
-            chosen = step.detail.chosen
-            if chosen.type is SoaType.PRIVATE_STATE_ACTION:
-                assert step.detail.reads_private == oracle.psa_reads_private(
-                    chosen.who, step.before, policy), f"gold={gold}"
-            label = step.item.gold if gold else step.interpretation
-            if label.subjective:
-                oracle.note_subjective(
-                    label.characters,
-                    step.item.features.parenthetical is None
-                    and not step.detail.reads_private,
-                    bool(step.detail.fired))
-            else:
-                oracle.note_nonsubjective()

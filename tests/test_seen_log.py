@@ -1,50 +1,34 @@
 """A fold keeps the characters seen subjective as views of one log
 (``grow``) once they are more than ``SMALL``; each view must stand for
-exactly the frozenset the union ``previous | who`` made, whatever grew
-after it.  Under ``any-previous-sc`` the fold hands that same set to
-``interpret`` as the qualified characters; a fold that keeps a frozenset
-of its own is the oracle there.  Most tests run twice: as the fold runs,
-and with ``SMALL`` at 0, so that every growth makes a view even in a
-small cast."""
+exactly the frozenset of its names, whatever grew after it, as
+``test_reference.py`` checks against the reference tracker.  Under
+``any-previous-sc`` the fold hands that same set to ``interpret`` as the
+qualified characters."""
 
 import gc
 import tracemalloc
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
 
 from povtrack import (
     Clause,
-    Context,
     Engine,
     FeatureSet,
-    INITIAL_CONTEXT,
     NOBODY,
     SceneBreak,
     Sentence,
-    SignificancePolicy,
     SoaType,
     StateOfAffairs,
-    TextSituation,
-    TrackStep,
-    ValidationError,
-    new_context,
-    new_context_after_break,
 )
-from povtrack import engine as engine_module
 from povtrack import model
 from povtrack.model import SeenCharacters, grow
 from conftest import DATA, fixture_doc
-from test_properties import character_sets, contexts, feature_sets, streams
 
 FIXTURES = sorted(path.stem for path in DATA.glob("*.json"))
-POLICIES = list(SignificancePolicy)
-_SP = SignificancePolicy
 LIMITS = (model.SMALL, 0)
 limits = pytest.mark.parametrize("limit", LIMITS,
                                  ids=["as-run", "views-only"])
-_TS = TextSituation
 
 
 @contextmanager
@@ -57,220 +41,7 @@ def small(limit):
         model.SMALL = saved
 
 
-# -- the oracle: the frozenset union the log replaced ------------------------
-
-
-def union_new_context(interpretation, context):
-    """``new_context`` as it was: a new frozenset for each growth."""
-    who = interpretation.characters
-    if interpretation.subjective:
-        previous = context.previous_scs
-        if not who <= previous:
-            previous = previous | who
-        elif (context.situation is _TS.CONTINUING_SUBJECTIVE
-              and who == context.last_sc):
-            return context
-        return Context(who, context.last_active_character, previous,
-                       _TS.CONTINUING_SUBJECTIVE)
-    situation = (context.situation.after_active if who
-                 else context.situation.after_objective)
-    active = who or context.last_active_character
-    if (situation is context.situation
-            and active == context.last_active_character):
-        return context
-    return Context(context.last_sc, active, context.previous_scs, situation)
-
-
-def frozen(context):
-    """The context with its previous_scs as a plain frozenset."""
-    return Context(context.last_sc, context.last_active_character,
-                   frozenset(context.previous_scs), context.situation)
-
-
-def oracle_steps(engine, items, context, gold):
-    """The fold's steps with every context built by the frozenset union."""
-    saved = engine_module.new_context
-    engine_module.new_context = union_new_context
-    try:
-        return list(engine._fold(items, frozen(context), gold))
-    finally:
-        engine_module.new_context = saved
-
-
-def names_of(*step_lists):
-    return {name for steps in step_lists for step in steps
-            for context in (step.before, step.after)
-            for name in context.previous_scs}
-
-
-def same_set(view, oracle, names):
-    """The view stands for the oracle's frozenset in every way a caller
-    can ask: equality both ways, hash, order, and membership."""
-    assert view == oracle and oracle == view
-    assert hash(view) == hash(oracle)
-    assert sorted(view) == sorted(oracle)
-    assert len(view) == len(oracle)
-    assert oracle <= view and view <= oracle
-    for name in names:
-        assert (name in view) == (name in oracle), name
-
-
-def assert_agree(steps, oracle, names):
-    assert len(steps) == len(oracle)
-    for step, expected in zip(steps, oracle):
-        assert step.item is expected.item
-        assert step.interpretation == expected.interpretation
-        assert step.detail == expected.detail
-        for got, want in ((step.before, expected.before),
-                          (step.after, expected.after)):
-            assert got == want and hash(got) == hash(want)
-            same_set(got.previous_scs, want.previous_scs, names)
-
-
-def check_fold(engine, items, context):
-    for gold in (False, True):
-        if gold and any(isinstance(item, Sentence) and item.gold is None
-                        for item in items):
-            continue
-        steps = list(engine._fold(items, context, gold))
-        oracle = oracle_steps(engine, items, context, gold)
-        assert_agree(steps, oracle, names_of(steps, oracle) | {"Nobody"})
-
-
-# -- agreement with the oracle ---------------------------------------------
-
-
-@limits
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
-@pytest.mark.parametrize("name", FIXTURES)
-def test_each_step_matches_the_frozenset_union(name, policy, limit):
-    document = fixture_doc(name)
-    with small(limit):
-        check_fold(Engine(policy=policy), document.items,
-                   document.initial_context)
-
-
-@settings(max_examples=80)
-@given(streams(), contexts())
-def test_each_step_matches_the_frozenset_union_over_streams(items, context):
-    for limit in LIMITS:
-        with small(limit):
-            for policy in POLICIES:
-                check_fold(Engine(policy=policy), items, context)
-                check_fold(Engine(policy=policy), items, INITIAL_CONTEXT)
-
-
-@limits
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
-@pytest.mark.parametrize("name", FIXTURES)
-def test_resuming_from_an_older_step_changes_no_earlier_context(
-        name, policy, limit):
-    """Each resumption grows a view that is no longer its log's head; the
-    first pass's contexts keep their values, and the resumed pass agrees
-    with the oracle resumed from the same context."""
-    document = fixture_doc(name)
-    engine = Engine(policy=policy)
-    items = document.items
-    with small(limit):
-        steps = engine.track(items, document.initial_context)
-        expected = oracle_steps(engine, items, document.initial_context,
-                                False)
-        names = names_of(steps) | {"Nobody"}
-        for k in reversed(range(len(items))):
-            resumed = engine.track(items[k:], steps[k].before)
-            assert_agree(resumed, oracle_steps(engine, items[k:],
-                                               steps[k].before, False),
-                         names | names_of(resumed))
-    assert_agree(steps, expected, names)
-
-
 # -- the qualified characters: previous_scs itself under any-previous-sc ------
-
-
-def own_qualified_fold(engine, items, context, gold):
-    """``Engine._fold`` as it was when it kept the qualified characters in
-    a frozenset of its own under every policy, a new union per growth."""
-    policy = engine.policy
-    qualified = (frozenset(context.previous_scs)
-                 if policy is _SP.ANY_PREVIOUS_SC else NOBODY)
-    live = NOBODY
-    for item in items:
-        interpretation = detail = None
-        if isinstance(item, Sentence):
-            fs = item.features
-            interpretation, detail = engine.interpret(fs, context, qualified)
-            label = item.gold if gold else interpretation
-            if label is None:
-                raise ValidationError(f"sentence {item.id} has no gold label")
-            if not label.subjective:
-                live = NOBODY
-            else:
-                who = gained = label.characters
-                if policy is _SP.MIN_LENGTH_2:
-                    gained = who & live
-                elif policy is _SP.CONTAINS_REPRESENTED_THOUGHT:
-                    if detail.reads_private or fs.parenthetical is not None:
-                        gained = NOBODY
-                elif policy is _SP.CONTAINS_SUBJECTIVE_ELEMENT:
-                    if not detail.fired:
-                        gained = NOBODY
-                if not gained <= qualified:
-                    qualified = qualified | gained
-                live = who
-            after = new_context(label, context)
-        else:
-            after = new_context_after_break(item, context)
-            live = NOBODY
-        yield TrackStep(item, context, after, interpretation, detail)
-        context = after
-
-
-def check_qualified(engine, items, context, gold):
-    """The fold's steps equal the own-set fold's; returns them."""
-    steps = list(engine._fold(items, context, gold))
-    assert steps == list(own_qualified_fold(engine, items, context, gold))
-    return steps
-
-
-@limits
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
-@pytest.mark.parametrize("name", FIXTURES)
-def test_the_fold_qualifies_characters_as_its_own_set_did(name, policy,
-                                                          limit):
-    """``track`` and both folds of ``evaluate``, in one pass and resumed
-    from each step's context."""
-    document = fixture_doc(name)
-    engine = Engine(policy=policy)
-    items = document.items
-    golds = (False, True) if all(
-        s.gold is not None for s in document.sentences()) else (False,)
-    with small(limit):
-        for gold in golds:
-            steps = check_qualified(engine, items, document.initial_context,
-                                    gold)
-            if not gold:
-                assert engine.track(items, document.initial_context) == steps
-            for k, step in enumerate(steps):
-                check_qualified(engine, items[k:], step.before, gold)
-
-
-# more names than SMALL: a fold's first growth of them starts a log
-CROWD = frozenset(f"x{i:02}" for i in range(model.SMALL + 1))
-
-
-@settings(max_examples=80)
-@given(streams(), contexts())
-def test_the_fold_qualifies_characters_as_its_own_set_did_over_streams(
-        items, context):
-    """Past SMALL names, from a frozenset that grows into a view, and
-    from a view."""
-    for previous in (CROWD | context.previous_scs,
-                     grow(CROWD, context.previous_scs | {"Zed"})):
-        crowded = Context(context.last_sc, context.last_active_character,
-                          previous, context.situation)
-        for policy in POLICIES:
-            check_qualified(Engine(policy=policy), items, crowded, False)
-    assert type(crowded.previous_scs) is SeenCharacters
 
 
 class Recording(Engine):
@@ -305,22 +76,6 @@ def test_interpret_is_given_the_steps_own_previous_scs(name, limit):
         for (context, qualified), before in zip(engine.calls, befores):
             assert context is before
             assert qualified is before.previous_scs
-
-
-@settings(max_examples=150)
-@given(feature_sets(), contexts(), character_sets, character_sets)
-def test_interpret_reads_a_view_as_its_frozenset(fs, context, older_names,
-                                                  head_names):
-    with small(0):
-        older = grow(NOBODY, older_names | {"Zed"})
-        head = grow(older, head_names | {"Zoe"})  # older is no longer head
-    assert "Zoe" not in older
-    for policy in POLICIES:
-        engine = Engine(policy=policy)
-        for view in (older, head):
-            assert type(view) is SeenCharacters
-            assert (engine.interpret(fs, context, view)
-                    == engine.interpret(fs, context, frozenset(view)))
 
 
 # -- the view itself -----------------------------------------------------------
