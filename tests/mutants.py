@@ -46,6 +46,8 @@ CORPUS = "src/povtrack/corpus.py"
 # the engine against the reference tracker on every fixture and policy
 REFERENCE = ("tests/test_reference.py::"
              "test_the_engine_agrees_with_the_reference_on_every_fixture",)
+# evaluate's report against the reference's on every fixture and policy
+REPORT = ("tests/test_reference.py::test_the_report_agrees_with_the_reference",)
 SEEN_LOG = (
     "tests/test_seen_log.py::test_an_older_view_grows_a_log_of_its_own",
     *REFERENCE,
@@ -69,17 +71,17 @@ MUTANTS = (
     # the operation rule and the scene state evaluate carries for it
     Mutant("operation: no reset at a scene break", EVALUATION,
            "                previous = last_subjective = None\n",
-           "                pass\n", REFERENCE),
+           "                pass\n", REPORT),
     Mutant("operation: a reset at a paragraph break", EVALUATION,
            "            if isinstance(item, SceneBreak):\n",
-           "            if True:\n", REFERENCE),
+           "            if True:\n", REPORT),
     Mutant("operation: an objective label sets last_subjective",
            EVALUATION,
            "        if gold.subjective:\n"
            "            last_subjective = gold.characters\n",
            "        if True:\n"
            "            last_subjective = gold.characters\n",
-           REFERENCE),
+           REPORT),
     Mutant("operation: resumption read as initiation", EVALUATION,
            "return (PovOperation.RESUMPTION if last_subjective == target",
            "return (PovOperation.INITIATION if last_subjective == target",
@@ -89,7 +91,7 @@ MUTANTS = (
            EVALUATION,
            "return _operation(got, previous, last_subjective).value",
            "return _operation(gold, previous, last_subjective).value",
-           REFERENCE),
+           REPORT),
     # the fold's run of subjective sentences under min-length-2
     Mutant("fold: runs survive breaks under min-length-2", ENGINE,
            "                after = new_context_after_break(item, context)\n"

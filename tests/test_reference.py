@@ -1,11 +1,11 @@
 """The engine against the reference tracker (``reference.py``): each
-step's verdict, decision record (the chosen state of affairs by
-identity) and both contexts, and the evaluation report, with ``SMALL``
-as run and at 0, so that every growth of ``previous_scs`` makes a view
-of a fold's log."""
+step's verdict, decision record (the chosen state of affairs by identity)
+and both contexts, and the report, with ``SMALL`` as run and at 0, so
+that every growth of ``previous_scs`` makes a view of a fold's log."""
 
 import dataclasses
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +16,11 @@ from povtrack import (Document, Engine, INITIAL_CONTEXT, Interpretation,
                       ParagraphBreak, Sentence, SignificancePolicy, evaluate)
 from povtrack import model
 from povtrack.model import SeenCharacters, grow
-from conftest import DATA, fixture_doc
+from conftest import fixture_doc
 from test_properties import (NAMES, PAIR, contexts, interpretations,
                              psa_streams, streams)
-from test_seen_log import LIMITS, limits, small
+from test_seen_log import FIXTURES, LIMITS, limits, small
 
-FIXTURES = sorted(path.stem for path in DATA.glob("*.json"))
 POLICIES = list(SignificancePolicy)
 policies = pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
 # more names than SMALL: a fold's first growth of them starts a log
@@ -60,17 +59,16 @@ def agree(steps, expected):
                 same_set(view, context.previous_scs, names)
 
 
-def check(policy, items, context):
-    """``track``, and the gold fold when every sentence has a gold label,
-    against the reference; returns the steps of ``track``."""
+def run(policy, items, context, gold):
+    """``track``'s steps, or the gold fold's."""
     engine = Engine(policy=policy)
-    steps = engine.track(items, context)
-    agree(steps, reference.fold(items, context, policy.value))
-    if all(item.gold is not None for item in items
-           if isinstance(item, Sentence)):
-        agree(list(engine._fold(items, context, gold=True)),
-              reference.fold(items, context, policy.value, gold=True))
-    return steps
+    return (list(engine._fold(items, context, gold=True)) if gold
+            else engine.track(items, context))
+
+
+def check(policy, items, context, gold):
+    agree(run(policy, items, context, gold),
+          reference.fold(items, context, policy.value, gold))
 
 
 def same_report(document, policy):
@@ -80,23 +78,28 @@ def same_report(document, policy):
 
 
 @limits
+@pytest.mark.parametrize("resumed", (False, True), ids=["once", "resumed"])
+@pytest.mark.parametrize("gold", (False, True), ids=["track", "gold"])
 @policies
 @pytest.mark.parametrize("name", FIXTURES)
 def test_the_engine_agrees_with_the_reference_on_every_fixture(
-        name, policy, limit):
-    """In one pass and resumed from each step.  A resumed pass grows views
-    that are no longer their log's head; the first pass's contexts must
-    keep their values."""
+        name, policy, gold, resumed, limit):
+    """In one pass, or resumed from each later step.  A resumed pass grows
+    views that are no longer their log's head; the first pass's contexts
+    must keep their values."""
     document = fixture_doc(name)
-    items = document.items
+    items, context = document.items, document.initial_context
     with small(limit):
-        steps = check(policy, items, document.initial_context)
-        for k, step in enumerate(steps):
-            check(policy, items[k:], step.before)
-        agree(steps, reference.fold(items, document.initial_context,
-                                    policy.value))
-        if all(s.gold is not None for s in document.sentences()):
-            same_report(document, policy)
+        steps = run(policy, items, context, gold)
+        for k in range(1, len(items)) if resumed else ():
+            check(policy, items[k:], steps[k].before, gold)
+        agree(steps, reference.fold(items, context, policy.value, gold))
+
+
+@policies
+@pytest.mark.parametrize("name", FIXTURES)
+def test_the_report_agrees_with_the_reference(name, policy):
+    same_report(fixture_doc(name), policy)
 
 
 # a few labels that repeat often, so that every operation occurs
@@ -125,8 +128,8 @@ def test_the_engine_agrees_with_the_reference_over_streams(items, data,
     for limit in LIMITS:
         with small(limit):
             for policy in POLICIES:
-                for start in starts:
-                    check(policy, items, start)
+                for start, gold in product(starts, (False, True)):
+                    check(policy, items, start, gold)
                 same_report(document, policy)
 
 
@@ -137,7 +140,8 @@ def test_the_engine_agrees_with_the_reference_over_psa_streams(policy,
                                                                 stream):
     items, context = stream
     document = Document("psa", frozenset(PAIR), tuple(items), context)
-    check(policy, document.items, context)
+    for gold in (False, True):
+        check(policy, document.items, context, gold)
     same_report(document, policy)
 
 

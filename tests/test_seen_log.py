@@ -11,16 +11,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from povtrack import (
-    Clause,
-    Engine,
-    FeatureSet,
-    NOBODY,
-    SceneBreak,
-    Sentence,
-    SoaType,
-    StateOfAffairs,
-)
+from povtrack import (Clause, Engine, FeatureSet, NOBODY, SceneBreak,
+                      Sentence, SoaType, StateOfAffairs)
 from povtrack import model
 from povtrack.model import SeenCharacters, grow
 from conftest import DATA, fixture_doc
