@@ -21,20 +21,19 @@ Exit status: 0 on success, 1 on parse/validation/gold-label problems,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
 import sys
 
 from .corpus import load_document, load_registry, validate_gold
-from .engine import Engine, SignificancePolicy, TrackStep
+from .engine import Engine, SignificancePolicy
 from .evaluation import evaluate
 from .model import ESCAPE_SEPARATORS, PovTrackError
 from .trace import interpretation_line, render_step
 
 REGISTRY_ENV = "POVTRACK_REGISTRY"
-
-_POLICIES = [p.value for p in SignificancePolicy]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--registry", help="category registry JSON "
                         f"(default: ${REGISTRY_ENV} or built-ins)")
     policy = argparse.ArgumentParser(add_help=False)
-    policy.add_argument("--policy", choices=_POLICIES,
+    policy.add_argument("--policy",
+                        choices=[p.value for p in SignificancePolicy],
                         default=SignificancePolicy.ANY_PREVIOUS_SC.value,
                         help="when a character's subjective past qualifies "
                         "their private-state actions (default: %(default)s)")
@@ -77,7 +77,8 @@ def main(argv=None) -> int:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        registry = _load_registry(args.registry)
+        path = args.registry or os.environ.get(REGISTRY_ENV)
+        registry = load_registry(path) if path else None
         if args.command == "track":
             return _cmd_track(args, registry)
         if args.command == "eval":
@@ -93,39 +94,20 @@ def main(argv=None) -> int:
             gc.enable()
 
 
-def _load_registry(flag_value):
-    path = flag_value or os.environ.get(REGISTRY_ENV)
-    if not path:
-        return None
-    return load_registry(path)
-
-
 def _cmd_track(args, registry) -> int:
     document = load_document(args.document, registry)
     engine = Engine(policy=SignificancePolicy(args.policy))
-    steps = engine.track_document(document)
-    lines = _track_lines(steps, args.trace)
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        # each step as it is rendered: a trace block, a blank line apart
+        blank = ""
+        for step in engine.track_document(document):
+            if args.trace:
+                out.write(blank + "\n".join(render_step(step)) + "\n")
+                blank = "\n"
+            if step.interpretation is not None:
+                out.write(interpretation_line(step) + "\n")
     return 0
-
-
-def _track_lines(steps: list[TrackStep], trace: bool) -> list[str]:
-    lines: list[str] = []
-    for step in steps:
-        if trace:
-            lines += render_step(step)
-        if step.interpretation is not None:
-            lines.append(interpretation_line(step))
-        if trace:
-            lines.append("")
-    if trace and lines and lines[-1] == "":
-        lines.pop()
-    return lines
 
 
 def _cmd_eval(args, registry) -> int:

@@ -69,7 +69,9 @@ from .model import (
     ValidationError,
     VERB_FEATURES,
     DEFAULT_REGISTRY,
+    _SURROGATE,
     all_names,
+    has_lone_surrogate,
 )
 
 # the "vp" flags in VerbFeatures field order
@@ -87,8 +89,7 @@ _FEATURE_KEYS = frozenset({"quotedSpeech", "parenthetical",
 _SOA_KEYS = frozenset({"id", "type", "who"})
 _CLAUSE_KEYS = frozenset({"id", "soa", "under", "vp"})
 _PSE_KEYS = frozenset({"id", "category", "under"})
-# half of a UTF-16 pair, and the JSON escape that can spell one
-_SURROGATE = re.compile("[\ud800-\udfff]")
+# the JSON escape that can spell half of a UTF-16 pair
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 # the stdlib scanner, which decodes the one JSON value at an index, and
 # the first character after the whitespace JSON allows between tokens,
@@ -116,7 +117,7 @@ class Document:
     def __post_init__(self) -> None:
         if not isinstance(self.title, str):
             raise ValidationError("title must be a string")
-        if _SURROGATE.search(self.title):
+        if has_lone_surrogate(self.title):
             raise ValidationError("title must not hold a lone surrogate")
         roster, seen = self.roster, set()
         _check_names(roster, "roster ")  # every other name set is in it
@@ -332,8 +333,8 @@ class _Text:
         self.last, self.where, self.scanner = -1, where, scanner
         if isinstance(raw, str):
             self.text, self.raw = raw, None
-            self.check = bool(_SURROGATE_ESCAPE.search(raw) or (
-                not raw.isascii() and _SURROGATE.search(raw)))
+            self.check = bool(_SURROGATE_ESCAPE.search(raw)
+                              or has_lone_surrogate(raw))
         elif isinstance(raw, (bytes, bytearray)):
             self.text, self.raw, self.check = "", raw, False
             encoding = json.detect_encoding(raw)
@@ -662,8 +663,8 @@ def _check_names(names, where, roster=None) -> None:
     if broken := [name for name in names if not SEPARATORS.isdisjoint(name)]:
         raise ValidationError(f"{where}name {min(broken)!r} must not hold a "
                               "tab or line break")
-    if _SURROGATE.search("".join(names)):
-        broken = [name for name in names if _SURROGATE.search(name)]
+    if has_lone_surrogate("".join(names)):
+        broken = [name for name in names if has_lone_surrogate(name)]
         raise ValidationError(f"{where}name {min(broken)!r} must not hold a "
                               "lone surrogate")
 

@@ -241,9 +241,7 @@ def _operation_error_label(gold, got, previous, last_subjective) -> str:
 
 
 def _pct(part: int, whole: int) -> int:
-    if whole == 0:
-        return 0
-    return int(100 * part / whole + 0.5)
+    return int(100 * part / whole + 0.5) if whole else 0
 
 
 def _interp_dict(interp: Interpretation) -> dict:

@@ -15,6 +15,7 @@ sentence with no active character, or a failed identification.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Set
 from dataclasses import dataclass, field
 from enum import Enum
@@ -47,6 +48,13 @@ SEPARATORS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 # a str.translate table writing each separator as its escape: "\t", "\u2028"
 ESCAPE_SEPARATORS = {ord(c): repr(c)[1:-1] for c in SEPARATORS}
 _STR = repeat(str)  # isinstance's second argument, for map
+# half of a UTF-16 pair, which no UTF encoder writes alone
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def has_lone_surrogate(text: str) -> bool:
+    """Whether ``text`` cannot be encoded; ASCII runs no search."""
+    return not text.isascii() and _SURROGATE.search(text) is not None
 
 
 def all_names(values) -> bool:
@@ -147,10 +155,16 @@ class PseCategory:
 
     def __post_init__(self) -> None:
         name, level = self.name, self.level
-        # a trace prints the name on a line of its own
-        if isinstance(name, str) and not SEPARATORS.isdisjoint(name):
+        # a document names it, and a trace prints it on a line of its own
+        if not isinstance(name, str) or not name:
+            raise RegistryError(
+                f"category name {name!r} must be a non-empty string")
+        if not SEPARATORS.isdisjoint(name):
             raise RegistryError(f"category name {name!r} must not hold a tab "
                                 "or line break")
+        if has_lone_surrogate(name):
+            raise RegistryError(f"category name {name!r} must not hold a "
+                                "lone surrogate")
         if not isinstance(level, int) or isinstance(level, bool):
             raise RegistryError(
                 f"category {self.name!r}: level must be an integer")
@@ -372,25 +386,23 @@ class FeatureSet:
 
     def __post_init__(self) -> None:
         clauses, soas, pses = self.clauses, self.soas, self.pses
-        # each id a str, which a set can hold and a message can sort
+        # each id a non-empty str that a set can hold and the writer can write
         for pse in pses:
-            if not isinstance(pse.id, str):
-                raise ValidationError(
-                    f"element id {pse.id!r} must be a string")
+            if not (isinstance(pse.id, str) and pse.id and pse.id.isascii()):
+                _check_id("element", pse.id)
             if not isinstance(pse.category, PseCategory):
                 raise ValidationError(f"element {pse.id!r} has unknown "
                                       f"category {pse.category!r}")
         for soa in soas:
-            if not isinstance(soa.id, str):
-                raise ValidationError(
-                    f"state-of-affairs id {soa.id!r} must be a string")
+            if not (isinstance(soa.id, str) and soa.id and soa.id.isascii()):
+                _check_id("state-of-affairs", soa.id)
             if not isinstance(soa.type, SoaType):
                 raise ValidationError(f"state of affairs {soa.id!r} has "
                                       f"unknown type {soa.type!r}")
         for clause in clauses:
-            if not isinstance(clause.id, str):
-                raise ValidationError(
-                    f"clause id {clause.id!r} must be a string")
+            if not (isinstance(clause.id, str) and clause.id
+                    and clause.id.isascii()):
+                _check_id("clause", clause.id)
             vp = clause.vp
             if id(vp) not in _VERB_IDS and not (
                     type(vp) is VerbFeatures and all(
@@ -413,9 +425,8 @@ class FeatureSet:
                     seen.add(obj.id)
         # by identity: hashing each state of affairs would cost more
         known = set(map(id, soas))
-        # the ids of the clauses read so far, and of all of them from the
-        # first clause that is under a clause written after it
-        mains, ids, ordered = [], set(), True
+        mains = []
+        ids = set(by_id) if by_id else {clauses[0].id} if clauses else set()
         for clause in clauses:
             if id(clause.soa) not in known:
                 raise ValidationError(
@@ -426,12 +437,8 @@ class FeatureSet:
             if not clause.under:
                 mains.append(clause)
             elif not clause.under <= ids:
-                if ordered:
-                    ordered, ids = False, set(by_id or (clause.id,))
-                if not clause.under <= ids:
-                    raise _unknown_clauses(f"clause {clause.id!r}",
-                                           clause.under, ids)
-            ids.add(clause.id)
+                raise _unknown_clauses(f"clause {clause.id!r}", clause.under,
+                                       ids)
         if not clauses:
             raise ValidationError("at least one clause required")
         if not mains:
@@ -440,8 +447,7 @@ class FeatureSet:
         if len(mains) > 1:
             names = ", ".join(sorted(c.id for c in mains))
             raise ValidationError(f"multiple main clauses ({names})")
-        # clauses each under only clauses written before them form no cycle
-        if not ordered:
+        if by_id:
             _check_acyclic(by_id)
         for pse in pses:
             if not isinstance(pse.under, frozenset):
@@ -489,6 +495,17 @@ class FeatureSet:
                 if clause.soa is soa:
                     return clause
         return None
+
+
+def _check_id(what, value) -> None:
+    """Refuse an id that is not a non-empty str the writer can write."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} id {value!r} must be a string")
+    if not value:
+        raise ValidationError(f"{what} id must be a non-empty string")
+    if has_lone_surrogate(value):
+        raise ValidationError(
+            f"{what} id {value!r} must not hold a lone surrogate")
 
 
 def _unknown_clauses(owner, under, ids) -> ValidationError:
@@ -556,6 +573,8 @@ class Sentence:
         if not (self.text is None or isinstance(self.text, str)):
             raise ValidationError(f"text must be a string or None, not "
                                   f"{self.text!r}")
+        if self.text is not None and has_lone_surrogate(self.text):
+            raise ValidationError("text must not hold a lone surrogate")
         if not (self.gold is None or isinstance(self.gold, Interpretation)):
             raise ValidationError("gold must be an Interpretation or None, "
                                   f"not {self.gold!r}")
@@ -568,6 +587,9 @@ class Sentence:
         if not SEPARATORS.isdisjoint(self.id):
             raise ValidationError(f"sentence id {self.id!r} must not hold a "
                                   "tab or line break")
+        if has_lone_surrogate(self.id):
+            raise ValidationError(f"sentence id {self.id!r} must not hold a "
+                                  "lone surrogate")
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,7 +15,6 @@ from .model import (
     ESCAPE_SEPARATORS,
     Characters,
     ParagraphBreak,
-    SceneBreak,
     Sentence,
     SoaType,
     TextSituation,
@@ -35,17 +34,16 @@ def names(characters: Characters) -> str:
 
 
 def render_step(step: TrackStep) -> list[str]:
-    if isinstance(step.item, (ParagraphBreak, SceneBreak)):
-        kind = ("paragraph" if isinstance(step.item, ParagraphBreak)
-                else "scene")
-        return [
-            f"--- {kind} break",
-            "Before the break:",
-            f"    The situation is {step.before.situation.short}",
-            "After the break:",
-            f"    The situation is {step.after.situation.short}",
-        ]
-    return _render_sentence(step)
+    if isinstance(step.item, Sentence):
+        return _render_sentence(step)
+    kind = "paragraph" if isinstance(step.item, ParagraphBreak) else "scene"
+    return [
+        f"--- {kind} break",
+        "Before the break:",
+        f"    The situation is {step.before.situation.short}",
+        "After the break:",
+        f"    The situation is {step.after.situation.short}",
+    ]
 
 
 def _render_sentence(step: TrackStep) -> list[str]:
@@ -66,10 +64,9 @@ def _render_sentence(step: TrackStep) -> list[str]:
         considered = [p.category.name for p in fs.pses]
         fired = [p.category.name for p in detail.fired]
         if len(considered) == 1:
-            lines.append("Potential subjective element considered:")
-            lines.append(f"    {considered[0]}")
-            lines.append("It is a subjective element" if fired
-                         else "It is not a subjective element")
+            lines += ["Potential subjective element considered:",
+                      f"    {considered[0]}", "It is a subjective element"
+                      if fired else "It is not a subjective element"]
         else:
             lines.append("Potential subjective elements considered:")
             lines += [f"    {c}" for c in considered]
@@ -97,15 +94,13 @@ def _render_sentence(step: TrackStep) -> list[str]:
                          "character:")
             lines += [f"    {c}" for c in excluded]
         lines += _trigger_lines(step)
-        if detail.sc_source == "competition-last-sc":
+        if detail.sc_source.startswith("competition-"):
             lines.append("Competition between the last_subj_char and the "
                          "last_active_char")
             lines.append("Choosing the last_subj_char because the sentence "
-                         "is about the last_active_char")
-        elif detail.sc_source == "competition-last-active":
-            lines.append("Competition between the last_subj_char and the "
-                         "last_active_char")
-            lines.append("Choosing the last_active_char")
+                         "is about the last_active_char"
+                         if detail.sc_source == "competition-last-sc"
+                         else "Choosing the last_active_char")
         if interpretation.characters:
             lines.append(f"The subj_char is {names(interpretation.characters)}")
         else:

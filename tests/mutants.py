@@ -42,6 +42,7 @@ ENGINE = "src/povtrack/engine.py"
 SITUATIONS = "src/povtrack/situations.py"
 MODEL = "src/povtrack/model.py"
 CORPUS = "src/povtrack/corpus.py"
+CLI = "src/povtrack/cli.py"
 
 # the engine against the reference tracker on every fixture and policy
 REFERENCE = ("tests/test_reference.py::"
@@ -61,6 +62,11 @@ LONE_SURROGATES = (
     "tests/test_corpus.py::"
     "test_lone_surrogate_is_a_parse_error_naming_the_field",
 )
+# a hand-built object's rule, checked on it and on its parsed twin
+BUILT = ("tests/test_model.py::"
+         "test_broken_rule_is_refused_where_the_object_is_built")
+LONE_IN_IDS = ("tests/test_model.py::"
+               "test_a_lone_surrogate_in_an_id_or_a_text_is_refused")
 # the check that a digit-limit fault is final
 DIGITS_SETTLED = ('        return not re.search(r"[0-9](\\.|[eE][-+]?)?\\Z", '
                   "self.text[-3:])\n")
@@ -223,6 +229,42 @@ MUTANTS = (
            CORPUS, 'text.fault("[null")', 'text.fault("[0")',
            ("tests/test_streaming.py::"
             "test_a_fault_is_reported_as_the_whole_decode_reports_it",)),
+    # the command writes each step as it renders it, the bytes of the
+    # joined text to either sink
+    Mutant("cli: no blank line between trace blocks", CLI,
+           '                blank = "\\n"\n', '                blank = ""\n',
+           ("tests/test_cli.py::"
+            "test_track_writes_the_joined_text_to_either_sink",)),
+    # every id, text and name a model object accepts can be written back
+    Mutant("category: an empty name accepted", MODEL,
+           "        if not isinstance(name, str) or not name:\n",
+           "        if not isinstance(name, str):\n",
+           (f"{BUILT}[category-name-empty]",)),
+    Mutant("category: a lone surrogate in a name accepted", MODEL,
+           "        if has_lone_surrogate(name):\n", "        if False:\n",
+           ("tests/test_model.py::"
+            "test_a_lone_surrogate_in_a_category_name_is_refused",)),
+    Mutant("category: a name that is not a str accepted", MODEL,
+           "        if not isinstance(name, str) or not name:\n",
+           "        if not name:\n",
+           ("tests/test_model.py::"
+            "test_a_category_name_that_is_not_a_string_is_refused",)),
+    Mutant("id: an empty id accepted", MODEL,
+           "    if not value:\n"
+           '        raise ValidationError(f"{what} id must be a non-empty '
+           'string")\n', "",
+           tuple(f"{BUILT}[empty-{what}-id]"
+                 for what in ("state-of-affairs", "clause", "element"))),
+    Mutant("id: a lone surrogate in an id accepted", MODEL,
+           "    if has_lone_surrogate(value):\n", "    if False:\n",
+           tuple(f"{LONE_IN_IDS}[{what}-id]"
+                 for what in ("state-of-affairs", "clause", "element"))),
+    Mutant("sentence: a lone surrogate in the id accepted", MODEL,
+           "        if has_lone_surrogate(self.id):\n", "        if False:\n",
+           (f"{LONE_IN_IDS}[sentence-id]",)),
+    Mutant("sentence: a lone surrogate in the text accepted", MODEL,
+           "        if self.text is not None and has_lone_surrogate(self.text):"
+           "\n", "        if False:\n", (f"{LONE_IN_IDS}[text]",)),
 )
 
 

@@ -1,14 +1,23 @@
 """End-to-end checks of the command-line interface."""
 
 import gc
+import io
 import json
 import re
+import sys
 
 import pytest
 
-from povtrack import cli
+from povtrack import (
+    Engine,
+    SignificancePolicy,
+    cli,
+    interpretation_line,
+    render_step,
+)
 from povtrack.cli import main
-from conftest import fixture_path, renamed
+from conftest import DATA, fixture_doc, fixture_path, renamed
+from test_streaming import peak, tiled
 
 
 def run(capsys, *argv):
@@ -68,6 +77,89 @@ def test_track_empty_document(tmp_path, capsys):
     empty.write_text('{"title": "none", "roster": [], "items": []}')
     code, out, err = run(capsys, "track", empty)
     assert (code, out, err) == (0, "", "")
+
+
+def test_track_trace_of_an_empty_document_writes_an_empty_file(tmp_path,
+                                                               capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"title": "none", "roster": [], "items": []}')
+    code, out, err = run(capsys, "track", empty, "--trace")
+    assert (code, out, err) == (0, "", "")
+    target = tmp_path / "out.txt"
+    code, out, err = run(capsys, "track", empty, "--trace", "--out", target)
+    assert (code, out, err, target.read_bytes()) == (0, "", "", b"")
+
+
+def joined_output(steps, trace):
+    """The text of ``povtrack track``, built whole: every line in a list,
+    a blank line closing each trace block but the last, then joined."""
+    lines = []
+    for step in steps:
+        if trace:
+            lines += render_step(step)
+        if step.interpretation is not None:
+            lines.append(interpretation_line(step))
+        if trace:
+            lines.append("")
+    if trace and lines and lines[-1] == "":
+        lines.pop()
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+FIXTURES = sorted(path.stem for path in DATA.glob("*.json"))
+
+
+# the command writes each step as it renders it, to standard output or to
+# the --out file, and either sink gets the bytes of the joined text
+@pytest.mark.parametrize("policy", [p.value for p in SignificancePolicy])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_track_writes_the_joined_text_to_either_sink(tmp_path, capsys, name,
+                                                     policy):
+    engine = Engine(policy=SignificancePolicy(policy))
+    steps = engine.track_document(fixture_doc(name))
+    target = tmp_path / "out.txt"
+    for flags in ([], ["--trace"]):
+        expected = joined_output(steps, trace=bool(flags)).encode("utf-8")
+        argv = ["track", fixture_path(name), "--policy", policy, *flags]
+        code, out, err = run(capsys, *argv)
+        assert (code, out.encode("utf-8"), err) == (0, expected, ""), flags
+        code, out, err = run(capsys, *argv, "--out", target)
+        assert (code, out, err) == (0, "", ""), flags
+        assert target.read_bytes() == expected, flags
+
+
+class ClosedEarly(io.StringIO):
+    """Standard output whose reader goes away after a few hundred
+    characters, as under ``povtrack track ... | head``."""
+
+    def write(self, text):
+        if self.tell() > 300:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def test_track_trace_to_a_reader_that_stops_exits_1(monkeypatch, capsys):
+    # written a step at a time, the output meets the closed pipe before
+    # it ends, and the command says so on one line, not in a traceback
+    monkeypatch.setattr(sys, "stdout", ClosedEarly())
+    code = main(["track", str(fixture_path("minicorpus")), "--trace"])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "povtrack: error: [Errno 32] Broken pipe\n"
+
+
+def test_track_trace_peaks_no_higher_than_validate(tmp_path, capsys):
+    # held as a list of lines and then joined, a trace of a document as
+    # large as its JSON took three times what the parse peaks at; written
+    # a step at a time it is never held, and the parse is both peaks
+    path = tmp_path / "novel.json"
+    path.write_text(json.dumps(tiled(24)), encoding="utf-8")  # 2,136
+    validate = peak(main, ["validate", str(path)])
+    traced = peak(main, ["track", str(path), "--trace", "--out",
+                         str(tmp_path / "trace.txt")])
+    assert capsys.readouterr() == ("", "")
+    assert (tmp_path / "trace.txt").stat().st_size > path.stat().st_size
+    assert traced <= 1.1 * validate, (traced, validate)
 
 
 def test_track_broken_document_exits_1(tmp_path, capsys):

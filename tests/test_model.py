@@ -16,6 +16,7 @@ from povtrack import (
     INITIAL_CONTEXT,
     Interpretation,
     NOBODY,
+    ParseError,
     Pse,
     PseCategory,
     RegistryError,
@@ -125,6 +126,17 @@ def test_category_level_validated():
         PseCategory("bogus", 7)
 
 
+# a name that is not a str passed every check, and the writer then raised
+# a bare TypeError on it; the parser only reads str keys
+@pytest.mark.parametrize("name", [5, None, b"x", ("x",)],
+                         ids=["int", "none", "bytes", "tuple"])
+def test_a_category_name_that_is_not_a_string_is_refused(name):
+    with pytest.raises(RegistryError) as caught:
+        PseCategory(name, 3)
+    assert str(caught.value) == \
+        f"category name {name!r} must be a non-empty string"
+
+
 A1 = StateOfAffairs("a1", SoaType.ACTION)
 ACTION = (A1,)
 
@@ -161,10 +173,12 @@ def features_json(clauses, soas, pses=(), parenthetical=None,
     return out
 
 
-def document(sid="s1", **fields):
+def document(sid="s1", text=None, **fields):
     fields = {"clauses": (MAIN,), "soas": SOAS, **fields}
-    return json.dumps({"roster": ["Zoe"], "items": [
-        {"kind": "sentence", "id": sid, "features": features_json(**fields)}]})
+    item = {"kind": "sentence", "id": sid, "features": features_json(**fields)}
+    if text is not None:
+        item["text"] = text
+    return json.dumps({"roster": ["Zoe"], "items": [item]})
 
 
 def feature_rule(name, message, **fields):
@@ -225,6 +239,17 @@ def name_rules(separator):
                        id=f"category-name-{name!r}")
 
 
+def empty_id_rule(what, key, index, **fields):
+    """An empty id, which the writer would write and the parser refuse;
+    the parser names the entry, so the message is the place's tail."""
+    fields = {"clauses": (MAIN,), "soas": SOAS, **fields}
+    return pytest.param(partial(FeatureSet, **fields),
+                        partial(parse_document, document(**fields)),
+                        ValidationError, f"{what} id must be a non-empty "
+                        "string", f"sentence s1: features.{key}[{index}]: ",
+                        id=f"empty-{what}-id")
+
+
 def level_rule(level, message):
     return pytest.param(partial(PseCategory, "x", level),
                         partial(parse_registry, json.dumps({"x": {
@@ -247,8 +272,8 @@ RULES = [
     feature_rule("cycle", "clause subordination cycle: c2 -> c3 -> c2",
                  clauses=(MAIN, under("c2", A1, "c3"),
                           under("c3", A1, "c2"))),
-    # a cycle needs a clause under one written after it: the search for
-    # one is skipped only when no clause is
+    # a cycle needs a clause under one written after it; the search runs
+    # on every sentence of more than one clause, in any order
     feature_rule("cycle-written-out-of-order", "clause subordination "
                  "cycle: c3 -> c2 -> c3", clauses=(
                      under("c3", A1, "c2"), MAIN, under("c2", A1, "c3"))),
@@ -332,6 +357,16 @@ RULES = [
     *name_rules("\n"),
     *name_rules("\t"),
     *name_rules("\u2028"),
+    empty_id_rule("state-of-affairs", "soas", 2,
+                  soas=SOAS + (StateOfAffairs("", SoaType.ACTION),)),
+    empty_id_rule("clause", "clauses", 1,
+                  clauses=(MAIN, under("", A1, "c1"))),
+    empty_id_rule("element", "pses", 0, pses=(Pse("", QUESTION),)),
+    # a name no document could write, so no element could name it
+    pytest.param(partial(PseCategory, "", 3),
+                 partial(parse_registry, '{"": {"level": 2}}'),
+                 RegistryError, "category name '' must be a non-empty string",
+                 "registry: ", id="category-name-empty"),
     level_rule(0, "in 1..4, got 0"),
     level_rule(True, "an integer"),
     level_rule(2.0, "an integer"),
@@ -350,7 +385,7 @@ def test_broken_rule_is_refused_where_the_object_is_built(
 
 
 # the same clauses in the order they are under one another, and reversed:
-# the cycle search runs only on the second, and both are valid
+# both are valid, and the cycle search finds no cycle in either
 CHAIN = (MAIN, under("c2", P1, "c1"), under("c3", A1, "c2"),
          under("c4", P1, "c2", "c3"))
 
@@ -587,6 +622,71 @@ def test_a_lone_surrogate_in_a_title_or_name_is_refused(build, message):
     with pytest.raises(ValidationError) as caught:
         build()
     assert str(caught.value) == message
+
+
+LONE = StateOfAffairs("a\ud800", SoaType.ACTION)
+# a lone surrogate in an id or a sentence text: a hand-built object holding
+# one was accepted, and its dump could not be encoded; the parser meets it
+# first, walking the decoded JSON, and names its place
+IDS_AND_TEXTS = {
+    "sentence-id": (partial(Sentence, "s\udc00", S1.features),
+                    "sentence id 's\\udc00' must not hold a lone surrogate",
+                    document("s\udc00"), "items[0].id", "'\\udc00'"),
+    "text": (partial(Sentence, "s1", S1.features, text="x\ud83d"),
+             "text must not hold a lone surrogate",
+             document(text="x\ud83d"), "items[0].text", "'\\ud83d'"),
+    "state-of-affairs-id": (
+        partial(FeatureSet, (MAIN,), SOAS + (LONE,)),
+        "state-of-affairs id 'a\\ud800' must not hold a lone surrogate",
+        document(soas=SOAS + (LONE,)),
+        "items[0].features.soas[2].id", "'\\ud800'"),
+    "clause-id": (
+        partial(FeatureSet, (MAIN, under("\udfff", A1, "c1")), SOAS),
+        "clause id '\\udfff' must not hold a lone surrogate",
+        document(clauses=(MAIN, under("\udfff", A1, "c1"))),
+        "items[0].features.clauses[1].id", "'\\udfff'"),
+    "element-id": (
+        partial(FeatureSet, (MAIN,), SOAS, (Pse("\ud800e", QUESTION),)),
+        "element id '\\ud800e' must not hold a lone surrogate",
+        document(pses=(Pse("\ud800e", QUESTION),)),
+        "items[0].features.pses[0].id", "'\\ud800'"),
+}
+
+
+@pytest.mark.parametrize("build, message, text, place, shown",
+                         IDS_AND_TEXTS.values(), ids=IDS_AND_TEXTS)
+def test_a_lone_surrogate_in_an_id_or_a_text_is_refused(build, message, text,
+                                                        place, shown):
+    with pytest.raises(ValidationError) as caught:
+        build()
+    assert str(caught.value) == message
+    with pytest.raises(ParseError) as parsed:
+        parse_document(text)
+    assert str(parsed.value) == f"{place}: lone surrogate {shown}"
+
+
+# a registry spells its category names as JSON keys, which the parser's
+# walk refuses first; a hand-built category holding one was accepted, and
+# the dump of a document naming it could not be encoded
+def test_a_lone_surrogate_in_a_category_name_is_refused():
+    with pytest.raises(RegistryError) as caught:
+        PseCategory("q\ud800", 3)
+    assert str(caught.value) == \
+        "category name 'q\\ud800' must not hold a lone surrogate"
+    with pytest.raises(ParseError) as parsed:
+        parse_registry('{"q\\ud800": {"level": 2}}')
+    assert str(parsed.value) == \
+        "registry: top level: field name has a lone surrogate '\\ud800'"
+
+
+def test_a_paired_character_in_an_id_and_a_text_is_kept():
+    smile = "\U0001f600"
+    soa = StateOfAffairs(f"a{smile}", SoaType.ACTION)
+    features = FeatureSet((Clause(smile, soa),), (soa,),
+                          (Pse(smile, QUESTION),))
+    document = Document("t", frozenset(), (Sentence(
+        f"s{smile}", features, text=f"{smile}!"),))
+    assert parse_document(dumps_document(document).encode()) == document
 
 
 def test_a_paired_character_in_a_title_and_name_is_kept():
