@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import json
 import os
 import sys
 
@@ -115,8 +114,7 @@ def _cmd_eval(args, registry) -> int:
     policy = SignificancePolicy(args.policy)
     report = evaluate(document, Engine(policy=policy))
     if args.json:
-        json.dump(report.to_dict(), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(report.to_json() + "\n")
     else:
         sys.stdout.write(report.render())
     return 0

@@ -20,9 +20,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 
 from .engine import Engine
-from .corpus import Document
+from .corpus import Document, _json
 from .model import (
     Characters,
     Interpretation,
@@ -119,6 +120,45 @@ class EvalReport:
             "by_interpretation": [r.to_dict() for r in self.by_interpretation],
             "by_operation": [r.to_dict() for r in self.by_operation],
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``,
+        written from the report's fixed shape, since that encoder indents
+        in pure Python."""
+        # each distinct gold or got label's object, written once per call
+        labels: dict = {}
+
+        def label(interp: Interpretation) -> str:
+            key = interp.subjective, interp.characters
+            if key not in labels:
+                names = _json(list(map(_quote, sorted(interp.characters))), 5)
+                labels[key] = _json([f'"characters": {names}',
+                                     f'"type": "{interp.kind}"'], 4, "{}")
+            return labels[key]
+
+        def errors(cases: list[ErrorCase]) -> str:
+            written = _json([_json([f'"gold": {label(c.gold)}',
+                                    f'"got": {label(c.got)}',
+                                    f'"id": {_quote(c.sentence_id)}'], 3, "{}")
+                             for c in cases], 2)
+            return _json([f'"cases": {written}', f'"count": {len(cases)}'],
+                         1, "{}")
+
+        def table(rows: list[BreakdownRow]) -> str:
+            return _json([_json([
+                f'"actual": {r.actual}',
+                '"incorrect": ' + _json([f"{_quote(k)}: {n}" for k, n
+                                         in sorted(r.wrong.items())], 3, "{}"),
+                f'"label": {_quote(r.label)}',
+                f'"primary": {r.primary}'], 2, "{}") for r in rows], 1)
+
+        return _json([f'"by_interpretation": {table(self.by_interpretation)}',
+                      f'"by_operation": {table(self.by_operation)}',
+                      f'"primary": {errors(self.primary)}',
+                      f'"secondary": {errors(self.secondary)}',
+                      f'"sentences": {self.sentences}',
+                      f'"simple_quoted_speech": {self.simple_quoted}'],
+                     0, "{}")
 
     def render(self) -> str:
         lines = [

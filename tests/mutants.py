@@ -67,6 +67,10 @@ BUILT = ("tests/test_model.py::"
          "test_broken_rule_is_refused_where_the_object_is_built")
 LONE_IN_IDS = ("tests/test_model.py::"
                "test_a_lone_surrogate_in_an_id_or_a_text_is_refused")
+# to_json against json's indented encoder, on fixtures and built reports
+TO_JSON = tuple(f"tests/test_evaluation.py::test_to_json_{test}" for test in (
+    "is_the_indented_json_of_to_dict_on_every_fixture",
+    "of_any_report_is_the_indented_json_of_to_dict"))
 # the check that a digit-limit fault is final
 DIGITS_SETTLED = ('        return not re.search(r"[0-9](\\.|[eE][-+]?)?\\Z", '
                   "self.text[-3:])\n")
@@ -265,6 +269,13 @@ MUTANTS = (
     Mutant("sentence: a lone surrogate in the text accepted", MODEL,
            "        if self.text is not None and has_lone_surrogate(self.text):"
            "\n", "        if False:\n", (f"{LONE_IN_IDS}[text]",)),
+    # the report's JSON writer
+    Mutant("to_json: names quoted without escaping non-ASCII", EVALUATION,
+           "import encode_basestring_ascii as _quote\n",
+           "import encode_basestring as _quote\n", TO_JSON),
+    Mutant("to_json: a label written once per character set", EVALUATION,
+           "            key = interp.subjective, interp.characters\n",
+           "            key = interp.characters\n", TO_JSON),
 )
 
 

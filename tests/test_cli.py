@@ -12,6 +12,7 @@ from povtrack import (
     Engine,
     SignificancePolicy,
     cli,
+    evaluate,
     interpretation_line,
     render_step,
 )
@@ -218,6 +219,15 @@ def test_eval_json(capsys):
     assert data["primary"]["count"] == 2
     assert data["secondary"]["count"] == 2
     assert data["sentences"] == 38
+
+
+@pytest.mark.parametrize("policy", SignificancePolicy, ids=lambda p: p.value)
+def test_eval_json_writes_the_reports_to_json_and_a_newline(capsys, policy):
+    code, out, err = run(capsys, "eval", fixture_path("minicorpus"), "--json",
+                         "--policy", policy.value)
+    report = evaluate(fixture_doc("minicorpus"), Engine(policy=policy))
+    assert (code, err) == (0, "")
+    assert out == report.to_json() + "\n"
 
 
 def test_eval_policy_differential(capsys):

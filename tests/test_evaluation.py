@@ -1,13 +1,18 @@
 """Evaluation harness: actual contexts, operations, error accounting."""
 
 import dataclasses
+import json
 from collections import Counter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from povtrack import (
     Engine,
+    EvalReport,
     FeatureSet,
+    Interpretation,
     Sentence,
     SignificancePolicy,
     TextSituation,
@@ -15,6 +20,7 @@ from povtrack import (
     evaluate,
     is_simple_quoted_speech,
 )
+from povtrack.evaluation import BreakdownRow, ErrorCase
 from conftest import DATA, fixture_doc
 
 FIXTURES = sorted(p.stem for p in DATA.glob("*.json"))
@@ -206,6 +212,59 @@ def test_report_render_and_json_agree():
         "gold": {"type": "objective", "characters": ["Call"]},
         "got": {"type": "subjective", "characters": ["Call"]},
     }
+
+
+# -- the JSON report ---------------------------------------------------------------
+
+
+def indented_json(report):
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("policy", SignificancePolicy, ids=lambda p: p.value)
+@pytest.mark.parametrize("name", FIXTURES)
+def test_to_json_is_the_indented_json_of_to_dict_on_every_fixture(name,
+                                                                   policy):
+    report = evaluate(fixture_doc(name), Engine(policy=policy))
+    assert report.to_json() == indented_json(report)
+
+
+# what json escapes, or writes as \u escapes: a quote, a backslash, control
+# characters, U+2028, non-ASCII, an astral character and a lone surrogate
+TRICKY = st.text(st.sampled_from('a"\\\x00\x1f\x7f\u2028\xe9\U0001f600\ud800')
+                 | st.characters(), max_size=6)
+COUNTS = st.integers(0, 10**6)
+ROWS = st.lists(st.builds(BreakdownRow, TRICKY, COUNTS, COUNTS,
+                          st.builds(Counter, st.dictionaries(TRICKY, COUNTS,
+                                                             max_size=3))),
+                max_size=4)
+
+
+@st.composite
+def reports(draw):
+    """Reports built directly.  The cases draw their labels from a few
+    character sets, each both subjective and objective, so that one set
+    is often written under both kinds in one report."""
+    sets = draw(st.lists(st.frozensets(TRICKY, max_size=3), min_size=1,
+                         max_size=3))
+    labels = st.builds(Interpretation, st.booleans(), st.sampled_from(sets))
+    cases = st.lists(st.builds(ErrorCase, TRICKY, labels, labels), max_size=6)
+    return EvalReport(draw(COUNTS), draw(cases), draw(cases), draw(COUNTS),
+                      draw(ROWS), draw(ROWS))
+
+
+A = frozenset({"Zo\xeb"})
+
+
+@given(reports())
+@example(EvalReport(0, [], [], 0, [], []))
+@example(EvalReport(2, [ErrorCase("s1", Interpretation(True, A),
+                                  Interpretation(False, A))], [], 0,
+                    [BreakdownRow("subjective", 2, 1, Counter({"objective": 1,
+                                                               "other": 0}))],
+                    [BreakdownRow("initiation", 0, 0)]))
+def test_to_json_of_any_report_is_the_indented_json_of_to_dict(report):
+    assert report.to_json() == indented_json(report)
 
 
 # -- one decision per sentence and fold ---------------------------------------------
