@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import gc
 import os
+import stat
 import sys
 
 from .corpus import load_document, load_registry, validate_gold
@@ -96,7 +97,7 @@ def main(argv=None) -> int:
 def _cmd_track(args, registry) -> int:
     document = load_document(args.document, registry)
     engine = Engine(policy=SignificancePolicy(args.policy))
-    with (open(args.out, "w", encoding="utf-8") if args.out
+    with (_overwritten(args.out) if args.out
           else contextlib.nullcontext(sys.stdout)) as out:
         # each step as it is rendered: a trace block, a blank line apart
         blank = ""
@@ -107,6 +108,25 @@ def _cmd_track(args, registry) -> int:
             if step.interpretation is not None:
                 out.write(interpretation_line(step) + "\n")
     return 0
+
+
+@contextlib.contextmanager
+def _overwritten(path):
+    """``path`` opened for text, written over in place and cut at the end
+    where the writes stopped: truncating on open would have the kernel free
+    the old file's blocks first, which on some file systems costs more than
+    the whole write."""
+    with open(path, "w", encoding="utf-8", opener=lambda name, flags:
+              os.open(name, flags & ~os.O_TRUNC, 0o666)) as out:
+        try:
+            yield out
+        finally:
+            try:
+                out.flush()
+            finally:  # where the file system stopped the writes, if it did
+                fd = out.fileno()
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _cmd_eval(args, registry) -> int:

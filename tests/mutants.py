@@ -239,6 +239,23 @@ MUTANTS = (
            '                blank = "\\n"\n', '                blank = ""\n',
            ("tests/test_cli.py::"
             "test_track_writes_the_joined_text_to_either_sink",)),
+    # --out is overwritten in place and cut where the output ends
+    Mutant("cli: --out not cut to the length written", CLI,
+           "                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))"
+           "\n", "                    pass\n",
+           ("tests/test_cli.py::"
+            "test_track_writes_the_joined_text_to_either_sink",)),
+    Mutant("cli: --out cut even when it is not a regular file", CLI,
+           "                if stat.S_ISREG(os.fstat(fd).st_mode):\n",
+           "                if True:\n",
+           ("tests/test_cli.py::test_track_out_to_the_null_device_exits_0",)),
+    Mutant("cli: --out cut only after a flush that succeeds", CLI,
+           "            try:\n                out.flush()\n"
+           "            finally:  # where the file system stopped the writes,"
+           " if it did\n",
+           "            out.flush()\n            if True:\n",
+           ("tests/test_cli.py::"
+            "test_a_file_size_limit_leaves_the_bytes_that_fit",)),
     # every id, text and name a model object accepts can be written back
     Mutant("category: an empty name accepted", MODEL,
            "        if not isinstance(name, str) or not name:\n",

@@ -3,8 +3,12 @@
 import gc
 import io
 import json
+import os
 import re
+import stat
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,7 +115,9 @@ FIXTURES = sorted(path.stem for path in DATA.glob("*.json"))
 
 
 # the command writes each step as it renders it, to standard output or to
-# the --out file, and either sink gets the bytes of the joined text
+# the --out file, and either sink gets the bytes of the joined text; the
+# one --out file takes the verdicts, then the longer trace over them, then
+# the verdicts again, and must end where they end
 @pytest.mark.parametrize("policy", [p.value for p in SignificancePolicy])
 @pytest.mark.parametrize("name", FIXTURES)
 def test_track_writes_the_joined_text_to_either_sink(tmp_path, capsys, name,
@@ -119,7 +125,7 @@ def test_track_writes_the_joined_text_to_either_sink(tmp_path, capsys, name,
     engine = Engine(policy=SignificancePolicy(policy))
     steps = engine.track_document(fixture_doc(name))
     target = tmp_path / "out.txt"
-    for flags in ([], ["--trace"]):
+    for flags in ([], ["--trace"], []):
         expected = joined_output(steps, trace=bool(flags)).encode("utf-8")
         argv = ["track", fixture_path(name), "--policy", policy, *flags]
         code, out, err = run(capsys, *argv)
@@ -127,6 +133,134 @@ def test_track_writes_the_joined_text_to_either_sink(tmp_path, capsys, name,
         code, out, err = run(capsys, *argv, "--out", target)
         assert (code, out, err) == (0, "", ""), flags
         assert target.read_bytes() == expected, flags
+
+
+STALE = b"unrelated bytes, longer than any output of demo1\n" * 400
+
+
+def demo1_verdicts(capsys):
+    code, out, err = run(capsys, "track", fixture_path("demo1"))
+    assert (code, err) == (0, "")
+    return out.encode("utf-8")
+
+
+# --out overwrites the file in place and cuts it where the output ends
+@pytest.mark.parametrize("before", [
+    None, lambda text: b"", lambda text: text[:len(text) // 2],
+    lambda text: text[::-1], lambda text: STALE,
+], ids=["absent", "empty", "shorter", "same-length", "longer"])
+def test_track_out_holds_stdouts_bytes_whatever_it_held(tmp_path, capsys,
+                                                        before):
+    expected = demo1_verdicts(capsys)
+    target = tmp_path / "out.tsv"
+    if before is not None:
+        target.write_bytes(before(expected))
+    assert run(capsys, "track", fixture_path("demo1"), "--out", target) == \
+        (0, "", "")
+    assert target.read_bytes() == expected
+
+
+def test_track_out_writes_through_a_symlink(tmp_path, capsys):
+    expected = demo1_verdicts(capsys)
+    real, link = tmp_path / "real.tsv", tmp_path / "link.tsv"
+    real.write_bytes(STALE)
+    link.symlink_to(real.name)
+    assert run(capsys, "track", fixture_path("demo1"), "--out", link) == \
+        (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert real.read_bytes() == expected
+
+
+def test_track_out_rewrites_the_file_that_a_hard_link_shares(tmp_path,
+                                                             capsys):
+    expected = demo1_verdicts(capsys)
+    target, other = tmp_path / "out.tsv", tmp_path / "other.tsv"
+    target.write_bytes(STALE)
+    os.link(target, other)
+    assert run(capsys, "track", fixture_path("demo1"), "--out", target) == \
+        (0, "", "")
+    assert target.samefile(other) and other.read_bytes() == expected
+
+
+def test_track_out_keeps_an_existing_files_mode(tmp_path, capsys):
+    target = tmp_path / "out.tsv"
+    target.write_bytes(STALE)
+    target.chmod(0o604)
+    assert run(capsys, "track", fixture_path("demo1"), "--out", target) == \
+        (0, "", "")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o604
+
+
+def test_track_out_creates_a_file_with_the_umasks_mode(tmp_path, capsys):
+    target = tmp_path / "out.tsv"
+    umask = os.umask(0o027)
+    try:
+        result = run(capsys, "track", fixture_path("demo1"), "--out", target)
+    finally:
+        os.umask(umask)
+    assert result == (0, "", "")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_track_out_to_the_null_device_exits_0(capsys):
+    # the length is cut only on a regular file: a device refuses it
+    assert run(capsys, "track", fixture_path("demo1"), "--trace", "--out",
+               os.devnull) == (0, "", "")
+
+
+@pytest.mark.parametrize("written", [0, 3, 6])
+def test_a_failed_write_leaves_only_the_lines_written(tmp_path, capsys,
+                                                      monkeypatch, written):
+    lines = demo1_verdicts(capsys).splitlines(keepends=True)
+    calls = []
+
+    def stops_after_some(step):
+        if len(calls) == written:
+            raise OSError(28, "No space left on device")
+        calls.append(step)
+        return interpretation_line(step)
+
+    monkeypatch.setattr(cli, "interpretation_line", stops_after_some)
+    target = tmp_path / "out.tsv"
+    target.write_bytes(STALE)
+    code, out, err = run(capsys, "track", fixture_path("demo1"), "--out",
+                         target)
+    assert (code, out) == (1, "")
+    assert err == "povtrack: error: [Errno 28] No space left on device\n"
+    assert target.read_bytes() == b"".join(lines[:written])
+
+
+# the command, with every write past a file's 1,000th byte refused once
+# the package is imported (Python ignores SIGXFSZ, so the write fails)
+FILE_SIZE_LIMITED = """
+import resource, sys
+from povtrack.cli import main
+hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+resource.setrlimit(resource.RLIMIT_FSIZE, (1000, hard))
+sys.exit(main())
+"""
+
+
+def test_a_file_size_limit_leaves_the_bytes_that_fit(tmp_path, capsys):
+    # the file system refuses the writes past 1,000 bytes, and again when
+    # the rest is flushed; the file ends where the refused bytes began
+    pytest.importorskip("resource")
+    code, expected, _ = run(capsys, "track", fixture_path("demo1"), "--trace")
+    expected = expected.encode("utf-8")
+    assert code == 0 and len(expected) > 1000
+    target = tmp_path / "out.txt"
+    target.write_bytes(STALE)
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env.pop("POVTRACK_REGISTRY", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", FILE_SIZE_LIMITED, "track",
+         str(fixture_path("demo1")), "--trace", "--out", str(target)],
+        env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "povtrack: error: [Errno 27] File too large\n"
+    assert target.read_bytes() == expected[:1000]
 
 
 class ClosedEarly(io.StringIO):
