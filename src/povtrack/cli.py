@@ -85,9 +85,10 @@ def main(argv=None) -> int:
             return _cmd_eval(args, registry)
         return _cmd_validate(args, registry)
     except (PovTrackError, OSError) as exc:
-        # one line, even when the message quotes an id that breaks lines
-        print(f"povtrack: error: {exc}".translate(ESCAPE_SEPARATORS),
-              file=sys.stderr)
+        # one line, even when the message quotes an id that breaks lines,
+        # and a lone surrogate it quotes as its escape, on any stream
+        print(f"povtrack: error: {exc}".translate(ESCAPE_SEPARATORS).encode(
+            "utf-8", "backslashreplace").decode(), file=sys.stderr)
         return 1
     finally:
         if was_enabled:

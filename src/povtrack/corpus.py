@@ -25,10 +25,11 @@ A document is JSON text, or bytes in UTF-8 (or UTF-16/32):
 
 Absent lists and "vp" are empty, absent flags false; sentence ids are
 unique per document, other ids per list.  Text that is not JSON, or
-does not decode (a string holding a lone surrogate included), raises
-ParseError worded as the json module words it; so does a document that
-is not an object.  Any other fault raises a ValidationError
-(RegistryError in a registry) that names its place.
+bytes that do not decode, raise ParseError worded as the json module
+words it; so does a document that is not an object.  Any other fault,
+a lone surrogate among them, raises a ValidationError (RegistryError in
+a registry) that names its place: the model refuses one in each string
+it keeps, and any other string is refused as unknown or off-roster.
 
 A registry file is a JSON object mapping a category name to
 ``{"level": 1..4, "excluded": bool}``; entries override the built-in
@@ -69,7 +70,6 @@ from .model import (
     ValidationError,
     VERB_FEATURES,
     DEFAULT_REGISTRY,
-    _SURROGATE,
     all_names,
     has_lone_surrogate,
 )
@@ -89,8 +89,6 @@ _FEATURE_KEYS = frozenset({"quotedSpeech", "parenthetical",
 _SOA_KEYS = frozenset({"id", "type", "who"})
 _CLAUSE_KEYS = frozenset({"id", "soa", "under", "vp"})
 _PSE_KEYS = frozenset({"id", "category", "under"})
-# the JSON escape that can spell half of a UTF-16 pair
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 # the stdlib scanner, which decodes the one JSON value at an index, and
 # the first character after the whitespace JSON allows between tokens,
 # or a trailing comma with the "]" after it, which Pythons word apart
@@ -209,31 +207,6 @@ _REGISTRY_SCAN = json.JSONDecoder(
     object_pairs_hook=_reject_duplicate_keys).scan_once
 
 
-def _reject_lone_surrogates(data, where, place="") -> None:
-    """Raise ParseError naming a string, or a field name, that holds a
-    lone surrogate in decoded JSON found at ``place`` ("" at the top).
-    Escapes that pair up decode to one character and pass."""
-    stack = [(place, data)]
-    while stack:
-        place, value = stack.pop()
-        if isinstance(value, dict):
-            for key, child in value.items():
-                found = _SURROGATE.search(key)
-                if found:
-                    raise ParseError(f"{where}{place or 'top level'}: field "
-                                     "name has a lone surrogate "
-                                     f"{ascii(found.group())}")
-                stack.append((f"{place}.{key}" if place else key, child))
-        elif isinstance(value, list):
-            stack.extend((f"{place}[{i}]", child)
-                         for i, child in enumerate(value))
-        elif isinstance(value, str):
-            found = _SURROGATE.search(value)
-            if found:
-                raise ParseError(f"{where}{place or 'top level'}: lone "
-                                 f"surrogate {ascii(found.group())}")
-
-
 # ---------------------------------------------------------------------------
 # documents
 
@@ -253,6 +226,8 @@ def parse_document(text: str | bytes,
     text's faults as it is read, a top level other than an object of the
     known fields (items after an unknown one are decoded, not built), then
     the roster, "items" not an array, the preamble, title and ``Document``.
+    A lone surrogate is refused by the check on the string holding it,
+    in that check's turn.
     """
     registry = _checked_registry(registry)
     text, sets, fields = _Text(text, ""), _Shared(), {}
@@ -272,9 +247,7 @@ def parse_document(text: str | bytes,
                 fields.keys() <= _TOP_KEYS):
             fields[key] = _scan_items(text, registry, sets)
         else:
-            fields[key] = value = text.scan()
-            if text.check:
-                _reject_lone_surrogates({key: value}, "")
+            fields[key] = text.scan()
         token, head = text.token(), '{"":null'
     if token != "}":
         text.fault(head)
@@ -294,23 +267,21 @@ def load_document(path,
 
 def _scan_items(text, registry, sets) -> list:
     """The items of the JSON array next in ``text``, read past it and the
-    whitespace after it.  Each item is decoded on its own, walked for a
-    lone surrogate and built once the next is read: its decoded JSON is
-    freed soon after, and a syntax fault right after it is met first."""
+    whitespace after it.  Each item is decoded on its own and built once
+    the next is read: its decoded JSON is freed soon after, and a syntax
+    fault right after it is met first."""
     text.token()  # the "["
     items, held = [], []
     token = text.token() if text.startswith("]") else ","
     while token != "]":
-        held.append((text.scan(), text.check))
+        held.append(text.scan())
         token = text.token()
         if token not in (",", "]"):
             text.fault("[null")
         # the item before this one, or every item at the "]"
         while len(held) > (token == ","):
-            (raw, check), where = held.pop(0), f"items[{len(items)}]"
-            if check:
-                _reject_lone_surrogates(raw, "", where)
-            items.append(_parse_item(raw, where, registry, sets))
+            items.append(_parse_item(held.pop(0), f"items[{len(items)}]",
+                                     registry, sets))
     return items
 
 
@@ -322,21 +293,18 @@ class _Text:
     """JSON text read from ``pos`` on: a str whole, as it is given, or
     bytes decoded strictly a window at a time.  A read that the window's
     end may have cut short is retried on a wider window, and the text
-    read before it is then dropped.  ``check`` is true once the text read
-    holds an escape that could spell a lone surrogate.  A fault raises
-    ParseError worded, and placed, as the json module words it in the
-    strictly decoded text: ``at`` is where the last token read sits, and
-    ``lines`` and ``last`` count and place the line breaks dropped."""
+    read before it is then dropped.  A fault raises ParseError worded,
+    and placed, as the json module words it in the strictly decoded text:
+    ``at`` is where the last token read sits, and ``lines`` and ``last``
+    count and place the line breaks dropped."""
 
     def __init__(self, raw, where, scanner=_SCAN):
         self.pos = self.offset = self.lines = 0
         self.last, self.where, self.scanner = -1, where, scanner
         if isinstance(raw, str):
             self.text, self.raw = raw, None
-            self.check = bool(_SURROGATE_ESCAPE.search(raw)
-                              or has_lone_surrogate(raw))
         elif isinstance(raw, (bytes, bytearray)):
-            self.text, self.raw, self.check = "", raw, False
+            self.text, self.raw = "", raw
             encoding = json.detect_encoding(raw)
             # bytes.decode places a fault from after a UTF-8 BOM
             self.offset = self.skip = 3 if encoding == "utf-8-sig" else 0
@@ -361,8 +329,7 @@ class _Text:
         self.lines += found >= 0 and text.count("\n", 0, pos)
         self.last = (self.last if found < 0 else found) - pos
         self.text, self.pos = self.text[self.pos:], 0  # drop the text read
-        tail = len(self.text)
-        self.offset = end = start + max(_WINDOW, 2 * tail)
+        self.offset = end = start + max(_WINDOW, 2 * len(self.text))
         if end >= len(raw):
             self.raw = None
         try:
@@ -376,9 +343,6 @@ class _Text:
                    if size == 1 else f"bytes in position {at}-{at + size - 1}")
             self.fail(ValueError(f"'{exc.encoding}' codec can't decode {bad}: "
                                  f"{exc.reason}"))
-        # from 5 characters back, so an escape cut by the window is found
-        self.check = self.check or bool(_SURROGATE_ESCAPE.search(
-            self.text, max(0, tail - 5)))
         return True
 
     def startswith(self, char) -> bool:
@@ -426,8 +390,6 @@ class _Text:
         self.pos = self.at
         value = self.scan()
         self.end()
-        if self.check:
-            _reject_lone_surrogates(value, self.where)
         return value
 
     def end(self) -> None:

@@ -58,15 +58,15 @@ QUALIFIED = (
     "tests/test_seen_log.py::"
     "test_interpret_is_given_the_steps_own_previous_scs",
 )
-LONE_SURROGATES = (
-    "tests/test_corpus.py::"
-    "test_lone_surrogate_is_a_parse_error_naming_the_field",
-)
+# a parsed document's lone surrogate, by the row that places it, and one
+# in each string of demo1 in turn
+SURROGATE_ROW = ("tests/test_corpus.py::test_a_lone_surrogate_is_a_"
+                 "validation_error_naming_its_place")
+EVERY_STRING = ("tests/test_corpus.py::"
+                "test_no_lone_surrogate_survives_a_parse[demo1]",)
 # a hand-built object's rule, checked on it and on its parsed twin
 BUILT = ("tests/test_model.py::"
          "test_broken_rule_is_refused_where_the_object_is_built")
-LONE_IN_IDS = ("tests/test_model.py::"
-               "test_a_lone_surrogate_in_an_id_or_a_text_is_refused")
 # to_json against json's indented encoder, on fixtures and built reports
 TO_JSON = tuple(f"tests/test_evaluation.py::test_to_json_{test}" for test in (
     "is_the_indented_json_of_to_dict_on_every_fixture",
@@ -163,14 +163,15 @@ MUTANTS = (
            "",
            ("tests/test_hash_seed.py::"
             "test_outputs_are_the_same_under_two_hash_seeds",)),
-    # a parse walks each decoded value for a lone surrogate
-    Mutant("parse: an item not walked for a lone surrogate", CORPUS,
-           '                _reject_lone_surrogates(raw, "", where)\n',
-           "                pass\n", LONE_SURROGATES),
-    Mutant("parse: a top-level field not walked for a lone surrogate",
-           CORPUS,
-           '                _reject_lone_surrogates({key: value}, "")\n',
-           "                pass\n", LONE_SURROGATES),
+    # a parse meets a lone surrogate in the check on the string holding it
+    Mutant("document: a lone surrogate in the title accepted", CORPUS,
+           "        if has_lone_surrogate(self.title):\n",
+           "        if False:\n",
+           tuple(f"{SURROGATE_ROW}[{row}]"
+                 for row in ("pair-in-wrong-order", "code-point-in-str"))),
+    Mutant("names: a lone surrogate in a name accepted", CORPUS,
+           '    if has_lone_surrogate("".join(names)):\n', "    if False:\n",
+           (f"{SURROGATE_ROW}[roster-name]",)),
     # a parse gives each distinct gold label one Interpretation, and the
     # tracker one objective verdict with no active character
     Mutant("shared: the gold table keyed by characters alone", CORPUS,
@@ -197,10 +198,6 @@ MUTANTS = (
            "            if True:\n",
            ("tests/test_streaming.py::"
             "test_a_number_cut_by_a_window_is_read_whole",)),
-    Mutant("window: the surrogate escape search starts at the new text",
-           CORPUS, "self.text, max(0, tail - 5)))", "self.text, tail))",
-           ("tests/test_streaming.py::"
-            "test_a_surrogate_escape_cut_by_a_window_is_found",)),
     Mutant("window: the text read is never dropped", CORPUS,
            "        self.text, self.pos = self.text[self.pos:], 0"
            "  # drop the text read\n",
@@ -256,6 +253,12 @@ MUTANTS = (
            "            out.flush()\n            if True:\n",
            ("tests/test_cli.py::"
             "test_a_file_size_limit_leaves_the_bytes_that_fit",)),
+    # an error line quotes a lone surrogate as its escape, on any stream
+    Mutant("cli: a lone surrogate in an error line written raw", CLI,
+           '.encode(\n            "utf-8", "backslashreplace").decode()', "",
+           ("tests/test_cli.py::"
+            "test_a_message_quoting_a_lone_surrogate_raw_is_one_escaped_line",
+            )),
     # every id, text and name a model object accepts can be written back
     Mutant("category: an empty name accepted", MODEL,
            "        if not isinstance(name, str) or not name:\n",
@@ -278,14 +281,14 @@ MUTANTS = (
                  for what in ("state-of-affairs", "clause", "element"))),
     Mutant("id: a lone surrogate in an id accepted", MODEL,
            "    if has_lone_surrogate(value):\n", "    if False:\n",
-           tuple(f"{LONE_IN_IDS}[{what}-id]"
-                 for what in ("state-of-affairs", "clause", "element"))),
+           EVERY_STRING),
     Mutant("sentence: a lone surrogate in the id accepted", MODEL,
            "        if has_lone_surrogate(self.id):\n", "        if False:\n",
-           (f"{LONE_IN_IDS}[sentence-id]",)),
+           tuple(f"{SURROGATE_ROW}[{row}]"
+                 for row in ("escape", "escape-utf-16"))),
     Mutant("sentence: a lone surrogate in the text accepted", MODEL,
            "        if self.text is not None and has_lone_surrogate(self.text):"
-           "\n", "        if False:\n", (f"{LONE_IN_IDS}[text]",)),
+           "\n", "        if False:\n", EVERY_STRING),
     # the report's JSON writer
     Mutant("to_json: names quoted without escaping non-ASCII", EVALUATION,
            "import encode_basestring_ascii as _quote\n",

@@ -474,7 +474,8 @@ def demo1_with_first_id(sid, drop=None):
     (b'{"title": ' + b"1" * 5000 + b"}", "integer string conversion"),
     (chain_document(5000, cycle=True), "cycle: c1 -> c2"),
     pytest.param(demo1_with_first_id("\ud800"),
-                 "items[0].id: lone surrogate '\\ud800'", id="lone-surrogate"),
+                 "items[0]: sentence id '\\ud800' must not hold a lone "
+                 "surrogate", id="lone-surrogate"),
     # a verdict line that would read as two
     pytest.param(demo1_with_first_id("a\tb\nOBJ"),
                  "items[0]: sentence id 'a\\tb\\nOBJ' must not hold a tab",
@@ -519,8 +520,24 @@ def test_lone_surrogate_with_out_exits_1(tmp_path, capsys):
     target = tmp_path / "out.tsv"
     code, out, err = run(capsys, "track", path, "--out", target)
     assert (code, out) == (1, "")
-    assert err == "povtrack: error: items[0].id: lone surrogate '\\ud800'\n"
+    assert err == ("povtrack: error: items[0]: sentence id '\\ud800' must not "
+                   "hold a lone surrogate\n")
     assert not target.exists()
+
+
+def test_a_message_quoting_a_lone_surrogate_raw_is_one_escaped_line(
+        tmp_path, monkeypatch):
+    """The id is quoted as it is read when another fault of its sentence
+    is met first; a strict UTF-8 stderr still gets its escape."""
+    path = tmp_path / "raw-id.json"
+    path.write_text('{"items": [{"kind": "sentence", "id": "\\ud800", '
+                    '"features": 5}]}')
+    stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["validate", str(path)]) == 1
+    stderr.flush()
+    assert stderr.buffer.getvalue() == (
+        b"povtrack: error: sentence \\ud800: features: must be an object\n")
 
 
 def test_hostile_registry_exits_1(tmp_path, capsys):

@@ -16,6 +16,7 @@ from povtrack import (
     InterpretationDetail,
     NOBODY,
     ParseError,
+    PovTrackError,
     PseCategory,
     RegistryError,
     Sentence,
@@ -491,57 +492,66 @@ def with_string(path, value):
     return doc
 
 
+# a lone surrogate is refused by the rule of the place that holds it: the
+# model's, in a string the model keeps, or the unknown or off-roster one
 LONE_SURROGATES = [
     pytest.param(
         json.dumps(with_string(["items", 0, "id"], "\ud800")).encode(),
-        "items[0].id: lone surrogate '\\ud800'", id="escape"),
+        "items[0]: sentence id '\\ud800' must not hold a lone surrogate",
+        id="escape"),
     pytest.param(
         json.dumps(with_string(["items", 0, "id"], "s\udfff")).encode("utf-16"),
-        "items[0].id: lone surrogate '\\udfff'", id="escape-utf-16"),
+        "items[0]: sentence id 's\\udfff' must not hold a lone surrogate",
+        id="escape-utf-16"),
     pytest.param(
         json.dumps(with_string(["title"], "\udc00\ud800")),
-        "title: lone surrogate '\\udc00'", id="pair-in-wrong-order"),
+        "title must not hold a lone surrogate", id="pair-in-wrong-order"),
     pytest.param(
         json.dumps(with_string(["title"], "\udc00"), ensure_ascii=False),
-        "title: lone surrogate '\\udc00'", id="code-point-in-str"),
+        "title must not hold a lone surrogate", id="code-point-in-str"),
     pytest.param(
         json.dumps(with_string(["items", 0, "features", "soas", 0, "who", 0],
                                "Zo\ud83d")).replace("d83d", "D83D"),
-        "items[0].features.soas[0].who[0]: lone surrogate '\\ud83d'",
-        id="upper-case-escape"),
+        "sentence s1: features.soas[0].who: character(s) ['Zo\\ud83d'] not "
+        "in roster", id="upper-case-escape"),
     pytest.param(
         json.dumps(with_string(["items", 0, "features", "x\udbff"], 1)).encode(),
-        "items[0].features: field name has a lone surrogate '\\udbff'",
+        "sentence s1: features: unknown field(s) ['x\\udbff']",
         id="field-name"),
     pytest.param(
         json.dumps(with_string(["roster", 0], "\ud800")).encode(),
-        "roster[0]: lone surrogate '\\ud800'", id="roster-name"),
+        "roster name '\\ud800' must not hold a lone surrogate",
+        id="roster-name"),
     pytest.param(
         json.dumps(with_string(["preamble"], {"lastSC": ["\udc00"]})),
-        "preamble.lastSC[0]: lone surrogate '\\udc00'", id="preamble"),
+        "preamble.lastSC: character(s) ['\\udc00'] not in roster",
+        id="preamble"),
     pytest.param(
         json.dumps(with_string(["items"], minimal()["items"] + [
             {"kind": "scene-break", "x": "\udfff"}])).encode(),
-        "items[1].x: lone surrogate '\\udfff'", id="a-later-item"),
+        "items[1]: unknown field(s) ['x']", id="a-later-item"),
     pytest.param(
         json.dumps(minimal(**{"n\ud800": 1})).encode(),
-        "top level: field name has a lone surrogate '\\ud800'",
+        "top level: unknown field(s) ['n\\ud800']",
         id="top-level-field-name"),
 ]
 
 
-@pytest.mark.parametrize("text, place", LONE_SURROGATES)
-def test_lone_surrogate_is_a_parse_error_naming_the_field(text, place):
-    with pytest.raises(ParseError, match=re.escape(place)):
+@pytest.mark.parametrize("text, message", LONE_SURROGATES)
+def test_a_lone_surrogate_is_a_validation_error_naming_its_place(text,
+                                                                 message):
+    with pytest.raises(ValidationError) as caught:
         parse_document(text)
+    assert str(caught.value) == message
 
 
 def test_a_lone_surrogate_sentence_id_is_named():
     data = fixture_json("demo1")
     data["items"][0]["id"] = "\ud800"
-    with pytest.raises(ParseError) as parsed:
+    with pytest.raises(ValidationError) as caught:
         parse_data(data)
-    assert str(parsed.value) == "items[0].id: lone surrogate '\\ud800'"
+    assert str(caught.value) == (
+        "items[0]: sentence id '\\ud800' must not hold a lone surrogate")
 
 
 @pytest.mark.parametrize("sid", ["a\tb\nOBJ", "s1\r", "\ns1", "\t"] + [
@@ -553,44 +563,91 @@ def test_sentence_id_cannot_hold_a_tab_or_line_break(sid):
         parse_document(json.dumps(with_string(["items", 0, "id"], sid)))
 
 
-def test_lone_surrogate_in_registry_is_a_parse_error():
-    with pytest.raises(ParseError, match=re.escape(
-            "registry: top level: field name has a lone surrogate")):
+def test_a_lone_surrogate_in_a_registry_name_is_a_registry_error():
+    with pytest.raises(RegistryError) as caught:
         parse_registry(b'{"\\ud800": {"level": 1}}')
+    assert str(caught.value) == (
+        "registry: category name '\\ud800' must not hold a lone surrogate")
 
 
-# the registry reader walks its decoded JSON for lone surrogates as the
-# document reader does
+# in a registry too, a lone surrogate is refused by the rule of its place
 REGISTRY_SURROGATES = [
     pytest.param(json.dumps({"hedge": {"\udc00": 1}}).encode(),
-                 "registry: hedge: field name has a lone surrogate '\\udc00'",
+                 "registry: category 'hedge': unknown field(s) ['\\udc00']",
                  id="nested-field-name"),
     pytest.param(json.dumps({"hedge": {"level": "\ud800"}}).encode(),
-                 "registry: hedge.level: lone surrogate '\\ud800'",
+                 "registry: category 'hedge': level must be an integer",
                  id="escape"),
     pytest.param(
         json.dumps({"sound": {"level": 2, "x": ["ok", "\udfff"]}}).encode(
             "utf-16"),
-        "registry: sound.x[1]: lone surrogate '\\udfff'", id="escape-utf-16"),
+        "registry: category 'sound': unknown field(s) ['x']",
+        id="escape-utf-16"),
     pytest.param(json.dumps({"hedge": {"level": "\udc00\ud800"}}),
-                 "registry: hedge.level: lone surrogate '\\udc00'",
+                 "registry: category 'hedge': level must be an integer",
                  id="pair-in-wrong-order"),
     pytest.param(json.dumps({"hedge": {"level": "\udc00"}},
                             ensure_ascii=False),
-                 "registry: hedge.level: lone surrogate '\\udc00'",
+                 "registry: category 'hedge': level must be an integer",
                  id="code-point-in-str"),
     pytest.param(json.dumps({"hedge": {"excluded": "Zo\ud83d"}}).replace(
         "d83d", "D83D"),
-        "registry: hedge.excluded: lone surrogate '\\ud83d'",
+        "registry: category 'hedge': excluded must be a boolean",
         id="upper-case-escape"),
 ]
 
 
 @pytest.mark.parametrize("text, message", REGISTRY_SURROGATES)
 def test_a_lone_surrogate_in_a_registry_is_named(text, message):
-    with pytest.raises(ParseError) as caught:
+    with pytest.raises(RegistryError) as caught:
         parse_registry(text)
     assert str(caught.value) == message
+
+
+# each way a string can hold a lone surrogate: as the whole string, after
+# its text, and before it
+SURROGATE_EDITS = (lambda s: "\ud800", lambda s: s + "\udc00",
+                   lambda s: "\udfff" + s)
+
+
+def with_a_lone_surrogate(value):
+    """Copies of decoded JSON, one for each string value or field name in
+    it and each of SURROGATE_EDITS, with that one string edited."""
+    if isinstance(value, str):
+        yield from (edit(value) for edit in SURROGATE_EDITS)
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            for new in with_a_lone_surrogate(child):
+                yield value[:i] + [new] + value[i + 1:]
+    elif isinstance(value, dict):
+        for key, child in value.items():
+            for new in with_a_lone_surrogate(key):
+                yield {new if k == key else k: v for k, v in value.items()}
+            for new in with_a_lone_surrogate(child):
+                yield {**value, key: new}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_no_lone_surrogate_survives_a_parse(name):
+    count = 0
+    for data in with_a_lone_surrogate(fixture_json(name)):
+        with pytest.raises(PovTrackError):
+            parse_document(json.dumps(data).encode())
+        count += 1
+    assert count >= 3 * 70  # each fixture holds 70 strings and names or more
+
+
+def test_no_lone_surrogate_survives_a_registry_parse():
+    """Each string of a two-entry registry, and each value slot holding a
+    string instead, edited."""
+    registry = {"hedge": {"level": 2, "excluded": True},
+                "novel": {"level": 3, "excluded": False}}
+    slots = [{**registry, name: {**entry, key: edit(json.dumps(value))}}
+             for name, entry in registry.items()
+             for key, value in entry.items() for edit in SURROGATE_EDITS]
+    for data in [*with_a_lone_surrogate(registry), *slots]:
+        with pytest.raises(RegistryError):
+            parse_registry(json.dumps(data).encode())
 
 
 def test_paired_surrogates_and_escaped_backslashes_parse():

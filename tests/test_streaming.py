@@ -41,8 +41,7 @@ FIXTURES = sorted(path.stem for path in DATA.glob("*.json"))
 def decode(raw, where="", object_pairs_hook=None):
     """The oracle's decode: json.loads of the text, bytes decoded
     strictly and whole first.  Bad syntax, bytes that do not decode,
-    too-long numbers, too-deep nesting and strings holding a lone
-    surrogate raise ParseError."""
+    too-long numbers and too-deep nesting raise ParseError."""
     try:
         text = (raw.decode(json.detect_encoding(raw))
                 if isinstance(raw, (bytes, bytearray)) else raw)
@@ -52,14 +51,13 @@ def decode(raw, where="", object_pairs_hook=None):
                          f"column {exc.colno}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{where}cannot decode JSON: {exc}") from None
-    corpus._reject_lone_surrogates(data, where)
     return data
 
 
 def whole_document(data, registry=None):
-    """The oracle: the document of decoded JSON free of lone surrogates,
-    its checks run in this order: the registry, the top level, the
-    roster, "items" and each item, the preamble, the title."""
+    """The oracle: the document of decoded JSON, its checks run in this
+    order: the registry, the top level, the roster, "items" and each item,
+    the preamble, the title."""
     registry = corpus._checked_registry(registry)
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
@@ -281,8 +279,14 @@ FALLBACKS = {
     "items-not-an-array": ('{"items": {}}', corpus.ValidationError,
                            "items: must be an array"),
     "top-level-array": ("[]", ParseError, "top level must be a JSON object"),
-    "lone-surrogate": (MINI.replace('"15.1"', '"\\udc00"', 1), ParseError,
-                       "items[0].id: lone surrogate '\\udc00'"),
+    "lone-surrogate": (MINI.replace('"15.1"', '"\\udc00"', 1), ValidationError,
+                       "items[0]: sentence id '\\udc00' must not hold a lone "
+                       "surrogate"),
+    # a lone surrogate in a later item is met after an earlier item's
+    # fault, as any other fault of its item is
+    "item-fault-then-lone-surrogate": (
+        BAD_KIND.replace('"15.2"', '"\\udc00"', 1), ValidationError,
+        "items[0]: unknown kind 'x'"),
     "utf-8-bom-in-a-str": ("﻿" + MINI, ParseError, "invalid JSON at "
                            "line 1, column 1: Unexpected UTF-8 BOM (decode "
                            "using utf-8-sig)"),
@@ -308,9 +312,6 @@ NOT_A_CATEGORY = {"hedge": "x"}
 TWO_FAULTS = {
     "item-fault-then-syntax": (
         BAD_KIND.replace("}\n  ]\n}", "}\n  ]\n"), None, ValidationError,
-        "items[0]: unknown kind 'x'"),
-    "item-fault-then-lone-surrogate": (
-        BAD_KIND.replace('"15.2"', '"\\udc00"', 1), None, ValidationError,
         "items[0]: unknown kind 'x'"),
     "item-fault-then-unknown-field": (
         BAD_KIND.replace("}\n  ]\n}", '}\n  ],\n  "notes": 1\n}'), None,
@@ -390,6 +391,13 @@ def test_a_duplicate_field_keeps_the_last_as_before():
     # "items" other than an array is refused only if no later one replaces it
     assert parse_document('{"items": 5, "items": []}') == Document(
         "", frozenset(), ())
+    # nor is a lone surrogate in a field that a later one replaces, as in
+    # an item, which the json module decodes keeping the last
+    for text in ['{"title": "\\ud800", "title": "b"}',
+                 '{"items": [{"kind": "scene-break\\udc00", '
+                 '"kind": "scene-break"}]}']:
+        assert isinstance(whole(text), Document)
+        assert by_item(text) == whole(text)
     with pytest.raises(ValidationError, match="^items: must be an array$"):
         parse_document('{"items": [], "items": 5}')
 
@@ -509,7 +517,7 @@ def test_of_two_faults_read_a_window_at_a_time_the_first_met_is_reported(
     pytest.param(*param.values, id=param.id) for param in LONE_SURROGATES])
 def test_a_lone_surrogate_read_a_window_at_a_time_is_named_alike(
         text, message, size):
-    assert at_window(size, text) == (ParseError, message)
+    assert at_window(size, text) == (ValidationError, message)
 
 
 @pytest.mark.parametrize("size", FAULT_WINDOWS)
@@ -524,8 +532,8 @@ def test_each_reader_branch_read_a_window_at_a_time_keeps_its_message(
 
 
 # what a window's end may cut: a number that still decodes, shorter; a
-# surrogate escape, which the search for one must find across the cut;
-# a character of several bytes, or of a UTF-16 surrogate pair
+# surrogate escape, which must still decode to its lone surrogate; a
+# character of several bytes, or of a UTF-16 surrogate pair
 
 @pytest.mark.parametrize("text, message", [
     (b'{"roster": ["Zoe"], "title": 12345, "items": []}',
@@ -563,7 +571,7 @@ def test_a_surrogate_escape_cut_by_a_window_is_found():
     text = b'{"roster": ["Zoe"], "title": "Zoe \\ud800 x", "items": []}'
     for size in range(1, 61):
         assert at_window(size, text) == (
-            ParseError, "title: lone surrogate '\\ud800'"), size
+            ValidationError, "title must not hold a lone surrogate"), size
 
 
 @pytest.mark.parametrize("encoding", ["utf-8", "utf-16", "utf-16-le",
@@ -651,8 +659,6 @@ REGISTRY_FAULTS = {
     "bad-utf-8": (LINES % '{"l\xe9vel": 3}').encode("latin-1"),
     "bad-utf-16": (LINES % "{}").encode("utf-16")[:-1],
     "bom-in-a-str": "\ufeff" + LINES % "{}",
-    "lone-surrogate": LINES % '{"level": "\\udc00"}',
-    "lone-surrogate-field-name": LINES % '{"\\ud800x": 3}',
     "duplicate-key": LINES % '{"level": 3, "level": 4}',
     "duplicate-category": '{"hedge": {"level": 2},\n "hedge": {}}',
     "nesting-too-deep": LINES % ("[" * 100_000),
@@ -688,3 +694,26 @@ def test_no_reading_decodes_the_whole_text(monkeypatch):
         with pytest.raises(PovTrackError) as caught:
             parse_registry(text)
         assert (type(caught.value), str(caught.value)) == expected
+
+
+# registry text that decodes, holding a lone surrogate that the rule of
+# its place refuses, pinned
+REGISTRY_LONE_SURROGATES = {
+    "lone-surrogate": (LINES % '{"level": "\\udc00"}',
+                       "registry: category 'question': level must be an "
+                       "integer"),
+    "lone-surrogate-field-name": (LINES % '{"\\ud800x": 3}',
+                                  "registry: category 'question': unknown "
+                                  "field(s) ['\\ud800x']"),
+}
+
+
+@pytest.mark.parametrize("size", FAULT_WINDOWS)
+@pytest.mark.parametrize("text, message", REGISTRY_LONE_SURROGATES.values(),
+                         ids=REGISTRY_LONE_SURROGATES)
+def test_a_lone_surrogate_in_a_registry_read_a_window_at_a_time_is_named(
+        text, message, size):
+    with window(size):
+        with pytest.raises(RegistryError) as caught:
+            parse_registry(as_bytes(text))
+    assert str(caught.value) == message
